@@ -42,7 +42,6 @@ from .envs import (
     PerturbedMdp,
     Schedule,
     UnreachableGoalError,
-    base_states,
     build_chain,
     build_gridworld,
     four_rooms_spec,
@@ -59,7 +58,6 @@ from .experiment import (
 from .kshot import (
     KShotConfig,
     KShotResult,
-    bootstrap_ci,
     episode_return,
     kshot_evaluate,
     kshot_select,
@@ -71,20 +69,16 @@ from .mdp import (
     NonUnichainError,
     Occupancy,
     Policy,
-    SuccessorFeatures,
     TabularMdp,
     best_response,
     deterministic_policy,
     discounted_occupancy,
     expected_features,
-    mdp_from_json,
-    mdp_to_json,
     occupancy,
     policy_transition_matrix,
     policy_value,
     random_policy,
     stationary_distribution,
-    successor_features,
     uniform_policy,
     validate_mdp,
 )
@@ -93,7 +87,6 @@ from .policy_set import (
     AdamState,
     MovingAverageConfig,
     PolicySet,
-    combined_reward,
     constraint_indicator,
     init_set,
     lagrange_step,
@@ -103,13 +96,12 @@ from .policy_set import (
     update_moving_averages,
 )
 from .seeding import child_rng, hash64
-from .strategies import StrategyConfig, StrategyKind, mix
+from .strategies import StrategyConfig, StrategyKind, mix, weights
 from .training import (
     ExactTrainConfig,
     FtlMode,
     SampleTrainConfig,
     TraceRecord,
-    Trajectory,
     TrainingDivergedError,
     TrainTrace,
     rollout,

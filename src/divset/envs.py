@@ -13,10 +13,9 @@ Perturbations model test-time degradations. ActionFailure and ActionRemap
 act directly on the transition tensor; SlipIncrease, BlockCells and
 RewardShift are grid-level edits (they require the GridSpec). All preserve
 the state indexing of the original MDP so trained policies remain
-applicable. A Periodic schedule expands the state space with a clock phase
-(the perturbed dynamics apply only inside the active window); the expanded
-MDP carries a base_state_of map so policies indexed by original states can
-be followed on it.
+applicable. A schedule says at which steps of an episode the perturbed
+dynamics apply: Always at every step, Periodic only inside its active
+window, with the unperturbed dynamics at every other step.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ __all__ = [
     "grid_cells",
     "four_rooms_spec",
     "perturb",
-    "base_states",
 ]
 
 _DELTAS = ((-1, 0), (1, 0), (0, -1), (0, 1))  # up, down, left, right
@@ -276,7 +274,8 @@ class PerturbationKind(str, Enum):
 
 @dataclass(frozen=True)
 class Always:
-    pass
+    def active(self, step: int) -> bool:
+        return True
 
 
 @dataclass(frozen=True)
@@ -291,8 +290,8 @@ class Periodic:
         if not 0 <= self.start < self.period:
             raise ValueError(f"start must be in [0, period), got {self}")
 
-    def active(self, phase: int) -> bool:
-        return (phase - self.start) % self.period < self.duration
+    def active(self, step: int) -> bool:
+        return (step - self.start) % self.period < self.duration
 
 
 Schedule = Always | Periodic
@@ -307,17 +306,15 @@ class Perturbation:
 
 @dataclass(frozen=True)
 class PerturbedMdp(TabularMdp):
-    """A TabularMdp whose states may be (base state, clock phase) pairs."""
+    """Perturbed dynamics on the base state space, applied on a schedule.
 
-    base_state_of: np.ndarray = None  # maps this MDP's states to policy rows
+    transition and reward are the perturbed dynamics; at step t of an
+    episode they apply iff schedule.active(t), and the unperturbed MDP's
+    transition and reward apply otherwise.
+    """
 
-
-def base_states(mdp: TabularMdp) -> np.ndarray:
-    """Map from mdp's states to the original states policies are indexed by."""
-    mapping = getattr(mdp, "base_state_of", None)
-    if mapping is None:
-        return np.arange(mdp.num_states)
-    return mapping
+    schedule: Schedule = Always()
+    unperturbed: TabularMdp | None = None
 
 
 def _goal_states(mdp: TabularMdp, grid_spec: GridSpec | None) -> np.ndarray:
@@ -456,54 +453,22 @@ def perturb(
     seed: int,
     *,
     grid_spec: GridSpec | None = None,
-) -> TabularMdp:
-    """Apply a perturbation; the result keeps the original policy indexing.
+) -> PerturbedMdp:
+    """Apply a perturbation; the result keeps the original state indexing.
 
-    With an Always schedule the state space is unchanged. With a Periodic
-    schedule states become (base state, phase) pairs (index s * period +
-    phase, phase 0 initially, advancing deterministically); the perturbed
-    dynamics apply in phases where (phase - start) mod period < duration.
+    The result holds the perturbed transition and reward, the schedule
+    that switches them on by step index, and the unperturbed MDP it falls
+    back to where the schedule is inactive.
     """
-    P_pert, r_pert = _apply_always(mdp, p, seed, grid_spec)
-
-    if isinstance(p.schedule, Always):
-        out = PerturbedMdp(
-            transition=P_pert,
-            reward=r_pert,
-            features=mdp.features.copy(),
-            discount=mdp.discount,
-            initial_dist=mdp.initial_dist.copy(),
-            base_state_of=np.arange(mdp.num_states),
-        )
-        validate_mdp(out)
-        return out
-
-    sched: Periodic = p.schedule
-    S, A = mdp.num_states, mdp.num_actions
-    period = sched.period
-    SE = S * period
-    transition = np.zeros((SE, A, SE))
-    reward = np.zeros((SE, A))
-    states = np.arange(S)
-    for phase in range(period):
-        nxt = (phase + 1) % period
-        src = states * period + phase
-        dst = states * period + nxt
-        P_now, r_now = (P_pert, r_pert) if sched.active(phase) else (mdp.transition, mdp.reward)
-        transition[np.ix_(src, np.arange(A), dst)] = P_now
-        reward[src, :] = r_now
-    features = np.repeat(
-        mdp.features.reshape(S, A, -1), period, axis=0
-    ).reshape(SE * A, -1)
-    initial = np.zeros(SE)
-    initial[states * period] = mdp.initial_dist
+    transition, reward = _apply_always(mdp, p, seed, grid_spec)
     out = PerturbedMdp(
         transition=transition,
         reward=reward,
-        features=features,
+        features=mdp.features.copy(),
         discount=mdp.discount,
-        initial_dist=initial,
-        base_state_of=np.repeat(states, period),
+        initial_dist=mdp.initial_dist.copy(),
+        schedule=p.schedule,
+        unperturbed=mdp,
     )
     validate_mdp(out)
     return out

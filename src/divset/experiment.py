@@ -125,9 +125,7 @@ def enumerate_runs(config: ExperimentConfig) -> list[RunSpec]:
 
 
 def strategy_descriptor(cfg: StrategyConfig) -> str:
-    if cfg.kind == StrategyKind.SMERL:
-        return f"{cfg.kind.value}(c_d={cfg.c_d!r})"
-    if cfg.kind == StrategyKind.REVERSE_SMERL:
+    if cfg.kind in (StrategyKind.SMERL, StrategyKind.REVERSE_SMERL):
         return f"{cfg.kind.value}(c_d={cfg.c_d!r})"
     if cfg.kind == StrategyKind.MULTI_OBJECTIVE:
         return f"{cfg.kind.value}(c_e={cfg.c_e!r})"

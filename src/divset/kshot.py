@@ -33,7 +33,6 @@ __all__ = [
     "episode_return",
     "kshot_select",
     "kshot_evaluate",
-    "bootstrap_ci",
 ]
 
 
@@ -143,33 +142,6 @@ def kshot_evaluate(
         selected_indices=selected,
         baseline_nonpositive=nonpositive,
     )
-
-
-def bootstrap_ci(
-    samples: Sequence[np.ndarray],
-    level: float = 0.95,
-    resamples: int = 2000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Percentile CI for the mean of per-group means of nested data.
-
-    Resamples groups with replacement, then observations within each
-    chosen group, so group-level variance widens the interval even when
-    within-group scatter is tiny.
-    """
-    groups = [np.asarray(g, dtype=float) for g in samples]
-    if not groups or any(len(g) == 0 for g in groups):
-        raise ValueError("bootstrap_ci needs nonempty groups")
-    rng = np.random.default_rng(seed)
-    k = len(groups)
-    stats = np.empty(resamples)
-    for b in range(resamples):
-        chosen = rng.integers(k, size=k)
-        stats[b] = np.mean(
-            [np.mean(rng.choice(groups[g], size=len(groups[g]))) for g in chosen]
-        )
-    lo = (1.0 - level) / 2.0 * 100.0
-    return float(np.percentile(stats, lo)), float(np.percentile(stats, 100.0 - lo))
 
 
 def _paired_ratio_ci(

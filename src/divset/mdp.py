@@ -18,15 +18,10 @@ Conventions used throughout:
   Both sum to one, so expected rewards / features under either flavor are
   plain inner products: v = <r, d>, psi = Phi^T d. For the discounted
   flavor this makes v the (1 - gamma)-normalised discounted return.
-
-- Successor features use the matching normalisation
-  psi(s, a) = (1 - gamma) phi(s, a) + gamma E[psi(s', a')], so averaging
-  them over d0 and the policy reproduces Phi^T d exactly.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -37,7 +32,6 @@ __all__ = [
     "Criterion",
     "Policy",
     "Occupancy",
-    "SuccessorFeatures",
     "TabularMdp",
     "InvalidMdpError",
     "NonUnichainError",
@@ -52,10 +46,7 @@ __all__ = [
     "occupancy",
     "policy_value",
     "expected_features",
-    "successor_features",
     "best_response",
-    "mdp_to_json",
-    "mdp_from_json",
 ]
 
 _SIMPLEX_TOL = 1e-9
@@ -116,13 +107,6 @@ class Occupancy:
 
     def state_marginal(self, num_actions: int) -> np.ndarray:
         return self.d.reshape(-1, num_actions).sum(axis=1)
-
-
-@dataclass(frozen=True)
-class SuccessorFeatures:
-    """Normalised successor features, values[s, a] is a d-vector."""
-
-    values: np.ndarray  # (S, A, d)
 
 
 @dataclass(frozen=True)
@@ -301,20 +285,6 @@ def expected_features(mdp: TabularMdp, occ: Occupancy) -> np.ndarray:
     return mdp.features.T @ occ.d
 
 
-def successor_features(mdp: TabularMdp, policy: Policy) -> SuccessorFeatures:
-    """Solve psi = (1 - gamma) Phi + gamma P Pi psi exactly.
-
-    One linear system per feature dimension, sharing the LU factorisation:
-    the operator M[(s, a), (s', a')] = P(s' | s, a) pi(a' | s') acts on
-    state-action functions and I - gamma M is invertible for gamma < 1.
-    """
-    S, A, d = mdp.num_states, mdp.num_actions, mdp.feature_dim
-    gamma = mdp.discount
-    M = np.einsum("sat,tb->satb", mdp.transition, policy.probs).reshape(S * A, S * A)
-    psi = np.linalg.solve(np.eye(S * A) - gamma * M, (1.0 - gamma) * mdp.features)
-    return SuccessorFeatures(psi.reshape(S, A, d))
-
-
 def _greedy(Q: np.ndarray) -> Policy:
     # argmax returns the first maximiser, i.e. ties break to the lowest index
     actions = np.argmax(Q, axis=1)
@@ -412,32 +382,3 @@ def best_response(
             )
     policy = _greedy(reward + (1.0 - tau) * V[:, None] + tau * (P @ V))
     return (policy, V) if return_values else policy
-
-
-def mdp_to_json(mdp: TabularMdp) -> str:
-    """Serialise losslessly; float repr round-trips exactly."""
-    payload = {
-        "num_states": mdp.num_states,
-        "num_actions": mdp.num_actions,
-        "transition": mdp.transition.tolist(),
-        "reward": mdp.reward.tolist(),
-        "features": mdp.features.tolist(),
-        "discount": mdp.discount,
-        "initial_dist": mdp.initial_dist.tolist(),
-    }
-    return json.dumps(payload)
-
-
-def mdp_from_json(text: str) -> TabularMdp:
-    payload = json.loads(text)
-    mdp = TabularMdp(
-        transition=np.array(payload["transition"], dtype=float),
-        reward=np.array(payload["reward"], dtype=float),
-        features=np.array(payload["features"], dtype=float),
-        discount=float(payload["discount"]),
-        initial_dist=np.array(payload["initial_dist"], dtype=float),
-    )
-    if mdp.num_states != payload["num_states"] or mdp.num_actions != payload["num_actions"]:
-        raise InvalidMdpError("declared num_states/num_actions do not match array shapes")
-    validate_mdp(mdp)
-    return mdp

@@ -35,7 +35,6 @@ __all__ = [
     "AdamState",
     "init_set",
     "update_moving_averages",
-    "combined_reward",
     "lagrange_step",
     "lagrange_step_adam",
     "constraint_indicator",
@@ -141,14 +140,6 @@ def update_moving_averages(
     pset.avg_value[i] = a_v * pset.avg_value[i] + (1.0 - a_v) * episode_rewards.mean()
     pset.avg_psi[i] = a_f * pset.avg_psi[i] + (1.0 - a_f) * episode_features.mean(axis=0)
     return pset
-
-
-def combined_reward(r_e: np.ndarray, r_d: np.ndarray, pset: PolicySet, i: int) -> np.ndarray:
-    """sigma(mu_i) r_e + (1 - sigma(mu_i)) r_d; the anchor gets r_e alone."""
-    if i == 0:
-        return r_e.copy()
-    w = pset.extrinsic_weight(i)
-    return w * r_e + (1.0 - w) * r_d
 
 
 # Projection bound for the multiplier parameters. The no-regret view of the

@@ -19,9 +19,9 @@ from enum import Enum
 
 import numpy as np
 
-from .policy_set import PolicySet, combined_reward, constraint_indicator
+from .policy_set import PolicySet, constraint_indicator
 
-__all__ = ["StrategyKind", "StrategyConfig", "mix"]
+__all__ = ["StrategyKind", "StrategyConfig", "weights", "mix"]
 
 
 class StrategyKind(str, Enum):
@@ -48,6 +48,25 @@ class StrategyConfig:
             raise ValueError(f"c_e must be in [0, 1], got {self.c_e}")
 
 
+def weights(strategy: StrategyConfig, pset: PolicySet, i: int) -> tuple[float, float]:
+    """(w_e, w_d): the weights policy i puts on the extrinsic and the
+    diversity reward stream."""
+    if i == 0 or strategy.kind == StrategyKind.NO_DIVERSITY:
+        return 1.0, 0.0
+    if strategy.kind == StrategyKind.DOMINO_LAGRANGIAN:
+        w = pset.extrinsic_weight(i)
+        return w, 1.0 - w
+    if strategy.kind == StrategyKind.SMERL:
+        violated = constraint_indicator(pset, i, strategy.alpha)
+        return 1.0, 0.0 if violated else strategy.c_d
+    if strategy.kind == StrategyKind.REVERSE_SMERL:
+        violated = constraint_indicator(pset, i, strategy.alpha)
+        return (1.0 if violated else 0.0), strategy.c_d
+    if strategy.kind == StrategyKind.MULTI_OBJECTIVE:
+        return strategy.c_e, 1.0 - strategy.c_e
+    raise ValueError(f"unknown strategy kind {strategy.kind!r}")
+
+
 def mix(
     strategy: StrategyConfig,
     r_e: np.ndarray,
@@ -56,16 +75,5 @@ def mix(
     i: int,
 ) -> np.ndarray:
     """The reward matrix policy i's best response / learner should see."""
-    if i == 0 or strategy.kind == StrategyKind.NO_DIVERSITY:
-        return r_e.copy()
-    if strategy.kind == StrategyKind.DOMINO_LAGRANGIAN:
-        return combined_reward(r_e, r_d, pset, i)
-    if strategy.kind == StrategyKind.SMERL:
-        violated = constraint_indicator(pset, i, strategy.alpha)
-        return r_e + (0.0 if violated else strategy.c_d) * r_d
-    if strategy.kind == StrategyKind.REVERSE_SMERL:
-        violated = constraint_indicator(pset, i, strategy.alpha)
-        return (1.0 if violated else 0.0) * r_e + strategy.c_d * r_d
-    if strategy.kind == StrategyKind.MULTI_OBJECTIVE:
-        return strategy.c_e * r_e + (1.0 - strategy.c_e) * r_d
-    raise ValueError(f"unknown strategy kind {strategy.kind!r}")
+    w_e, w_d = weights(strategy, pset, i)
+    return w_e * r_e + w_d * r_d

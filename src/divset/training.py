@@ -35,7 +35,7 @@ from .diversity import (
     repulsive_objective,
     vdw_objective,
 )
-from .envs import base_states
+from .envs import Always, PerturbedMdp, Schedule
 from .mdp import (
     Criterion,
     Policy,
@@ -49,13 +49,12 @@ from .policy_set import (
     AdamState,
     MovingAverageConfig,
     PolicySet,
-    constraint_indicator,
     init_set,
     lagrange_step,
     lagrange_step_adam,
     update_moving_averages,
 )
-from .strategies import StrategyConfig, StrategyKind, mix
+from .strategies import StrategyConfig, StrategyKind, mix, weights
 
 __all__ = [
     "FtlMode",
@@ -63,7 +62,6 @@ __all__ = [
     "SampleTrainConfig",
     "TraceRecord",
     "TrainTrace",
-    "Trajectory",
     "TrainingDivergedError",
     "rollout",
     "train_exact",
@@ -135,7 +133,7 @@ class TrainTrace:
 
 
 @dataclass(frozen=True)
-class Trajectory:
+class _Trajectory:
     states: np.ndarray  # (T,)
     actions: np.ndarray  # (T,)
     rewards: np.ndarray  # (T,)
@@ -152,17 +150,44 @@ def _objective(fset: FeatureSet, cfg: DiversityConfig) -> float:
 
 
 def _sample_from_cdf(cdf_row: np.ndarray, u: float) -> int:
-    return min(int(np.searchsorted(cdf_row, u, side="right")), len(cdf_row) - 1)
+    """The outcome whose cumulative-mass interval holds u.
+
+    Rounding can leave cdf_row[-1] short of 1; a u at or above it maps to
+    the last outcome with positive probability.
+    """
+    k = int(np.searchsorted(cdf_row, u, side="right"))
+    if k < len(cdf_row):
+        return k
+    return int(np.searchsorted(cdf_row, cdf_row[-1], side="left"))
+
+
+def _scheduled_dynamics(mdp: TabularMdp) -> tuple[Schedule, TabularMdp]:
+    """mdp's own dynamics apply at the steps the schedule marks active, the
+    fallback MDP's at every other step."""
+    if isinstance(mdp, PerturbedMdp):
+        return mdp.schedule, mdp.unperturbed
+    return Always(), mdp
+
+
+def _transition_cdfs(mdp: TabularMdp) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative next-state rows (fallback, own), indexed by schedule.active."""
+    cdf = np.cumsum(mdp.transition, axis=2)
+    schedule, fallback = _scheduled_dynamics(mdp)
+    if isinstance(schedule, Always):
+        return cdf, cdf
+    return np.cumsum(fallback.transition, axis=2), cdf
 
 
 def _rollout_core(
     mdp: TabularMdp,
-    transition_cdf: np.ndarray,
+    transition_cdfs: tuple[np.ndarray, np.ndarray],
     probs: np.ndarray,
     horizon: int,
     rng: np.random.Generator,
-) -> Trajectory:
+) -> _Trajectory:
     A = mdp.num_actions
+    schedule, fallback = _scheduled_dynamics(mdp)
+    active = [schedule.active(t) for t in range(horizon)]
     policy_cdf = np.cumsum(probs, axis=1)
     initial_cdf = np.cumsum(mdp.initial_dist)
     draws = rng.random(2 * horizon + 1)
@@ -172,25 +197,25 @@ def _rollout_core(
     next_states = np.empty(horizon, dtype=int)
     for t in range(horizon):
         a = _sample_from_cdf(policy_cdf[s], draws[2 * t + 1])
-        s_next = _sample_from_cdf(transition_cdf[s, a], draws[2 * t + 2])
+        s_next = _sample_from_cdf(transition_cdfs[active[t]][s, a], draws[2 * t + 2])
         states[t], actions[t], next_states[t] = s, a, s_next
         s = s_next
-    rewards = mdp.reward[states, actions]
+    rewards = np.where(active, mdp.reward[states, actions], fallback.reward[states, actions])
     features = mdp.features[states * A + actions]
-    return Trajectory(states, actions, rewards, features, next_states)
+    return _Trajectory(states, actions, rewards, features, next_states)
 
 
 def rollout(
     mdp: TabularMdp, policy: Policy, horizon: int, rng: np.random.Generator
-) -> Trajectory:
+) -> _Trajectory:
     """Sample one fixed-horizon episode from the initial distribution.
 
-    The policy is indexed by the MDP's base states, so policies trained on
-    an unperturbed MDP can be rolled out on its (possibly clock-expanded)
-    perturbations unchanged.
+    On a perturbed MDP the perturbed transition and reward apply at step t
+    iff its schedule is active at t, and the unperturbed ones otherwise.
+    Every perturbation keeps the state indexing, so policies trained on the
+    unperturbed MDP apply unchanged.
     """
-    probs = policy.probs[base_states(mdp)]
-    return _rollout_core(mdp, np.cumsum(mdp.transition, axis=2), probs, horizon, rng)
+    return _rollout_core(mdp, _transition_cdfs(mdp), policy.probs, horizon, rng)
 
 
 def train_exact(
@@ -324,27 +349,6 @@ def _nstep_returns(
     return G
 
 
-def _advantage_weights(
-    strategy: StrategyConfig, pset: PolicySet, i: int
-) -> tuple[float, float]:
-    """(extrinsic, diversity) coefficients; mixing advantages with them is
-    reward-level mixing with the matching mixed critic baseline."""
-    if i == 0 or strategy.kind == StrategyKind.NO_DIVERSITY:
-        return 1.0, 0.0
-    if strategy.kind == StrategyKind.DOMINO_LAGRANGIAN:
-        w = pset.extrinsic_weight(i)
-        return w, 1.0 - w
-    if strategy.kind == StrategyKind.SMERL:
-        violated = constraint_indicator(pset, i, strategy.alpha)
-        return 1.0, 0.0 if violated else strategy.c_d
-    if strategy.kind == StrategyKind.REVERSE_SMERL:
-        violated = constraint_indicator(pset, i, strategy.alpha)
-        return (1.0 if violated else 0.0), strategy.c_d
-    if strategy.kind == StrategyKind.MULTI_OBJECTIVE:
-        return strategy.c_e, 1.0 - strategy.c_e
-    raise ValueError(f"unknown strategy kind {strategy.kind!r}")
-
-
 def train_sampled(
     mdp: TabularMdp,
     n: int,
@@ -367,7 +371,7 @@ def train_sampled(
     v_d = np.zeros((n, S))
     pset = init_set(n, d, S, A, policy_init="uniform")
     adam = AdamState.zeros(max(n - 1, 1))
-    transition_cdf = np.cumsum(mdp.transition, axis=2)
+    transition_cdfs = _transition_cdfs(mdp)
     features_sa = mdp.features_sa
     gamma = mdp.discount
     records: list[TraceRecord] = []
@@ -391,7 +395,7 @@ def train_sampled(
     for ep in range(cfg.total_episodes):
         z = int(rng.integers(n))
         probs = _softmax(logits[z])
-        traj = _rollout_core(mdp, transition_cdf, probs, cfg.episode_length, rng)
+        traj = _rollout_core(mdp, transition_cdfs, probs, cfg.episode_length, rng)
         T = cfg.episode_length
 
         if z > 0 and n >= 2:
@@ -407,8 +411,8 @@ def train_sampled(
         targ_d = _nstep_returns(r_d_t, v_d[z], state_seq, gamma, cfg.n_step)
         adv_e = targ_e - v_e[z][traj.states]
         adv_d = targ_d - v_d[z][traj.states]
-        w_ext, w_div = _advantage_weights(strategy_cfg, pset, z)
-        adv = w_ext * adv_e + w_div * adv_d
+        w_e, w_d = weights(strategy_cfg, pset, z)
+        adv = w_e * adv_e + w_d * adv_d
 
         pi_visited = probs[traj.states]
         grad = np.zeros((S, A))

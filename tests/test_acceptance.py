@@ -467,6 +467,18 @@ def test_criterion_10_cli_outputs_are_byte_identical_on_rerun(acceptance_line, t
     assert first.keys() == second.keys()
     diffs = [k for k in first if first[k] != second[k]]
     assert not diffs, f"outputs differ on rerun: {diffs}"
+    # the chain run also reproduces the committed golden outputs (the plot
+    # is not committed)
+    golden_root = CONFIG_DIR.parent / "results" / "chain_vdw"
+    golden = {
+        f"chain/{p.relative_to(golden_root)}": p.read_bytes()
+        for p in sorted(golden_root.rglob("*"))
+        if p.is_file()
+    }
+    produced = {k: v for k, v in first.items() if k.startswith("chain/") and k != "chain/qd.svg"}
+    assert produced.keys() == golden.keys()
+    stale = [k for k in golden if produced[k] != golden[k]]
+    assert not stale, f"chain outputs differ from results/chain_vdw: {stale}"
     n_files = len(first)
     elapsed = time.time() - t0
     _verdict(

@@ -9,16 +9,19 @@ from divset import (
     Periodic,
     Perturbation,
     PerturbationKind,
+    Policy,
+    TabularMdp,
     UnreachableGoalError,
-    base_states,
     build_chain,
     build_gridworld,
-    deterministic_policy,
     four_rooms_spec,
     grid_cells,
     perturb,
+    random_policy,
     rollout,
 )
+
+from helpers import random_mdp
 
 
 def test_chain_dynamics_and_features():
@@ -119,7 +122,7 @@ def test_action_failure_mixes_toward_staying_put():
     stay[np.arange(4), :, np.arange(4)] = 1.0
     assert np.allclose(out.transition, 0.7 * mdp.transition + 0.3 * stay)
     assert np.array_equal(out.reward, mdp.reward)
-    assert np.array_equal(base_states(out), np.arange(4))
+    assert out.unperturbed is mdp
     # magnitude zero is the identity
     zero = perturb(mdp, Perturbation(kind=PerturbationKind.ACTION_FAILURE, magnitude=0.0), seed=0)
     assert np.allclose(zero.transition, mdp.transition)
@@ -216,38 +219,55 @@ def test_block_cells_bounces_and_detects_stranded_starts():
         assert np.all(out.reward[s] == 0.0)
 
 
-def test_periodic_schedule_expands_the_clock():
-    mdp = build_chain(3, end_reward=1.0)
-    sched = Periodic(period=2, duration=1)
-    p = Perturbation(kind=PerturbationKind.ACTION_FAILURE, magnitude=1.0, schedule=sched)
-    out = perturb(mdp, p, seed=0)
-    assert out.num_states == 6
-    assert np.array_equal(base_states(out), np.repeat(np.arange(3), 2))
-    # phase 0 is active: full failure, so the base state freezes while the
-    # clock still advances to phase 1
-    s0 = 1 * 2 + 0  # state 1 at phase 0
-    assert out.transition[s0, 1, 1 * 2 + 1] == 1.0
-    # phase 1 is inactive: ordinary dynamics, clock wraps to phase 0
-    s1 = 1 * 2 + 1
-    assert out.transition[s1, 1, 2 * 2 + 0] == 1.0
-    # features and initial mass live on the expanded index
-    assert out.features.shape == (6 * 3, 1)
-    assert np.allclose(out.initial_dist[::2], mdp.initial_dist)
-    assert np.allclose(out.initial_dist[1::2], 0.0)
-    # rewards follow the active dynamics per phase
-    assert out.reward[2 * 2 + 0, 0] == 1.0 and out.reward[2 * 2 + 1, 0] == 1.0
+def _clock_expanded(mdp: TabularMdp, perturbed: TabularMdp, sched: Periodic) -> TabularMdp:
+    """Reference: the (state, phase) MDP that realises a Periodic schedule.
+
+    State s at phase k is index s * period + k. Every step advances the
+    phase by one; the perturbed dynamics apply in active phases.
+    """
+    S, A, period = mdp.num_states, mdp.num_actions, sched.period
+    SE = S * period
+    transition = np.zeros((SE, A, SE))
+    reward = np.zeros((SE, A))
+    states = np.arange(S)
+    for phase in range(period):
+        src = states * period + phase
+        dst = states * period + (phase + 1) % period
+        now = perturbed if sched.active(phase) else mdp
+        transition[np.ix_(src, np.arange(A), dst)] = now.transition
+        reward[src] = now.reward
+    initial = np.zeros(SE)
+    initial[states * period] = mdp.initial_dist
+    return TabularMdp(
+        transition=transition,
+        reward=reward,
+        features=np.repeat(mdp.features.reshape(S, A, -1), period, axis=0).reshape(SE * A, -1),
+        discount=mdp.discount,
+        initial_dist=initial,
+    )
 
 
-def test_rollout_on_a_clock_expanded_mdp_uses_base_state_indexing():
-    mdp = build_chain(3, end_reward=1.0)
-    sched = Periodic(period=3, duration=1)
-    p = Perturbation(kind=PerturbationKind.ACTION_FAILURE, magnitude=1.0, schedule=sched)
-    out = perturb(mdp, p, seed=0)
-    policy = deterministic_policy(np.full(3, 1, dtype=int), 3)  # indexed by base states
-    traj = rollout(out, policy, horizon=9, rng=np.random.default_rng(0))
-    assert traj.states.shape == (9,)
-    # the clock phase advances by one every step
-    assert np.array_equal(traj.states % 3, np.arange(9) % 3)
+def test_periodic_rollouts_match_the_clock_expanded_mdp():
+    mdp = random_mdp(np.random.default_rng(3), 5, 3, 2)
+    remap = Perturbation(kind=PerturbationKind.ACTION_REMAP, magnitude=1.0)
+    always = perturb(mdp, remap, seed=0)
+    assert not np.array_equal(always.reward, mdp.reward)
+    probs = random_policy(np.random.default_rng(4), 5, 3).probs
+    for sched in (Periodic(period=3, duration=1), Periodic(period=4, duration=2, start=3)):
+        scheduled = perturb(mdp, Perturbation(remap.kind, remap.magnitude, sched), seed=0)
+        oracle = _clock_expanded(mdp, always, sched)
+        oracle_policy = Policy(np.repeat(probs, sched.period, axis=0))
+        for seed in range(20):
+            traj = rollout(scheduled, Policy(probs), 30, np.random.default_rng(seed))
+            ref = rollout(oracle, oracle_policy, 30, np.random.default_rng(seed))
+            assert np.array_equal(traj.states, ref.states // sched.period)
+            assert np.array_equal(traj.next_states, ref.next_states // sched.period)
+            assert np.array_equal(traj.actions, ref.actions)
+            assert np.array_equal(traj.rewards, ref.rewards)
+            assert np.array_equal(traj.features, ref.features)
+    # a long period costs no memory: the dynamics stay on the base states
+    long = perturb(mdp, Perturbation(remap.kind, remap.magnitude, Periodic(50, 1, 49)), seed=0)
+    assert long.transition.shape == mdp.transition.shape
 
 
 def test_periodic_validation():

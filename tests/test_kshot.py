@@ -10,7 +10,6 @@ import pytest
 from divset import (
     KShotConfig,
     Policy,
-    bootstrap_ci,
     build_chain,
     child_rng,
     episode_return,
@@ -115,18 +114,6 @@ def test_nonpositive_baseline_flags_and_nans():
     assert np.isnan(result.ratio_mean)
     assert np.isnan(result.ci_low) and np.isnan(result.ci_high)
     assert np.all(np.isnan(result.per_seed_ratios))
-
-
-def test_bootstrap_ci_degenerate_and_errors():
-    groups = [np.full(4, 2.5), np.full(6, 2.5)]
-    lo, hi = bootstrap_ci(groups, level=0.9, resamples=64, seed=1)
-    assert (lo, hi) == (2.5, 2.5)
-    spread = bootstrap_ci([np.array([0.0, 2.0]), np.array([4.0, 6.0])], resamples=200, seed=1)
-    assert spread[0] < spread[1]
-    with pytest.raises(ValueError, match="nonempty"):
-        bootstrap_ci([])
-    with pytest.raises(ValueError, match="nonempty"):
-        bootstrap_ci([np.array([]), np.array([1.0])])
 
 
 def test_run_kshot_writes_schema_and_baseline_unit_ratios(tmp_path):

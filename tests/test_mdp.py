@@ -1,4 +1,4 @@
-"""Occupancies, values, successor features, and best responses."""
+"""Occupancies, values, and best responses."""
 
 import numpy as np
 import pytest
@@ -14,14 +14,11 @@ from divset import (
     deterministic_policy,
     discounted_occupancy,
     expected_features,
-    mdp_from_json,
-    mdp_to_json,
     occupancy,
     policy_transition_matrix,
     policy_value,
     random_policy,
     stationary_distribution,
-    successor_features,
     uniform_policy,
     validate_mdp,
 )
@@ -115,21 +112,6 @@ def test_one_hot_expected_features_equal_the_state_marginal():
     assert np.allclose(expected_features(mdp, occ), occ.state_marginal(3), atol=1e-12)
 
 
-def test_successor_features_fixed_point_and_consistency():
-    rng = np.random.default_rng(7)
-    mdp = random_mdp(rng, 4, 3, 3)
-    pol = random_policy(rng, 4, 3)
-    sf = successor_features(mdp, pol).values
-    gamma = mdp.discount
-    phi = mdp.features_sa
-    nxt = np.einsum("sat,tb,tbk->sak", mdp.transition, pol.probs, sf)
-    assert np.max(np.abs(sf - ((1.0 - gamma) * phi + gamma * nxt))) < 1e-10
-    # averaging over d0 and the policy reproduces Phi^T d
-    from_sf = np.einsum("s,sa,sak->k", mdp.initial_dist, pol.probs, sf)
-    psi = expected_features(mdp, discounted_occupancy(mdp, pol))
-    assert np.allclose(from_sf, psi, atol=1e-10)
-
-
 def test_best_response_dominates_random_policies():
     rng = np.random.default_rng(8)
     for criterion in (Criterion.DISCOUNTED, Criterion.AVERAGE):
@@ -174,14 +156,3 @@ def test_disconnected_chain_raises_non_unichain():
     with pytest.warns(RuntimeWarning, match="stationary"):
         with pytest.raises(NonUnichainError):
             stationary_distribution(mdp, uniform_policy(2, 2))
-
-
-def test_mdp_json_round_trip_is_exact():
-    rng = np.random.default_rng(12)
-    mdp = random_mdp(rng, 4, 3, 2)
-    back = mdp_from_json(mdp_to_json(mdp))
-    assert np.array_equal(back.transition, mdp.transition)
-    assert np.array_equal(back.reward, mdp.reward)
-    assert np.array_equal(back.features, mdp.features)
-    assert np.array_equal(back.initial_dist, mdp.initial_dist)
-    assert back.discount == mdp.discount

@@ -6,7 +6,6 @@ import pytest
 from divset import (
     AdamState,
     MovingAverageConfig,
-    combined_reward,
     constraint_indicator,
     init_set,
     lagrange_step,
@@ -58,18 +57,6 @@ def test_moving_average_update_formula():
     # decay * old + (1 - decay) * episode mean, per statistic
     assert pset.avg_value[1] == pytest.approx(0.9 * 2.0 + 0.1 * 1.0)
     assert np.allclose(pset.avg_psi[1], [0.5 * 0.0 + 0.5 * 2.0, 0.5 * 1.0 + 0.5 * 1.0])
-
-
-def test_combined_reward_mixes_with_the_sigmoid_weight():
-    pset = init_set(2, 1, 2, 2)
-    r_e = np.array([[1.0, 0.0], [0.0, 0.0]])
-    r_d = np.array([[0.0, 2.0], [0.0, 0.0]])
-    assert np.array_equal(combined_reward(r_e, r_d, pset, 0), r_e)
-    mixed = combined_reward(r_e, r_d, pset, 1)  # sigma(0) = 0.5
-    assert np.allclose(mixed, 0.5 * r_e + 0.5 * r_d)
-    # the anchor branch returns a copy, not a view
-    combined_reward(r_e, r_d, pset, 0)[0, 0] = 9.0
-    assert r_e[0, 0] == 1.0
 
 
 def test_lagrange_step_signs_follow_the_constraint_residual():

@@ -25,6 +25,7 @@ from divset import (
     train_exact,
     train_sampled,
 )
+from divset.training import _sample_from_cdf
 
 from helpers import random_mdp
 
@@ -137,6 +138,14 @@ def test_rollout_follows_the_dynamics():
     assert np.array_equal(traj.rewards, mdp.reward[traj.states, traj.actions])
     assert np.array_equal(traj.features, mdp.features[traj.states * 3 + traj.actions])
     assert np.array_equal(traj.next_states[:-1], traj.states[1:])
+
+
+def test_draws_past_a_rounded_cdf_land_on_the_last_positive_outcome():
+    cdf = np.array([0.3, 0.6, 0.6])  # total mass short of 1, last outcome impossible
+    assert _sample_from_cdf(cdf, 0.0) == 0
+    assert _sample_from_cdf(cdf, 0.3) == 1
+    assert _sample_from_cdf(cdf, 0.6) == 1
+    assert _sample_from_cdf(cdf, 0.99) == 1
 
 
 def test_sampled_trainer_is_deterministic_and_records_on_schedule():
