@@ -14,6 +14,7 @@ from divset import (
     UnreachableGoalError,
     build_chain,
     build_gridworld,
+    deterministic_policy,
     four_rooms_spec,
     grid_cells,
     perturb,
@@ -217,6 +218,47 @@ def test_block_cells_bounces_and_detects_stranded_starts():
     assert len(blocked) == 2  # floor(0.2 * 14) unprotected cells blocked
     for s in blocked:
         assert np.all(out.reward[s] == 0.0)
+
+
+def test_periodic_schedule_expands_the_clock():
+    mdp = build_chain(3, end_reward=1.0)
+    sched = Periodic(period=2, duration=1)
+    p = Perturbation(kind=PerturbationKind.ACTION_FAILURE, magnitude=1.0, schedule=sched)
+    out = perturb(mdp, p, seed=0)
+    # the clock is the step index: the dynamics stay on the base states
+    assert out.num_states == 3
+    assert out.schedule == sched and out.unperturbed is mdp
+    assert out.transition[1, 1, 1] == 1.0
+    assert np.array_equal(out.reward, mdp.reward)
+    right = deterministic_policy(np.full(3, 1, dtype=int), 3)
+    for seed in range(10):
+        traj = rollout(out, right, horizon=8, rng=np.random.default_rng(seed))
+        for t in range(8):
+            s = traj.states[t]
+            # phase 0 is active: full failure freezes the state;
+            # phase 1 is inactive: ordinary dynamics move right
+            expected = s if t % 2 == 0 else min(s + 1, 2)
+            assert traj.next_states[t] == expected
+            # rewards follow the dynamics in force at each phase
+            assert traj.rewards[t] == (1.0 if s == 2 else 0.0)
+        assert np.array_equal(traj.states[1:], traj.next_states[:-1])
+
+
+def test_rollout_on_a_clock_expanded_mdp_uses_base_state_indexing():
+    mdp = build_chain(3, end_reward=1.0)
+    sched = Periodic(period=3, duration=1)
+    p = Perturbation(kind=PerturbationKind.ACTION_FAILURE, magnitude=1.0, schedule=sched)
+    out = perturb(mdp, p, seed=0)
+    policy = deterministic_policy(np.full(3, 1, dtype=int), 3)  # indexed by base states
+    for seed in range(10):
+        traj = rollout(out, policy, horizon=9, rng=np.random.default_rng(seed))
+        assert traj.states.shape == (9,)
+        assert np.all((traj.states >= 0) & (traj.states < 3))
+        assert np.array_equal(traj.actions, np.full(9, 1))
+        # the clock phase advances by one every step: only steps 0, 3, 6 freeze
+        moved = traj.next_states != traj.states
+        assert not np.any(moved[::3])
+        assert np.array_equal(moved, (np.arange(9) % 3 != 0) & (traj.states < 2))
 
 
 def _clock_expanded(mdp: TabularMdp, perturbed: TabularMdp, sched: Periodic) -> TabularMdp:
