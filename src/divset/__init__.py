@@ -60,6 +60,7 @@ from .kshot import (
     KShotResult,
     episode_return,
     kshot_evaluate,
+    kshot_returns,
     kshot_select,
 )
 from .mdp import (

@@ -20,6 +20,7 @@ window, with the unperturbed dynamics at every other step.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -381,17 +382,7 @@ def _apply_always(
         raise ValueError(f"{p.kind.value} requires the originating GridSpec")
 
     if p.kind == PerturbationKind.SLIP_INCREASE:
-        new_spec = GridSpec(
-            width=grid_spec.width,
-            height=grid_spec.height,
-            walls=grid_spec.walls,
-            goal_cells=dict(grid_spec.goal_cells),
-            slip_prob=min(1.0, grid_spec.slip_prob + m),
-            feature_kind=grid_spec.feature_kind,
-            start=grid_spec.start,
-            discount=grid_spec.discount,
-            base_reward=grid_spec.base_reward,
-        )
+        new_spec = dataclasses.replace(grid_spec, slip_prob=min(1.0, grid_spec.slip_prob + m))
         rebuilt = build_gridworld(new_spec)
         return rebuilt.transition, rebuilt.reward
 

@@ -28,8 +28,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig
+from .diversity import DiversityConfig
 from .envs import Always, Perturbation, UnreachableGoalError, perturb
-from .kshot import KShotConfig, KShotResult, kshot_evaluate
+from .kshot import KShotConfig, KShotResult, kshot_evaluate, kshot_returns
+from .mdp import TabularMdp
 from .policy_set import PolicySet, policy_set_to_json
 from .seeding import hash64
 from .strategies import StrategyConfig, StrategyKind
@@ -132,26 +134,30 @@ def strategy_descriptor(cfg: StrategyConfig) -> str:
     return cfg.kind.value
 
 
-def _train(config: ExperimentConfig, spec: RunSpec) -> tuple[PolicySet, TrainTrace]:
-    mdp, _ = config.environment.build()
-    dcfg = dataclasses.replace(config.diversity, contact_distance=spec.contact_distance)
-    scfg = dataclasses.replace(
-        config.strategy, alpha=spec.alpha, c_e=spec.c_e, c_d=spec.c_d
-    )
-    tcfg = config.trainer.instantiate(spec.train_seed)
+def _train(
+    config: ExperimentConfig,
+    mdp: TabularMdp,
+    n: int,
+    diversity: DiversityConfig,
+    strategy: StrategyConfig,
+    seed: int,
+) -> tuple[PolicySet, TrainTrace]:
+    """Train one set with the configured trainer (exact or sampled)."""
     train = train_exact if config.trainer.mode == "exact" else train_sampled
-    return train(mdp, spec.set_size, dcfg, scfg, tcfg)
+    return train(mdp, n, diversity, strategy, config.trainer.instantiate(seed))
 
 
 def run_single(
     config: ExperimentConfig, spec: RunSpec
 ) -> tuple[list[str], list[list[str]], str]:
     """One sweep run: returns (qd row, trace rows, checkpoint JSON)."""
-    pset, trace = _train(config, spec)
-    final = trace.records[-1]
+    mdp, _ = config.environment.build()
+    dcfg = dataclasses.replace(config.diversity, contact_distance=spec.contact_distance)
     scfg = dataclasses.replace(
         config.strategy, alpha=spec.alpha, c_e=spec.c_e, c_d=spec.c_d
     )
+    pset, trace = _train(config, mdp, spec.set_size, dcfg, scfg, spec.train_seed)
+    final = trace.records[-1]
     qd_row = [
         strategy_descriptor(scfg),
         repr(float(spec.alpha)),
@@ -288,7 +294,9 @@ def run_kshot(config: ExperimentConfig) -> Path:
 
     Evaluation episode streams are derived without the method name, so
     every method (and the baseline against itself) sees identical
-    environment randomness for a given perturbation.
+    environment randomness for a given perturbation. Each set is rolled
+    once per perturbed MDP; the baseline's returns are shared by its own
+    row and by every method row.
     """
     if config.kshot is None:
         raise ConfigError("config has no kshot section")
@@ -304,10 +312,7 @@ def run_kshot(config: ExperimentConfig) -> Path:
     )
 
     def train_set(strategy: StrategyConfig, set_size: int, seed: int) -> PolicySet:
-        tcfg = config.trainer.instantiate(seed)
-        train = train_exact if config.trainer.mode == "exact" else train_sampled
-        pset, _ = train(mdp, set_size, config.diversity, strategy, tcfg)
-        return pset
+        return _train(config, mdp, set_size, config.diversity, strategy, seed)[0]
 
     baseline_strategy = StrategyConfig(kind=StrategyKind.NO_DIVERSITY)
     baselines = [
@@ -334,12 +339,13 @@ def run_kshot(config: ExperimentConfig) -> Path:
                 mdp, p, config.master_seed, (p_idx, m_idx), grid_spec
             )
             eval_seed = hash64(config.master_seed, "kshot-eval", p_idx, m_idx)
+            base_selected, base_returns = kshot_returns(baselines, pmdp, kcfg, eval_seed)
             rows.extend(
                 _kshot_rows(
                     BASELINE_METHOD,
                     strategy_descriptor(baseline_strategy),
                     p,
-                    kshot_evaluate(baselines, pmdp, baselines, kcfg, eval_seed),
+                    kshot_evaluate(base_returns, base_returns, base_selected, kcfg, eval_seed),
                 )
             )
             for m in ks.methods:
@@ -347,9 +353,8 @@ def run_kshot(config: ExperimentConfig) -> Path:
                     f"{strategy_descriptor(m.strategy)},"
                     f"alpha={m.strategy.alpha!r},n={m.set_size}"
                 )
-                result = kshot_evaluate(
-                    sets_by_method[m.name], pmdp, baselines, kcfg, eval_seed
-                )
+                selected, returns = kshot_returns(sets_by_method[m.name], pmdp, kcfg, eval_seed)
+                result = kshot_evaluate(returns, base_returns, selected, kcfg, eval_seed)
                 rows.extend(_kshot_rows(m.name, params, p, result))
 
     out = Path(config.output_dir)

@@ -3,8 +3,10 @@
 Protocol, per perturbed MDP and per training seed: roll k_select episodes
 with every member of the set, pick the member with the highest mean return
 (ties to the lowest index), then evaluate the pick for n_eval fresh
-episodes. The figure of merit is the ratio of that evaluation return to
-the same protocol applied to a single-policy baseline set.
+episodes (kshot_returns). The figure of merit is the ratio of that
+evaluation return to the same protocol applied to a single-policy baseline
+set (kshot_evaluate, which plays no episodes, so the baseline is rolled
+once per perturbed MDP and shared by every method).
 
 Episode returns are undiscounted sums over the fixed horizon. All episode
 streams are derived from (seed, role, train seed, episode[, member]) and
@@ -32,6 +34,7 @@ __all__ = [
     "KShotResult",
     "episode_return",
     "kshot_select",
+    "kshot_returns",
     "kshot_evaluate",
 ]
 
@@ -80,45 +83,48 @@ def kshot_select(pset: PolicySet, perturbed: TabularMdp, cfg: KShotConfig, seed:
     return int(np.argmax(means))
 
 
-def _eval_policy(
-    mdp: TabularMdp, policy, cfg: KShotConfig, seed: int, t: int
-) -> np.ndarray:
-    return np.array(
-        [
-            episode_return(mdp, policy, cfg.horizon, child_rng(seed, "eval", t, e))
+def kshot_returns(
+    sets: Sequence[PolicySet], perturbed: TabularMdp, cfg: KShotConfig, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roll the protocol once for one family of per-training-seed sets.
+
+    Returns the selected member per seed, (seeds,), and the pick's n_eval
+    evaluation returns per seed, (seeds, n_eval). Episode streams depend on
+    (seed, training seed, episode[, member]) only, never on the set, so every
+    family rolled with the same seed faces the same environment randomness.
+    """
+    selected = np.empty(len(sets), dtype=int)
+    returns = np.empty((len(sets), cfg.n_eval))
+    for t, pset in enumerate(sets):
+        selected[t] = kshot_select(pset, perturbed, cfg, hash64(seed, "select", t))
+        policy = pset.policies[selected[t]]
+        returns[t] = [
+            episode_return(perturbed, policy, cfg.horizon, child_rng(seed, "eval", t, e))
             for e in range(cfg.n_eval)
         ]
-    )
+    return selected, returns
 
 
 def kshot_evaluate(
-    sets: Sequence[PolicySet],
-    perturbed: TabularMdp,
-    baselines: Sequence[PolicySet],
+    returns: np.ndarray,
+    base_returns: np.ndarray,
+    selected: np.ndarray,
     cfg: KShotConfig,
     seed: int,
 ) -> KShotResult:
-    """Full protocol over per-training-seed (set, baseline) pairs.
+    """Score a family's evaluation returns against the baseline's.
 
-    sets[t] and baselines[t] must come from the same training seed. The
-    per-seed ratio divides matched evaluation means (identical episode
-    streams); the CI is a paired nested bootstrap of the mean ratio.
+    returns[t] and base_returns[t] must come from the same training seed
+    and the same episode streams (see kshot_returns). The per-seed ratio
+    divides matched evaluation means; the CI is a paired nested bootstrap
+    of the mean ratio. No episodes are played here.
     """
-    if len(sets) != len(baselines):
-        raise ValueError(f"got {len(sets)} sets but {len(baselines)} baselines")
-    n_seeds = len(sets)
-    selected = np.empty(n_seeds, dtype=int)
-    returns = np.empty((n_seeds, cfg.n_eval))
-    base_returns = np.empty((n_seeds, cfg.n_eval))
-    for t in range(n_seeds):
-        idx = kshot_select(sets[t], perturbed, cfg, hash64(seed, "select", t))
-        base_idx = kshot_select(baselines[t], perturbed, cfg, hash64(seed, "select", t))
-        selected[t] = idx
-        returns[t] = _eval_policy(perturbed, sets[t].policies[idx], cfg, seed, t)
-        base_returns[t] = _eval_policy(
-            perturbed, baselines[t].policies[base_idx], cfg, seed, t
+    if returns.shape != base_returns.shape:
+        raise ValueError(
+            f"got returns of shape {returns.shape} but baseline returns of shape "
+            f"{base_returns.shape}"
         )
-
+    n_seeds = len(returns)
     base_means = base_returns.mean(axis=1)
     nonpositive = bool(np.any(base_means <= 0.0))
     ratios = np.full(n_seeds, np.nan)

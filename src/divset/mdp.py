@@ -25,6 +25,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -133,6 +134,17 @@ class TabularMdp:
     def features_sa(self) -> np.ndarray:
         """Features reshaped to (S, A, d)."""
         return self.features.reshape(self.num_states, self.num_actions, -1)
+
+    @cached_property
+    def transition_cdf(self) -> np.ndarray:
+        """Cumulative next-state rows, (S, A, S); computed once per MDP.
+
+        Shared by every rollout on this MDP, so it is read-only, and the
+        transition tensor must not be edited in place after first use.
+        """
+        cdf = np.cumsum(self.transition, axis=2)
+        cdf.flags.writeable = False
+        return cdf
 
 
 def validate_mdp(mdp: TabularMdp) -> None:

@@ -169,26 +169,21 @@ def _scheduled_dynamics(mdp: TabularMdp) -> tuple[Schedule, TabularMdp]:
     return Always(), mdp
 
 
-def _transition_cdfs(mdp: TabularMdp) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative next-state rows (fallback, own), indexed by schedule.active."""
-    cdf = np.cumsum(mdp.transition, axis=2)
-    schedule, fallback = _scheduled_dynamics(mdp)
-    if isinstance(schedule, Always):
-        return cdf, cdf
-    return np.cumsum(fallback.transition, axis=2), cdf
-
-
-def _rollout_core(
-    mdp: TabularMdp,
-    transition_cdfs: tuple[np.ndarray, np.ndarray],
-    probs: np.ndarray,
-    horizon: int,
-    rng: np.random.Generator,
+def rollout(
+    mdp: TabularMdp, policy: Policy, horizon: int, rng: np.random.Generator
 ) -> _Trajectory:
+    """Sample one fixed-horizon episode from the initial distribution.
+
+    On a perturbed MDP the perturbed transition and reward apply at step t
+    iff its schedule is active at t, and the unperturbed ones otherwise.
+    Every perturbation keeps the state indexing, so policies trained on the
+    unperturbed MDP apply unchanged.
+    """
     A = mdp.num_actions
     schedule, fallback = _scheduled_dynamics(mdp)
     active = [schedule.active(t) for t in range(horizon)]
-    policy_cdf = np.cumsum(probs, axis=1)
+    transition_cdfs = (fallback.transition_cdf, mdp.transition_cdf)  # by active[t]
+    policy_cdf = np.cumsum(policy.probs, axis=1)
     initial_cdf = np.cumsum(mdp.initial_dist)
     draws = rng.random(2 * horizon + 1)
     s = _sample_from_cdf(initial_cdf, draws[0])
@@ -205,17 +200,22 @@ def _rollout_core(
     return _Trajectory(states, actions, rewards, features, next_states)
 
 
-def rollout(
-    mdp: TabularMdp, policy: Policy, horizon: int, rng: np.random.Generator
-) -> _Trajectory:
-    """Sample one fixed-horizon episode from the initial distribution.
-
-    On a perturbed MDP the perturbed transition and reward apply at step t
-    iff its schedule is active at t, and the unperturbed ones otherwise.
-    Every perturbation keeps the state indexing, so policies trained on the
-    unperturbed MDP apply unchanged.
-    """
-    return _rollout_core(mdp, _transition_cdfs(mdp), policy.probs, horizon, rng)
+def _trace_record(
+    iteration: int,
+    extrinsic_values: np.ndarray,
+    pset: PolicySet,
+    exact_psis: np.ndarray,
+    diversity_cfg: DiversityConfig,
+) -> TraceRecord:
+    estimates = FeatureSet(pset.avg_psi)
+    return TraceRecord(
+        iteration=iteration,
+        extrinsic_values=extrinsic_values,
+        sigma_mu=pset.extrinsic_weights(),
+        diversity_mean=diversity_score(estimates).mean,
+        diversity_mean_exact=diversity_score(FeatureSet(exact_psis)).mean,
+        objective_value=_objective(estimates, diversity_cfg),
+    )
 
 
 def train_exact(
@@ -277,16 +277,7 @@ def train_exact(
             for i in range(n):
                 update_moving_averages(pset, i, values[i], psis[i], cfg.moving_average)
 
-        records.append(
-            TraceRecord(
-                iteration=k,
-                extrinsic_values=values,
-                sigma_mu=pset.extrinsic_weights(),
-                diversity_mean=diversity_score(FeatureSet(pset.avg_psi)).mean,
-                diversity_mean_exact=diversity_score(FeatureSet(psis)).mean,
-                objective_value=_objective(FeatureSet(pset.avg_psi), diversity_cfg),
-            )
-        )
+        records.append(_trace_record(k, values, pset, psis, diversity_cfg))
 
         fset = FeatureSet(pset.avg_psi.copy())
         rewards_d = [zero_reward]
@@ -310,16 +301,7 @@ def train_exact(
             )
 
     values, psis, _ = measure()
-    records.append(
-        TraceRecord(
-            iteration=cfg.outer_iterations,
-            extrinsic_values=values,
-            sigma_mu=pset.extrinsic_weights(),
-            diversity_mean=diversity_score(FeatureSet(pset.avg_psi)).mean,
-            diversity_mean_exact=diversity_score(FeatureSet(psis)).mean,
-            objective_value=_objective(FeatureSet(pset.avg_psi), diversity_cfg),
-        )
-    )
+    records.append(_trace_record(cfg.outer_iterations, values, pset, psis, diversity_cfg))
     return pset, TrainTrace(records)
 
 
@@ -371,7 +353,6 @@ def train_sampled(
     v_d = np.zeros((n, S))
     pset = init_set(n, d, S, A, policy_init="uniform")
     adam = AdamState.zeros(max(n - 1, 1))
-    transition_cdfs = _transition_cdfs(mdp)
     features_sa = mdp.features_sa
     gamma = mdp.discount
     records: list[TraceRecord] = []
@@ -382,20 +363,13 @@ def train_sampled(
             occ = occupancy(mdp, Policy(_softmax(logits[i])), Criterion.AVERAGE)
             exact_psis.append(expected_features(mdp, occ))
         records.append(
-            TraceRecord(
-                iteration=it,
-                extrinsic_values=pset.avg_value.copy(),
-                sigma_mu=pset.extrinsic_weights(),
-                diversity_mean=diversity_score(FeatureSet(pset.avg_psi)).mean,
-                diversity_mean_exact=diversity_score(FeatureSet(np.stack(exact_psis))).mean,
-                objective_value=_objective(FeatureSet(pset.avg_psi), diversity_cfg),
-            )
+            _trace_record(it, pset.avg_value.copy(), pset, np.stack(exact_psis), diversity_cfg)
         )
 
     for ep in range(cfg.total_episodes):
         z = int(rng.integers(n))
         probs = _softmax(logits[z])
-        traj = _rollout_core(mdp, transition_cdfs, probs, cfg.episode_length, rng)
+        traj = rollout(mdp, Policy(probs), cfg.episode_length, rng)
         T = cfg.episode_length
 
         if z > 0 and n >= 2:

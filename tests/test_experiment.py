@@ -1,7 +1,6 @@
 """Sweep enumeration, output files, and byte-level reproducibility."""
 
 import dataclasses
-import filecmp
 import json
 from pathlib import Path
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import divset.kshot
 from divset import (
     KShotConfig,
     Policy,
@@ -15,11 +16,14 @@ from divset import (
     episode_return,
     init_set,
     kshot_evaluate,
+    kshot_returns,
     kshot_select,
     parse_config,
     run_kshot,
 )
 from divset.experiment import KSHOT_COLUMNS
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def test_episode_return_sums_rewards():
@@ -64,11 +68,26 @@ def test_kshot_select_breaks_ties_to_the_lowest_index():
     assert kshot_select(pset, mdp, cfg, seed=5) == 0
 
 
+def test_kshot_returns_evaluates_each_seeds_pick():
+    mdp = build_chain(4, end_reward=1.0)
+    sets = [make_set([stay_policy(4), right_policy(4)]) for _ in range(2)]
+    cfg = KShotConfig(k_select=2, n_eval=3, horizon=10)
+    selected, returns = kshot_returns(sets, mdp, cfg, seed=4)
+    assert selected.tolist() == [1, 1]
+    assert returns.shape == (2, 3)
+    expected = [
+        [episode_return(mdp, right_policy(4), 10, child_rng(4, "eval", t, e)) for e in range(3)]
+        for t in range(2)
+    ]
+    assert np.array_equal(returns, expected)
+
+
 def test_baseline_against_itself_has_ratio_exactly_one():
     mdp = build_chain(5, end_reward=1.0)
     baselines = [make_set([right_policy(5)]) for _ in range(3)]
     cfg = KShotConfig(k_select=2, n_eval=6, horizon=20, n_train_seeds=3, bootstrap_resamples=50)
-    result = kshot_evaluate(baselines, mdp, baselines, cfg, seed=11)
+    selected, base_returns = kshot_returns(baselines, mdp, cfg, seed=11)
+    result = kshot_evaluate(base_returns, base_returns, selected, cfg, seed=11)
     assert np.all(result.per_seed_ratios == 1.0)
     assert result.ratio_mean == 1.0
     assert not result.baseline_nonpositive
@@ -76,15 +95,23 @@ def test_baseline_against_itself_has_ratio_exactly_one():
 
 
 def test_evaluation_streams_do_not_depend_on_the_method_set():
-    # the baseline sees identical episodes whichever method it is compared to
+    # evaluation streams depend on (seed, train seed, episode) only: a set
+    # whose pick is the baseline's policy sees the baseline's exact episodes,
+    # and every method is scored against the same baseline returns
     mdp = build_chain(5, end_reward=1.0)
     baselines = [make_set([right_policy(5)]) for _ in range(2)]
     set_a = [make_set([stay_policy(5), right_policy(5)]) for _ in range(2)]
     set_b = [make_set([right_policy(5)]) for _ in range(2)]
     cfg = KShotConfig(k_select=2, n_eval=5, horizon=15, n_train_seeds=2, bootstrap_resamples=50)
-    ra = kshot_evaluate(set_a, mdp, baselines, cfg, seed=21)
-    rb = kshot_evaluate(set_b, mdp, baselines, cfg, seed=21)
+    _, base = kshot_returns(baselines, mdp, cfg, seed=21)
+    sel_a, ret_a = kshot_returns(set_a, mdp, cfg, seed=21)
+    sel_b, ret_b = kshot_returns(set_b, mdp, cfg, seed=21)
+    assert np.array_equal(ret_a, base) and np.array_equal(ret_b, base)
+    ra = kshot_evaluate(ret_a, base, sel_a, cfg, seed=21)
+    rb = kshot_evaluate(ret_b, base, sel_b, cfg, seed=21)
     assert np.array_equal(ra.per_seed_baseline_returns, rb.per_seed_baseline_returns)
+    assert ra.selected_indices.tolist() == [1, 1]
+    assert rb.selected_indices.tolist() == [0, 0]
 
 
 def test_selection_streams_depend_on_member_index_only():
@@ -97,11 +124,12 @@ def test_selection_streams_depend_on_member_index_only():
 
 
 def test_kshot_evaluate_rejects_mismatched_lengths():
-    mdp = build_chain(4, end_reward=1.0)
-    sets = [make_set([right_policy(4)])]
-    baselines = [make_set([right_policy(4)]) for _ in range(2)]
-    with pytest.raises(ValueError, match="baselines"):
-        kshot_evaluate(sets, mdp, baselines, KShotConfig(), seed=0)
+    cfg = KShotConfig(n_eval=3)
+    returns = np.ones((1, 3))
+    with pytest.raises(ValueError, match="baseline"):
+        kshot_evaluate(returns, np.ones((2, 3)), np.zeros(1, dtype=int), cfg, seed=0)
+    with pytest.raises(ValueError, match="baseline"):
+        kshot_evaluate(returns, np.ones((1, 4)), np.zeros(1, dtype=int), cfg, seed=0)
 
 
 def test_nonpositive_baseline_flags_and_nans():
@@ -109,11 +137,67 @@ def test_nonpositive_baseline_flags_and_nans():
     sets = [make_set([right_policy(4)])]
     baselines = [make_set([stay_policy(4)])]
     cfg = KShotConfig(k_select=2, n_eval=4, horizon=8, n_train_seeds=1, bootstrap_resamples=20)
-    result = kshot_evaluate(sets, mdp, baselines, cfg, seed=3)
+    selected, returns = kshot_returns(sets, mdp, cfg, seed=3)
+    _, base_returns = kshot_returns(baselines, mdp, cfg, seed=3)
+    result = kshot_evaluate(returns, base_returns, selected, cfg, seed=3)
     assert result.baseline_nonpositive
     assert np.isnan(result.ratio_mean)
     assert np.isnan(result.ci_low) and np.isnan(result.ci_high)
     assert np.all(np.isnan(result.per_seed_ratios))
+
+
+def golden_kshot_config(out: Path) -> dict:
+    """Sampled-trainer chain config with an n=2 method, scored under an
+    always-on and a Periodic ActionFailure."""
+    return {
+        "master_seed": 13,
+        "output_dir": str(out),
+        "environment": {"type": "chain", "length": 5, "end_reward": 1.0},
+        "diversity": {"kind": "Repulsive", "contact_distance": 1.0},
+        "strategy": {"kind": "DominoLagrangian", "alpha": 0.8},
+        "trainer": {"mode": "sampled", "total_episodes": 60, "episode_length": 12, "eval_every": 60},
+        "kshot": {
+            "methods": [
+                {"name": "pair", "strategy": {"kind": "DominoLagrangian", "alpha": 0.8}, "set_size": 2}
+            ],
+            "perturbations": [
+                {"kind": "ActionFailure", "magnitudes": [0.0, 0.3]},
+                {
+                    "kind": "ActionFailure",
+                    "magnitudes": [0.6],
+                    "schedule": {"type": "Periodic", "period": 4, "duration": 2, "start": 1},
+                },
+            ],
+            "k_select": 3,
+            "n_eval": 5,
+            "horizon": 12,
+            "n_train_seeds": 2,
+            "bootstrap_resamples": 40,
+        },
+    }
+
+
+def test_run_kshot_reproduces_the_golden_kshot_csv(tmp_path):
+    path = run_kshot(parse_config(golden_kshot_config(tmp_path / "out")))
+    assert path.read_bytes() == (GOLDEN_DIR / "kshot_chain.csv").read_bytes()
+
+
+def test_run_kshot_rolls_each_set_once_per_cell_and_seed(tmp_path, monkeypatch):
+    calls = []
+    real_rollout = divset.kshot.rollout
+
+    def counting_rollout(*args, **kwargs):
+        calls.append(1)
+        return real_rollout(*args, **kwargs)
+
+    monkeypatch.setattr(divset.kshot, "rollout", counting_rollout)
+    d = golden_kshot_config(tmp_path / "out")
+    run_kshot(parse_config(d))
+    ks = d["kshot"]
+    cells = sum(len(p["magnitudes"]) for p in ks["perturbations"])
+    set_sizes = [1] + [m["set_size"] for m in ks["methods"]]  # baseline first
+    per_seed = sum(ks["k_select"] * n + ks["n_eval"] for n in set_sizes)
+    assert len(calls) == cells * ks["n_train_seeds"] * per_seed
 
 
 def test_run_kshot_writes_schema_and_baseline_unit_ratios(tmp_path):

@@ -10,7 +10,6 @@ from divset import (
     ExactTrainConfig,
     FeatureSet,
     FtlMode,
-    Policy,
     SampleTrainConfig,
     StrategyConfig,
     StrategyKind,
