@@ -3,16 +3,22 @@
 A config file fully determines an experiment: environment, diversity
 objective, constraint strategy, trainer settings, sweep axes, seeds, and
 an optional few-shot evaluation section. Parsing is strict: unknown keys,
-missing keys, and out-of-range values raise ConfigError with the dotted
-path of the offending entry, so a typo fails fast instead of silently
-running the default.
+missing keys, non-finite numbers and out-of-range values raise ConfigError
+with the dotted path of the offending entry, so a typo fails fast instead
+of silently running the default.
+
+Each section is a table of {key: checker}. A key the config leaves out is
+not passed on, so its default is the one declared on the dataclass the
+section builds (or on build_chain), and nowhere else.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .diversity import DiversityConfig, DiversityKind, RewardScaling
@@ -26,6 +32,7 @@ from .envs import (
     build_chain,
     build_gridworld,
 )
+from .kshot import KShotConfig
 from .mdp import Criterion, TabularMdp
 from .policy_set import MovingAverageConfig
 from .strategies import StrategyConfig, StrategyKind
@@ -60,10 +67,47 @@ def _check_keys(path: str, d: dict, required: set[str], optional: set[str]) -> N
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
 
 
+def _section(path: str, d: dict, required: dict, optional: dict, build):
+    """build(**parsed) from section d; both tables map key -> checker(path, value).
+
+    Only the keys present are parsed and passed on, so an omitted key takes
+    build's own default. A ValueError raised by build is reported at path.
+    """
+    _check_keys(path, d, set(required), set(optional))
+    checkers = {**required, **optional}
+    parsed = {key: check(f"{path}.{key}", d[key]) for key, check in checkers.items() if key in d}
+    try:
+        return build(**parsed)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _variant(path: str, d: dict, key: str, choices: set[str]) -> tuple[str, dict]:
+    """A section's discriminator d[key], and the rest of the section."""
+    if not isinstance(d, dict) or key not in d:
+        raise ConfigError(f"{path}: missing required key(s) {[key]}")
+    rest = dict(d)
+    return _string(f"{path}.{key}", rest.pop(key), choices), rest
+
+
+def _nest(build, name: str, inner, keys):
+    """build, with the keyword arguments named in keys gathered into inner(...) as name."""
+
+    def nested(**kwargs):
+        inner_kwargs = {key: kwargs.pop(key) for key in keys if key in kwargs}
+        return build(**kwargs, **{name: inner(**inner_kwargs)})
+
+    return nested
+
+
 def _number(path: str, value, lo=None, hi=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     x = float(value)
+    if not math.isfinite(x):
+        raise ConfigError(f"{path}: expected a finite number, got {x}")
     if lo is not None and x < lo:
         raise ConfigError(f"{path}: {x} is below the minimum {lo}")
     if hi is not None and x > hi:
@@ -102,26 +146,44 @@ def _cell(path: str, value) -> tuple[int, int]:
     return (value[0], value[1])
 
 
+def _list(path: str, value, parse_one, expected="a nonempty list", empty_ok=False) -> tuple:
+    if not isinstance(value, list) or not (value or empty_ok):
+        raise ConfigError(f"{path}: expected {expected}")
+    return tuple(parse_one(f"{path}[{i}]", v) for i, v in enumerate(value))
+
+
+def _axis(parse_one):
+    """Checker of a nonempty list of values; null means the axis is absent."""
+    return lambda path, value: None if value is None else _list(path, value, parse_one)
+
+
+def _choice(*choices: str):
+    return partial(_string, choices=set(choices))
+
+
+def _enum_of(enum_cls):
+    return partial(_enum, enum_cls=enum_cls)
+
+
+def _top_level(parse):
+    """A top-level section reports its errors under its own name, not config.<name>."""
+    return lambda path, value: parse(path.removeprefix("config."), value)
+
+
+_NONNEGATIVE = partial(_number, lo=0.0)
+_UNIT = partial(_number, lo=0.0, hi=1.0)
+_COUNT = partial(_integer, lo=1)
+
+
 @dataclass(frozen=True)
 class EnvironmentSettings:
-    kind: str  # "gridworld" or "chain"
-    grid: GridSpec | None = None
-    chain_length: int = 2
-    chain_end_reward: float = 0.0
-    chain_feature_kind: FeatureKind = FeatureKind.XY_COORDINATES
-    chain_discount: float = 0.99
+    grid: GridSpec | None = None  # a gridworld; otherwise a chain
+    chain: dict | None = None  # keyword arguments of build_chain
 
     def build(self) -> tuple[TabularMdp, GridSpec | None]:
-        if self.kind == "gridworld":
-            assert self.grid is not None
+        if self.grid is not None:
             return build_gridworld(self.grid), self.grid
-        mdp = build_chain(
-            self.chain_length,
-            self.chain_feature_kind,
-            end_reward=self.chain_end_reward,
-            discount=self.chain_discount,
-        )
-        return mdp, None
+        return build_chain(**self.chain), None
 
 
 @dataclass(frozen=True)
@@ -156,307 +218,215 @@ class KShotMethod:
 class PerturbationSettings:
     kind: PerturbationKind
     magnitudes: tuple[float, ...]
-    schedule: Schedule
+    schedule: Schedule = Always()
 
 
 @dataclass(frozen=True)
 class KShotSettings:
     methods: tuple[KShotMethod, ...]
     perturbations: tuple[PerturbationSettings, ...]
-    k_select: int = 10
-    n_eval: int = 40
-    horizon: int = 200
     n_train_seeds: int = 5
-    ci_level: float = 0.95
-    bootstrap_resamples: int = 2000
+    protocol: KShotConfig = KShotConfig()
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     master_seed: int
     output_dir: str
-    seeds: tuple[int, ...]
     environment: EnvironmentSettings
     diversity: DiversityConfig
     strategy: StrategyConfig
-    set_size: int
     trainer: TrainerSettings
-    sweep: SweepSettings
+    seeds: tuple[int, ...] = (0,)
+    set_size: int = 2
+    sweep: SweepSettings = SweepSettings()
     kshot: KShotSettings | None = None
 
 
-def _parse_environment(d: dict) -> EnvironmentSettings:
-    if not isinstance(d, dict) or "type" not in d:
-        raise ConfigError("environment: missing required key(s) ['type']")
-    kind = _string("environment.type", d["type"], {"gridworld", "chain"})
+# optional keys of both environment types
+_ENVIRONMENT = {
+    "feature_kind": _enum_of(FeatureKind),
+    "discount": _UNIT,
+}
+
+
+def _goal(path: str, entry) -> tuple[tuple[int, int], float]:
+    if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+        raise ConfigError(f"{path}: expected [row, col, value], got {entry!r}")
+    return _cell(path, entry[:2]), _number(f"{path}.value", entry[2])
+
+
+def _grid_spec(goals: dict, **fields) -> GridSpec:
+    return GridSpec(goal_cells=goals, **fields)
+
+
+def _parse_environment(path: str, d: dict) -> EnvironmentSettings:
+    kind, rest = _variant(path, d, "type", {"gridworld", "chain"})
     if kind == "chain":
-        _check_keys(
-            "environment",
-            d,
-            {"type", "length"},
-            {"end_reward", "feature_kind", "discount"},
+        chain = _section(
+            path,
+            rest,
+            {"length": partial(_integer, lo=2)},
+            {"end_reward": _number, **_ENVIRONMENT},
+            dict,
         )
-        return EnvironmentSettings(
-            kind="chain",
-            chain_length=_integer("environment.length", d["length"], lo=2),
-            chain_end_reward=_number("environment.end_reward", d.get("end_reward", 0.0)),
-            chain_feature_kind=_enum(
-                "environment.feature_kind", d.get("feature_kind", "XYCoordinates"), FeatureKind
-            ),
-            chain_discount=_number("environment.discount", d.get("discount", 0.99), lo=0.0, hi=1.0),
-        )
-    _check_keys(
-        "environment",
-        d,
-        {"type", "width", "height", "goals"},
-        {"walls", "slip_prob", "feature_kind", "start", "discount", "base_reward"},
-    )
-    walls = d.get("walls", [])
-    if not isinstance(walls, list):
-        raise ConfigError("environment.walls: expected a list of [row, col] cells")
-    goals = d["goals"]
-    if not isinstance(goals, list) or not goals:
-        raise ConfigError("environment.goals: expected a nonempty list of [row, col, value]")
-    goal_cells = {}
-    for i, entry in enumerate(goals):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise ConfigError(f"environment.goals[{i}]: expected [row, col, value], got {entry!r}")
-        cell = _cell(f"environment.goals[{i}]", entry[:2])
-        goal_cells[cell] = _number(f"environment.goals[{i}].value", entry[2])
-    start = d.get("start")
-    spec = GridSpec(
-        width=_integer("environment.width", d["width"], lo=1),
-        height=_integer("environment.height", d["height"], lo=1),
-        walls=frozenset(_cell(f"environment.walls[{i}]", w) for i, w in enumerate(walls)),
-        goal_cells=goal_cells,
-        slip_prob=_number("environment.slip_prob", d.get("slip_prob", 0.0), lo=0.0, hi=1.0),
-        feature_kind=_enum(
-            "environment.feature_kind", d.get("feature_kind", "XYCoordinates"), FeatureKind
-        ),
-        start=None if start is None else _cell("environment.start", start),
-        discount=_number("environment.discount", d.get("discount", 0.99), lo=0.0, hi=1.0),
-        base_reward=_number("environment.base_reward", d.get("base_reward", 0.0), lo=0.0),
-    )
-    return EnvironmentSettings(kind="gridworld", grid=spec)
-
-
-def _parse_diversity(d: dict) -> DiversityConfig:
-    _check_keys(
-        "diversity",
-        d,
-        {"kind"},
-        {"contact_distance", "attractive_power", "repulsive_power", "attractive_coeff", "scaling"},
-    )
-    kind = _enum("diversity.kind", d["kind"], DiversityKind)
-    try:
-        return DiversityConfig(
-            kind=kind,
-            contact_distance=_number("diversity.contact_distance", d.get("contact_distance", 1.0)),
-            attractive_power=_number("diversity.attractive_power", d.get("attractive_power", 3.0)),
-            repulsive_power=_number("diversity.repulsive_power", d.get("repulsive_power", 0.0)),
-            attractive_coeff=_number("diversity.attractive_coeff", d.get("attractive_coeff", 0.5)),
-            scaling=_enum("diversity.scaling", d.get("scaling", "PaperExact"), RewardScaling),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"diversity: {exc}") from exc
-
-
-def _parse_strategy(d: dict, path: str = "strategy") -> StrategyConfig:
-    _check_keys(path, d, {"kind"}, {"alpha", "c_d", "c_e"})
-    try:
-        return StrategyConfig(
-            kind=_enum(f"{path}.kind", d["kind"], StrategyKind),
-            alpha=_number(f"{path}.alpha", d.get("alpha", 0.9), lo=0.0, hi=1.0),
-            c_d=_number(f"{path}.c_d", d.get("c_d", 0.5), lo=0.0),
-            c_e=_number(f"{path}.c_e", d.get("c_e", 0.7), lo=0.0, hi=1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _parse_moving_average(d: dict, path: str) -> MovingAverageConfig:
-    return MovingAverageConfig(
-        value_decay=_number(f"{path}.value_decay", d.get("value_decay", 0.9), lo=0.0, hi=1.0),
-        feature_decay=_number(
-            f"{path}.feature_decay", d.get("feature_decay", 0.99), lo=0.0, hi=1.0
-        ),
-    )
-
-
-def _parse_trainer(d: dict) -> TrainerSettings:
-    if not isinstance(d, dict) or "mode" not in d:
-        raise ConfigError("trainer: missing required key(s) ['mode']")
-    mode = _string("trainer.mode", d["mode"], {"exact", "sampled"})
-    if mode == "exact":
-        _check_keys(
-            "trainer",
-            d,
-            {"mode"},
-            {
-                "outer_iterations",
-                "criterion",
-                "lagrange_lr",
-                "ftl_mode",
-                "value_decay",
-                "feature_decay",
-                "policy_init",
-                "best_response_tol",
-            },
-        )
-        cfg = ExactTrainConfig(
-            outer_iterations=_integer("trainer.outer_iterations", d.get("outer_iterations", 200), lo=1),
-            criterion=_enum("trainer.criterion", d.get("criterion", "average"), Criterion),
-            lagrange_lr=_number("trainer.lagrange_lr", d.get("lagrange_lr", 1.0), lo=0.0),
-            ftl_mode=_enum("trainer.ftl_mode", d.get("ftl_mode", "MovingAverage"), FtlMode),
-            moving_average=_parse_moving_average(d, "trainer"),
-            policy_init=_string("trainer.policy_init", d.get("policy_init", "random"), {"random", "uniform"}),
-            best_response_tol=_number("trainer.best_response_tol", d.get("best_response_tol", 1e-9), lo=0.0),
-        )
-        return TrainerSettings(mode="exact", exact=cfg)
-    _check_keys(
-        "trainer",
-        d,
-        {"mode"},
+        return EnvironmentSettings(chain=chain)
+    grid = _section(
+        path,
+        rest,
         {
-            "total_episodes",
-            "episode_length",
-            "policy_lr",
-            "value_lr",
-            "entropy_weight",
-            "n_step",
-            "lagrange_lr",
-            "lagrange_optimizer",
-            "value_decay",
-            "feature_decay",
-            "eval_every",
+            "width": _COUNT,
+            "height": _COUNT,
+            "goals": lambda p, v: dict(_list(p, v, _goal, "a nonempty list of [row, col, value]")),
         },
+        {
+            "walls": lambda p, v: frozenset(
+                _list(p, v, _cell, "a list of [row, col] cells", empty_ok=True)
+            ),
+            "slip_prob": _UNIT,
+            "start": lambda p, v: None if v is None else _cell(p, v),
+            "base_reward": _NONNEGATIVE,
+            **_ENVIRONMENT,
+        },
+        _grid_spec,
     )
-    cfg = SampleTrainConfig(
-        total_episodes=_integer("trainer.total_episodes", d.get("total_episodes", 2000), lo=1),
-        episode_length=_integer("trainer.episode_length", d.get("episode_length", 200), lo=1),
-        policy_lr=_number("trainer.policy_lr", d.get("policy_lr", 0.5), lo=0.0),
-        value_lr=_number("trainer.value_lr", d.get("value_lr", 0.2), lo=0.0),
-        entropy_weight=_number("trainer.entropy_weight", d.get("entropy_weight", 0.01), lo=0.0),
-        n_step=_integer("trainer.n_step", d.get("n_step", 5), lo=1),
-        lagrange_lr=_number("trainer.lagrange_lr", d.get("lagrange_lr", 1e-3), lo=0.0),
-        lagrange_optimizer=_string(
-            "trainer.lagrange_optimizer", d.get("lagrange_optimizer", "adam"), {"adam", "sgd"}
-        ),
-        moving_average=_parse_moving_average(d, "trainer"),
-        eval_every=_integer("trainer.eval_every", d.get("eval_every", 100), lo=1),
-    )
-    return TrainerSettings(mode="sampled", sampled=cfg)
+    return EnvironmentSettings(grid=grid)
 
 
-def _parse_axis(path: str, value, parse_one) -> tuple | None:
-    if value is None:
-        return None
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a nonempty list")
-    return tuple(parse_one(f"{path}[{i}]", v) for i, v in enumerate(value))
+def _parse_diversity(path: str, d: dict) -> DiversityConfig:
+    optional = {
+        "contact_distance": _number,
+        "attractive_power": _number,
+        "repulsive_power": _number,
+        "attractive_coeff": _number,
+        "scaling": _enum_of(RewardScaling),
+    }
+    return _section(path, d, {"kind": _enum_of(DiversityKind)}, optional, DiversityConfig)
 
 
-def _parse_sweep(d: dict) -> SweepSettings:
-    _check_keys("sweep", d, set(), {"alpha", "set_size", "contact_distance", "c_e", "c_d"})
-    return SweepSettings(
-        alpha=_parse_axis("sweep.alpha", d.get("alpha"), lambda p, v: _number(p, v, lo=0.0, hi=1.0)),
-        set_size=_parse_axis("sweep.set_size", d.get("set_size"), lambda p, v: _integer(p, v, lo=1)),
-        contact_distance=_parse_axis(
-            "sweep.contact_distance", d.get("contact_distance"), lambda p, v: _number(p, v)
-        ),
-        c_e=_parse_axis("sweep.c_e", d.get("c_e"), lambda p, v: _number(p, v, lo=0.0, hi=1.0)),
-        c_d=_parse_axis("sweep.c_d", d.get("c_d"), lambda p, v: _number(p, v, lo=0.0)),
-    )
+def _parse_strategy(path: str, d: dict) -> StrategyConfig:
+    optional = {"alpha": _UNIT, "c_d": _NONNEGATIVE, "c_e": _UNIT}
+    return _section(path, d, {"kind": _enum_of(StrategyKind)}, optional, StrategyConfig)
 
 
-def _parse_schedule(d: dict, path: str) -> Schedule:
-    _check_keys(path, d, {"type"}, {"period", "duration", "start"})
-    kind = _string(f"{path}.type", d["type"], {"Always", "Periodic"})
-    if kind == "Always":
-        return Always()
-    try:
-        return Periodic(
-            period=_integer(f"{path}.period", d.get("period", 1), lo=1),
-            duration=_integer(f"{path}.duration", d.get("duration", 1), lo=0),
-            start=_integer(f"{path}.start", d.get("start", 0), lo=0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+# moving-average decays, shared by both trainers
+_MOVING_AVERAGE = {"value_decay": _UNIT, "feature_decay": _UNIT}
+
+_TRAINERS = {
+    "exact": (
+        ExactTrainConfig,
+        {
+            "outer_iterations": _COUNT,
+            "criterion": _enum_of(Criterion),
+            "lagrange_lr": _NONNEGATIVE,
+            "ftl_mode": _enum_of(FtlMode),
+            "policy_init": _choice("random", "uniform"),
+            "best_response_tol": _NONNEGATIVE,
+        },
+    ),
+    "sampled": (
+        SampleTrainConfig,
+        {
+            "total_episodes": _COUNT,
+            "episode_length": _COUNT,
+            "policy_lr": _NONNEGATIVE,
+            "value_lr": _NONNEGATIVE,
+            "entropy_weight": _NONNEGATIVE,
+            "n_step": _COUNT,
+            "lagrange_lr": _NONNEGATIVE,
+            "lagrange_optimizer": _choice("adam", "sgd"),
+            "eval_every": _COUNT,
+        },
+    ),
+}
 
 
-def _parse_kshot(d: dict) -> KShotSettings:
-    _check_keys(
-        "kshot",
-        d,
-        {"methods", "perturbations"},
-        {"k_select", "n_eval", "horizon", "n_train_seeds", "ci_level", "bootstrap_resamples"},
-    )
-    raw_methods = d["methods"]
-    if not isinstance(raw_methods, list) or not raw_methods:
-        raise ConfigError("kshot.methods: expected a nonempty list")
-    methods = []
-    for i, m in enumerate(raw_methods):
-        path = f"kshot.methods[{i}]"
-        _check_keys(path, m, {"name", "strategy", "set_size"}, set())
-        methods.append(
-            KShotMethod(
-                name=_string(f"{path}.name", m["name"]),
-                strategy=_parse_strategy(m["strategy"], f"{path}.strategy"),
-                set_size=_integer(f"{path}.set_size", m["set_size"], lo=1),
-            )
-        )
+def _parse_trainer(path: str, d: dict) -> TrainerSettings:
+    mode, rest = _variant(path, d, "mode", set(_TRAINERS))
+    cls, optional = _TRAINERS[mode]
+    build = _nest(cls, "moving_average", MovingAverageConfig, _MOVING_AVERAGE)
+    cfg = _section(path, rest, {}, {**optional, **_MOVING_AVERAGE}, build)
+    return TrainerSettings(mode=mode, **{mode: cfg})
+
+
+def _parse_sweep(path: str, d: dict) -> SweepSettings:
+    optional = {
+        "alpha": _axis(_UNIT),
+        "set_size": _axis(_COUNT),
+        "contact_distance": _axis(_number),
+        "c_e": _axis(_UNIT),
+        "c_d": _axis(_NONNEGATIVE),
+    }
+    return _section(path, d, {}, optional, SweepSettings)
+
+
+def _schedule(type: str, **periodic) -> Schedule:
+    return Always() if type == "Always" else Periodic(**periodic)
+
+
+def _parse_schedule(path: str, d: dict) -> Schedule:
+    optional = {
+        "period": _COUNT,
+        "duration": partial(_integer, lo=0),
+        "start": partial(_integer, lo=0),
+    }
+    return _section(path, d, {"type": _choice("Always", "Periodic")}, optional, _schedule)
+
+
+def _parse_perturbation(path: str, d: dict) -> PerturbationSettings:
+    required = {"kind": _enum_of(PerturbationKind), "magnitudes": _axis(_number)}
+    return _section(path, d, required, {"schedule": _parse_schedule}, PerturbationSettings)
+
+
+def _parse_method(path: str, d: dict) -> KShotMethod:
+    required = {"name": _string, "strategy": _parse_strategy, "set_size": _COUNT}
+    return _section(path, d, required, {}, KShotMethod)
+
+
+def _parse_methods(path: str, value) -> tuple[KShotMethod, ...]:
+    methods = _list(path, value, _parse_method)
     names = [m.name for m in methods]
     if len(set(names)) != len(names):
-        raise ConfigError("kshot.methods: method names must be unique")
-    raw_perturbations = d["perturbations"]
-    if not isinstance(raw_perturbations, list) or not raw_perturbations:
-        raise ConfigError("kshot.perturbations: expected a nonempty list")
-    perturbations = []
-    for i, p in enumerate(raw_perturbations):
-        path = f"kshot.perturbations[{i}]"
-        _check_keys(path, p, {"kind", "magnitudes"}, {"schedule"})
-        kind = _enum(f"{path}.kind", p["kind"], PerturbationKind)
-        magnitudes = _parse_axis(f"{path}.magnitudes", p["magnitudes"], lambda q, v: _number(q, v))
-        schedule = (
-            _parse_schedule(p["schedule"], f"{path}.schedule") if "schedule" in p else Always()
-        )
-        perturbations.append(
-            PerturbationSettings(kind=kind, magnitudes=magnitudes, schedule=schedule)
-        )
-    return KShotSettings(
-        methods=tuple(methods),
-        perturbations=tuple(perturbations),
-        k_select=_integer("kshot.k_select", d.get("k_select", 10), lo=1),
-        n_eval=_integer("kshot.n_eval", d.get("n_eval", 40), lo=1),
-        horizon=_integer("kshot.horizon", d.get("horizon", 200), lo=1),
-        n_train_seeds=_integer("kshot.n_train_seeds", d.get("n_train_seeds", 5), lo=1),
-        ci_level=_number("kshot.ci_level", d.get("ci_level", 0.95), lo=0.0, hi=1.0),
-        bootstrap_resamples=_integer("kshot.bootstrap_resamples", d.get("bootstrap_resamples", 2000), lo=1),
-    )
+        raise ConfigError(f"{path}: method names must be unique")
+    return methods
+
+
+# the evaluation protocol, gathered into one KShotConfig
+_PROTOCOL = {
+    "k_select": _COUNT,
+    "n_eval": _COUNT,
+    "horizon": _COUNT,
+    "ci_level": _UNIT,
+    "bootstrap_resamples": _COUNT,
+}
+
+
+def _parse_kshot(path: str, d: dict) -> KShotSettings:
+    required = {
+        "methods": _parse_methods,
+        "perturbations": lambda p, v: _list(p, v, _parse_perturbation),
+    }
+    optional = {"n_train_seeds": _COUNT, **_PROTOCOL}
+    build = _nest(KShotSettings, "protocol", KShotConfig, _PROTOCOL)
+    return _section(path, d, required, optional, build)
 
 
 def parse_config(d: dict) -> ExperimentConfig:
-    _check_keys(
-        "config",
-        d,
-        {"master_seed", "output_dir", "environment", "diversity", "strategy", "trainer"},
-        {"seeds", "set_size", "sweep", "kshot"},
-    )
-    seeds = d.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("config.seeds: expected a nonempty list of integers")
-    config = ExperimentConfig(
-        master_seed=_integer("config.master_seed", d["master_seed"]),
-        output_dir=_string("config.output_dir", d["output_dir"]),
-        seeds=tuple(_integer(f"config.seeds[{i}]", s) for i, s in enumerate(seeds)),
-        environment=_parse_environment(d["environment"]),
-        diversity=_parse_diversity(d["diversity"]),
-        strategy=_parse_strategy(d["strategy"]),
-        set_size=_integer("config.set_size", d.get("set_size", 2), lo=1),
-        trainer=_parse_trainer(d["trainer"]),
-        sweep=_parse_sweep(d.get("sweep", {})),
-        kshot=_parse_kshot(d["kshot"]) if "kshot" in d else None,
-    )
+    required = {
+        "master_seed": _integer,
+        "output_dir": _string,
+        "environment": _top_level(_parse_environment),
+        "diversity": _top_level(_parse_diversity),
+        "strategy": _top_level(_parse_strategy),
+        "trainer": _top_level(_parse_trainer),
+    }
+    optional = {
+        "seeds": lambda p, v: _list(p, v, _integer, "a nonempty list of integers"),
+        "set_size": _COUNT,
+        "sweep": _top_level(_parse_sweep),
+        "kshot": _top_level(_parse_kshot),
+    }
+    config = _section("config", d, required, optional, ExperimentConfig)
     try:
         config.environment.build()
     except Exception as exc:

@@ -281,8 +281,8 @@ class Always:
 
 @dataclass(frozen=True)
 class Periodic:
-    period: int
-    duration: int
+    period: int = 1
+    duration: int = 1
     start: int = 0
 
     def __post_init__(self) -> None:

@@ -30,7 +30,7 @@ from pathlib import Path
 from .config import ConfigError, ExperimentConfig
 from .diversity import DiversityConfig
 from .envs import Always, Perturbation, UnreachableGoalError, perturb
-from .kshot import KShotConfig, KShotResult, kshot_evaluate, kshot_returns
+from .kshot import KShotResult, kshot_evaluate, kshot_returns
 from .mdp import TabularMdp
 from .policy_set import PolicySet, policy_set_to_json
 from .seeding import hash64
@@ -302,14 +302,6 @@ def run_kshot(config: ExperimentConfig) -> Path:
         raise ConfigError("config has no kshot section")
     ks = config.kshot
     mdp, grid_spec = config.environment.build()
-    kcfg = KShotConfig(
-        k_select=ks.k_select,
-        n_eval=ks.n_eval,
-        horizon=ks.horizon,
-        n_train_seeds=ks.n_train_seeds,
-        ci_level=ks.ci_level,
-        bootstrap_resamples=ks.bootstrap_resamples,
-    )
 
     def train_set(strategy: StrategyConfig, set_size: int, seed: int) -> PolicySet:
         return _train(config, mdp, set_size, config.diversity, strategy, seed)[0]
@@ -339,13 +331,13 @@ def run_kshot(config: ExperimentConfig) -> Path:
                 mdp, p, config.master_seed, (p_idx, m_idx), grid_spec
             )
             eval_seed = hash64(config.master_seed, "kshot-eval", p_idx, m_idx)
-            base_selected, base_returns = kshot_returns(baselines, pmdp, kcfg, eval_seed)
+            base_selected, base_returns = kshot_returns(baselines, pmdp, ks.protocol, eval_seed)
             rows.extend(
                 _kshot_rows(
                     BASELINE_METHOD,
                     strategy_descriptor(baseline_strategy),
                     p,
-                    kshot_evaluate(base_returns, base_returns, base_selected, kcfg, eval_seed),
+                    kshot_evaluate(base_returns, base_returns, base_selected, ks.protocol, eval_seed),
                 )
             )
             for m in ks.methods:
@@ -353,8 +345,8 @@ def run_kshot(config: ExperimentConfig) -> Path:
                     f"{strategy_descriptor(m.strategy)},"
                     f"alpha={m.strategy.alpha!r},n={m.set_size}"
                 )
-                selected, returns = kshot_returns(sets_by_method[m.name], pmdp, kcfg, eval_seed)
-                result = kshot_evaluate(returns, base_returns, selected, kcfg, eval_seed)
+                selected, returns = kshot_returns(sets_by_method[m.name], pmdp, ks.protocol, eval_seed)
+                result = kshot_evaluate(returns, base_returns, selected, ks.protocol, eval_seed)
                 rows.extend(_kshot_rows(m.name, params, p, result))
 
     out = Path(config.output_dir)

@@ -44,7 +44,6 @@ class KShotConfig:
     k_select: int = 10
     n_eval: int = 40
     horizon: int = 200
-    n_train_seeds: int = 5
     ci_level: float = 0.95
     bootstrap_resamples: int = 2000
 

@@ -9,10 +9,18 @@ import pytest
 from divset import (
     Always,
     ConfigError,
+    DiversityConfig,
     DiversityKind,
+    ExactTrainConfig,
     FeatureKind,
+    GridSpec,
+    KShotConfig,
+    KShotMethod,
+    KShotSettings,
     Periodic,
     PerturbationKind,
+    PerturbationSettings,
+    SampleTrainConfig,
     StrategyKind,
     build_chain,
     build_gridworld,
@@ -20,6 +28,7 @@ from divset import (
     load_config,
     parse_config,
 )
+from divset.strategies import StrategyConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -112,6 +121,116 @@ def test_missing_and_malformed_values():
         )
 
 
+DROP = object()  # as an override: remove the key
+
+
+def _grid(**keys) -> dict:
+    return {"type": "gridworld", "width": 2, "height": 2, "goals": [[0, 0, 1.0]], **keys}
+
+
+def _kshot(method=None, perturbation=None, **keys) -> dict:
+    return {
+        "methods": [{"name": "m", "strategy": {"kind": "NoDiversity"}, "set_size": 1, **(method or {})}],
+        "perturbations": [{"kind": "ActionFailure", "magnitudes": [0.1], **(perturbation or {})}],
+        **keys,
+    }
+
+
+def _periodic(**keys) -> dict:
+    return _kshot(perturbation={"schedule": {"type": "Periodic", **keys}})
+
+
+MESSAGES = [
+    ({"trainer": DROP}, "config: missing required key(s) ['trainer']"),
+    ({"trainer": {"outer_iterations": 2}}, "trainer: missing required key(s) ['mode']"),
+    ({"environment": {"type": "chain", "length": 4, "speed": 2}}, "environment: unknown key(s) ['speed']"),
+    (
+        {"trainer": {"mode": "exact", "lagrange_lr": "fast"}},
+        "trainer.lagrange_lr: expected a number, got 'fast'",
+    ),
+    ({"environment": _grid(slip_prob=True)}, "environment.slip_prob: expected a number, got True"),
+    (
+        {"trainer": {"mode": "exact", "outer_iterations": 0}},
+        "trainer.outer_iterations: 0 is below the minimum 1",
+    ),
+    ({"master_seed": 1.5}, "config.master_seed: expected an integer, got 1.5"),
+    (
+        {"diversity": {"kind": "Magnetic"}},
+        "diversity.kind: 'Magnetic' is not one of ['Generalized', 'Repulsive', 'VanDerWaals']",
+    ),
+    ({"environment": _grid(walls=[[0]])}, "environment.walls[0]: expected [row, col] integers, got [0]"),
+    ({"environment": _grid(goals=[[0, 0]])}, "environment.goals[0]: expected [row, col, value], got [0, 0]"),
+    (
+        {"diversity": {"kind": "VanDerWaals", "contact_distance": 0}},
+        "diversity: contact_distance must be positive, got 0.0",
+    ),
+    (
+        {"kshot": _periodic(period=4, duration=5)},
+        "kshot.perturbations[0].schedule: need 0 <= duration <= period, "
+        "got Periodic(period=4, duration=5, start=0)",
+    ),
+    (
+        {"environment": _grid(goals=[[0, 1, 1.0]], walls=[[0, 1]])},
+        "environment: cannot build (goal cell (0, 1) is a wall or out of bounds)",
+    ),
+    # a field error inside a section is reported once, not prefixed with the section again
+    ({"strategy": {"kind": "Smerl", "alpha": 1.5}}, "strategy.alpha: 1.5 is above the maximum 1.0"),
+    (
+        {"kshot": _kshot(method={"strategy": {"kind": "Smerl", "alpha": 1.5}})},
+        "kshot.methods[0].strategy.alpha: 1.5 is above the maximum 1.0",
+    ),
+    (
+        {"diversity": {"kind": "Repulsive", "contact_distance": "far"}},
+        "diversity.contact_distance: expected a number, got 'far'",
+    ),
+    ({"kshot": _periodic(period=0)}, "kshot.perturbations[0].schedule.period: 0 is below the minimum 1"),
+    # numbers must be finite; json reads NaN and Infinity
+    (
+        {"trainer": {"mode": "exact", "lagrange_lr": float("inf")}},
+        "trainer.lagrange_lr: expected a finite number, got inf",
+    ),
+    (
+        {"trainer": {"mode": "exact", "best_response_tol": float("nan")}},
+        "trainer.best_response_tol: expected a finite number, got nan",
+    ),
+    ({"strategy": {"kind": "Smerl", "c_d": float("inf")}}, "strategy.c_d: expected a finite number, got inf"),
+    # the bounds above match StrategyConfig's own checks, which only NaN got past
+    ({"strategy": {"kind": "Smerl", "alpha": float("nan")}}, "strategy.alpha: expected a finite number, got nan"),
+    ({"kshot": _kshot(ci_level=float("nan"))}, "kshot.ci_level: expected a finite number, got nan"),
+]
+
+
+@pytest.mark.parametrize("change, message", MESSAGES)
+def test_config_error_messages(change, message):
+    d = {k: v for k, v in minimal_chain_config(**change).items() if v is not DROP}
+    with pytest.raises(ConfigError) as info:
+        parse_config(d)
+    assert str(info.value) == message
+
+
+def test_omitted_keys_take_the_dataclass_defaults():
+    cfg = parse_config(minimal_chain_config())
+    assert cfg.trainer.instantiate(0) == ExactTrainConfig(outer_iterations=2, seed=0)
+    assert cfg.diversity == DiversityConfig(kind=DiversityKind.REPULSIVE)
+    assert cfg.strategy == StrategyConfig(kind=StrategyKind.DOMINO_LAGRANGIAN)
+    mdp, _ = cfg.environment.build()
+    reference = build_chain(4)
+    for name in ("transition", "reward", "features", "initial_dist"):
+        assert np.array_equal(getattr(mdp, name), getattr(reference, name)), name
+    assert mdp.discount == reference.discount
+
+    cfg = parse_config(minimal_chain_config(trainer={"mode": "sampled"}, environment=_grid()))
+    assert cfg.trainer.instantiate(0) == SampleTrainConfig(seed=0)
+    assert cfg.environment.build()[1] == GridSpec(width=2, height=2, goal_cells={(0, 0): 1.0})
+
+    cfg = parse_config(minimal_chain_config(kshot=_periodic()))
+    assert cfg.kshot == KShotSettings(
+        methods=(KShotMethod("m", StrategyConfig(kind=StrategyKind.NO_DIVERSITY), 1),),
+        perturbations=(PerturbationSettings(PerturbationKind.ACTION_FAILURE, (0.1,), Periodic()),),
+    )
+    assert cfg.kshot.protocol == KShotConfig()
+
+
 def test_unbuildable_environment_is_a_config_error():
     with pytest.raises(ConfigError, match="cannot build"):
         parse_config(
@@ -185,7 +304,7 @@ def test_kshot_section_parses():
     assert ks.perturbations[0].kind == PerturbationKind.ACTION_FAILURE
     assert isinstance(ks.perturbations[0].schedule, Always)
     assert ks.perturbations[1].schedule == Periodic(period=4, duration=2)
-    assert (ks.k_select, ks.horizon, ks.n_eval) == (3, 50, 40)
+    assert (ks.protocol.k_select, ks.protocol.horizon, ks.protocol.n_eval) == (3, 50, 40)
     with pytest.raises(ConfigError, match="unique"):
         parse_config(
             minimal_chain_config(

@@ -85,7 +85,7 @@ def test_kshot_returns_evaluates_each_seeds_pick():
 def test_baseline_against_itself_has_ratio_exactly_one():
     mdp = build_chain(5, end_reward=1.0)
     baselines = [make_set([right_policy(5)]) for _ in range(3)]
-    cfg = KShotConfig(k_select=2, n_eval=6, horizon=20, n_train_seeds=3, bootstrap_resamples=50)
+    cfg = KShotConfig(k_select=2, n_eval=6, horizon=20, bootstrap_resamples=50)
     selected, base_returns = kshot_returns(baselines, mdp, cfg, seed=11)
     result = kshot_evaluate(base_returns, base_returns, selected, cfg, seed=11)
     assert np.all(result.per_seed_ratios == 1.0)
@@ -102,7 +102,7 @@ def test_evaluation_streams_do_not_depend_on_the_method_set():
     baselines = [make_set([right_policy(5)]) for _ in range(2)]
     set_a = [make_set([stay_policy(5), right_policy(5)]) for _ in range(2)]
     set_b = [make_set([right_policy(5)]) for _ in range(2)]
-    cfg = KShotConfig(k_select=2, n_eval=5, horizon=15, n_train_seeds=2, bootstrap_resamples=50)
+    cfg = KShotConfig(k_select=2, n_eval=5, horizon=15, bootstrap_resamples=50)
     _, base = kshot_returns(baselines, mdp, cfg, seed=21)
     sel_a, ret_a = kshot_returns(set_a, mdp, cfg, seed=21)
     sel_b, ret_b = kshot_returns(set_b, mdp, cfg, seed=21)
@@ -136,7 +136,7 @@ def test_nonpositive_baseline_flags_and_nans():
     mdp = build_chain(4, end_reward=0.0)  # every return is zero
     sets = [make_set([right_policy(4)])]
     baselines = [make_set([stay_policy(4)])]
-    cfg = KShotConfig(k_select=2, n_eval=4, horizon=8, n_train_seeds=1, bootstrap_resamples=20)
+    cfg = KShotConfig(k_select=2, n_eval=4, horizon=8, bootstrap_resamples=20)
     selected, returns = kshot_returns(sets, mdp, cfg, seed=3)
     _, base_returns = kshot_returns(baselines, mdp, cfg, seed=3)
     result = kshot_evaluate(returns, base_returns, selected, cfg, seed=3)
