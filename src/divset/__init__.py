@@ -64,7 +64,6 @@ from .kshot import (
     kshot_select,
 )
 from .mdp import (
-    ConvergenceError,
     Criterion,
     InvalidMdpError,
     NonUnichainError,

@@ -86,8 +86,8 @@ def _section(path: str, d: dict, required: dict, optional: dict, build):
 
 def _variant(path: str, d: dict, key: str, choices: set[str]) -> tuple[str, dict]:
     """A section's discriminator d[key], and the rest of the section."""
-    if not isinstance(d, dict) or key not in d:
-        raise ConfigError(f"{path}: missing required key(s) {[key]}")
+    # only the type and the discriminator; the variant's own _section checks the rest
+    _check_keys(path, d, {key}, set(d) if isinstance(d, dict) else set())
     rest = dict(d)
     return _string(f"{path}.{key}", rest.pop(key), choices), rest
 
@@ -321,7 +321,6 @@ _TRAINERS = {
             "lagrange_lr": _NONNEGATIVE,
             "ftl_mode": _enum_of(FtlMode),
             "policy_init": _choice("random", "uniform"),
-            "best_response_tol": _NONNEGATIVE,
         },
     ),
     "sampled": (
@@ -360,17 +359,16 @@ def _parse_sweep(path: str, d: dict) -> SweepSettings:
     return _section(path, d, {}, optional, SweepSettings)
 
 
-def _schedule(type: str, **periodic) -> Schedule:
-    return Always() if type == "Always" else Periodic(**periodic)
-
-
 def _parse_schedule(path: str, d: dict) -> Schedule:
+    kind, rest = _variant(path, d, "type", {"Always", "Periodic"})
+    if kind == "Always":
+        return _section(path, rest, {}, {}, Always)
     optional = {
         "period": _COUNT,
         "duration": partial(_integer, lo=0),
         "start": partial(_integer, lo=0),
     }
-    return _section(path, d, {"type": _choice("Always", "Periodic")}, optional, _schedule)
+    return _section(path, rest, {}, optional, Periodic)
 
 
 def _parse_perturbation(path: str, d: dict) -> PerturbationSettings:

@@ -18,6 +18,11 @@ Conventions used throughout:
   Both sum to one, so expected rewards / features under either flavor are
   plain inner products: v = <r, d>, psi = Phi^T d. For the discounted
   flavor this makes v the (1 - gamma)-normalised discounted return.
+
+- Best responses are exact: Howard policy iteration over deterministic
+  policies, which evaluates each policy by linear solves (the discounted
+  values, or the gain and bias of every closed class of a multichain P_pi)
+  and stops once no state's action improves. There is no tolerance to tune.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ __all__ = [
     "TabularMdp",
     "InvalidMdpError",
     "NonUnichainError",
-    "ConvergenceError",
     "validate_mdp",
     "uniform_policy",
     "deterministic_policy",
@@ -53,16 +57,9 @@ __all__ = [
 _SIMPLEX_TOL = 1e-9
 _STATIONARY_RESIDUAL_TOL = 1e-9
 _SMOOTHING_EPS = 1e-6
-# Aperiodicity transform weight for relative value iteration: the lazy chain
-# P~ = (1 - tau) I + tau P has the same stationary distributions and gains
-# for unchanged rewards, but is aperiodic under every policy.
-_APERIODICITY_TAU = 0.5
-
-# Sweeps without a 10% span improvement before relative value iteration is
-# declared plateaued. Geometric convergence fast enough to hit 1e-9 within
-# max_iter improves by far more than 10% per window, so only numerically
-# stalled runs trigger it.
-_STALL_WINDOW = 5_000
+# Policy iteration switches a state's action only for a gain of more than
+# this fraction of the largest |q|, so rounding noise cannot make it cycle.
+_IMPROVEMENT_RTOL = 1e-12
 
 
 class InvalidMdpError(ValueError):
@@ -71,10 +68,6 @@ class InvalidMdpError(ValueError):
 
 class NonUnichainError(RuntimeError):
     """The policy-induced chain has no unique stationary distribution."""
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative solver failed to reach its tolerance."""
 
 
 class Criterion(str, Enum):
@@ -146,6 +139,18 @@ class TabularMdp:
         cdf.flags.writeable = False
         return cdf
 
+    @cached_property
+    def reach_under_every_policy(self) -> np.ndarray:
+        """reach[s, t]: t can follow s whatever the actions; (S, S), computed once per MDP.
+
+        Every policy reaches at least these pairs, so best_response starts
+        each policy's reachability from them. On a grid with slip they are
+        all pairs, and no policy needs a closure of its own.
+        """
+        reach = _transitive_closure(np.all(self.transition > 0, axis=1))
+        reach.flags.writeable = False
+        return reach
+
 
 def validate_mdp(mdp: TabularMdp) -> None:
     """Check the full MDP contract; raises InvalidMdpError naming the offender."""
@@ -174,15 +179,6 @@ def validate_mdp(mdp: TabularMdp) -> None:
         raise InvalidMdpError(f"transition row ({s}, {a}) sums to {row_sums[s, a]!r}, not 1")
     if np.any(d0 < -_SIMPLEX_TOL) or abs(d0.sum() - 1.0) > _SIMPLEX_TOL:
         raise InvalidMdpError(f"initial_dist is not a distribution (sum {d0.sum()!r})")
-
-
-def _validate_policy(policy: Policy, mdp: TabularMdp) -> None:
-    p = policy.probs
-    if p.shape != (mdp.num_states, mdp.num_actions):
-        raise ValueError(f"policy shape {p.shape} does not match MDP {(mdp.num_states, mdp.num_actions)}")
-    if np.any(p < -_SIMPLEX_TOL) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-8):
-        s = int(np.argmax(np.abs(p.sum(axis=1) - 1.0)))
-        raise ValueError(f"policy row {s} is not a distribution (sum {p.sum(axis=1)[s]!r})")
 
 
 def uniform_policy(num_states: int, num_actions: int) -> Policy:
@@ -297,100 +293,104 @@ def expected_features(mdp: TabularMdp, occ: Occupancy) -> np.ndarray:
     return mdp.features.T @ occ.d
 
 
-def _greedy(Q: np.ndarray) -> Policy:
-    # argmax returns the first maximiser, i.e. ties break to the lowest index
-    actions = np.argmax(Q, axis=1)
-    return deterministic_policy(actions, Q.shape[1])
+def _transitive_closure(edges: np.ndarray) -> np.ndarray:
+    """reach[s, t]: t can follow s in zero or more steps of a boolean (S, S) relation."""
+    reach = edges | np.eye(len(edges), dtype=bool)
+    while not reach.all():  # repeated squaring; a boolean matmul is an or of ands
+        closure = reach @ reach
+        if np.array_equal(closure, reach):
+            break
+        reach = closure
+    return reach
+
+
+def _closed_classes(P_pi: np.ndarray, reach_floor: np.ndarray) -> np.ndarray:
+    """Each state's closed class under P_pi, named by its lowest state; -1 if transient.
+
+    reach_floor[s, t] marks pairs already known to have t reachable from s.
+    """
+    reach = _transitive_closure((P_pi > 0) | reach_floor)
+    # a state is recurrent iff every state it reaches reaches it back; it
+    # then reaches exactly its own class
+    recurrent = ~np.any(reach & ~reach.T, axis=1)
+    return np.where(recurrent, np.argmax(reach, axis=1), -1)
+
+
+def _gain_and_bias(
+    P_pi: np.ndarray, r_pi: np.ndarray, cls: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Multichain evaluation (Puterman 1994, ch. 9): g = P_pi g and g + h = r_pi + P_pi h.
+
+    cls names each state's closed class (_closed_classes). Each class has one
+    gain and a bias that is 0 at its lowest state, whose column of I - P_pi
+    then carries the class gain. The transient states are set aside for
+    that solve, then take their gain and bias from the classes they enter.
+    """
+    S = len(r_pi)
+    recurrent = cls >= 0
+    heads = np.flatnonzero(cls == np.arange(S))
+    identity = np.eye(S)
+    M = np.where(recurrent[:, None], identity - P_pi, identity)
+    M[:, heads] = cls[:, None] == heads
+    x = np.linalg.solve(M, np.where(recurrent, r_pi, 0.0))
+    g = np.where(recurrent, x[cls], 0.0)
+    h = np.where(recurrent, x, 0.0)
+    h[heads] = 0.0
+    if not recurrent.all():
+        M = np.where(recurrent[:, None], identity, identity - P_pi)
+        g = np.linalg.solve(M, g)
+        h = np.linalg.solve(M, np.where(recurrent, h, r_pi - g))
+    return g, h
+
+
+def _improve(actions: np.ndarray, q: np.ndarray, allowed: np.ndarray | bool = True) -> np.ndarray:
+    """Per state, the lowest allowed action whose q beats the current
+    action's by more than _IMPROVEMENT_RTOL * max |q|; else the current one."""
+    current = q[np.arange(len(q)), actions][:, None]
+    better = allowed & (q > current + _IMPROVEMENT_RTOL * np.abs(q).max())
+    return np.where(better.any(axis=1), np.argmax(better, axis=1), actions)
 
 
 def best_response(
-    mdp: TabularMdp,
-    reward: np.ndarray,
-    criterion: Criterion,
-    *,
-    tol: float = 1e-9,
-    max_iter: int = 200_000,
-    stall_tol: float = 1e-4,
-    v_init: np.ndarray | None = None,
-    return_values: bool = False,
-) -> Policy | tuple[Policy, np.ndarray]:
-    """Exact greedy maximiser of an arbitrary reward matrix.
+    mdp: TabularMdp, reward: np.ndarray, criterion: Criterion, start: Policy | None = None
+) -> Policy:
+    """An optimal deterministic policy for an arbitrary reward matrix.
 
-    Discounted: value iteration until the max-norm change is <= tol, then
-    the greedy deterministic policy (ties to the lowest action index).
+    Howard policy iteration (Puterman 1994, ch. 6 and 9) from the greedy
+    actions of start, or of reward when no start is given. Each round
+    evaluates the current policy exactly and then improves it:
 
-    Average: relative value iteration on the lazy chain
-    (1 - tau) I + tau P with rewards unchanged, run until the span of the
-    Bellman update difference is <= tol. The transform preserves every
-    policy's stationary distribution and gain and makes the iteration
-    converge on unichain instances.
+    - discounted: v solves (I - gamma P_pi) v = r_pi, and each state takes
+      the best action for r + gamma P v;
+    - average: g and h are the multichain gain and bias (_gain_and_bias);
+      each state takes the best action for P g and, once no gain improves,
+      the best action for r + P h among the actions that keep the gain.
 
-    On slowly mixing instances (e.g. a greedy policy that only leaves a
-    region through slip noise) the span can plateau above tol at the
-    iteration's numerical floor. The greedy policy is stable long before
-    that point and its gain is within the span of optimal, so a plateau
-    at span <= stall_tol is accepted; a plateau above stall_tol raises
-    ConvergenceError reporting the final span. Pass stall_tol=0.0 to
-    insist on tol exactly. A plateau means no 10% span improvement over
-    a window of sweeps.
-
-    v_init warm-starts the iteration (useful when solving a slowly
-    changing sequence of rewards). With return_values=True the final
-    value iterate is returned alongside the policy.
+    A state switches only to an action that beats its current one by more
+    than a relative 1e-12, and then to the lowest-index such action. Ties
+    therefore keep the current action, which makes the loop end; the
+    policy is returned once no state switches.
     """
-    if reward.shape != (mdp.num_states, mdp.num_actions):
-        raise ValueError(f"reward must be {(mdp.num_states, mdp.num_actions)}, got {reward.shape}")
-    V = np.zeros(mdp.num_states) if v_init is None else np.array(v_init, dtype=float)
+    S, A = mdp.num_states, mdp.num_actions
+    if reward.shape != (S, A):
+        raise ValueError(f"reward must be {(S, A)}, got {reward.shape}")
     P = mdp.transition
-
-    if criterion == Criterion.DISCOUNTED:
-        gamma = mdp.discount
-        Q = reward + gamma * (P @ V)
-        for _ in range(max_iter):
-            V_new = Q.max(axis=1)
-            if np.max(np.abs(V_new - V)) <= tol:
-                V = V_new
-                break
-            V = V_new
-            Q = reward + gamma * (P @ V)
+    states = np.arange(S)
+    actions = np.argmax(reward if start is None else start.probs, axis=1)
+    while True:
+        P_pi, r_pi = P[states, actions], reward[states, actions]
+        if criterion == Criterion.DISCOUNTED:
+            v = np.linalg.solve(np.eye(S) - mdp.discount * P_pi, r_pi)
+            improved = _improve(actions, reward + mdp.discount * (P @ v))
         else:
-            raise ConvergenceError(
-                f"value iteration did not reach tol={tol} in {max_iter} iterations"
-            )
-        policy = _greedy(reward + gamma * (P @ V))
-        return (policy, V) if return_values else policy
-
-    tau = _APERIODICITY_TAU
-    # Q(s, a) = r(s, a) + (1 - tau) V(s) + tau sum_s' P(s' | s, a) V(s')
-    Q = reward + (1.0 - tau) * V[:, None] + tau * (P @ V)
-    best_span = np.inf
-    since_improved = 0
-    for _ in range(max_iter):
-        V_new = Q.max(axis=1)
-        delta = V_new - V
-        span = float(delta.max() - delta.min())
-        V = V_new - V_new[0]  # keep the relative iterate bounded
-        if span <= tol:
-            break
-        if span < 0.9 * best_span:
-            best_span = span
-            since_improved = 0
-        else:
-            since_improved += 1
-            if since_improved >= _STALL_WINDOW:
-                if span <= stall_tol:
-                    break
-                raise ConvergenceError(
-                    f"relative value iteration stalled at span={span!r} "
-                    f"(tol={tol}, stall_tol={stall_tol}); "
-                    "the instance may not be unichain"
-                )
-        Q = reward + (1.0 - tau) * V[:, None] + tau * (P @ V)
-    else:
-        if span > stall_tol:
-            raise ConvergenceError(
-                f"relative value iteration did not reach tol={tol} in "
-                f"{max_iter} iterations (final span={span!r}, stall_tol={stall_tol})"
-            )
-    policy = _greedy(reward + (1.0 - tau) * V[:, None] + tau * (P @ V))
-    return (policy, V) if return_values else policy
+            cls = _closed_classes(P_pi, mdp.reach_under_every_policy)
+            g, h = _gain_and_bias(P_pi, r_pi, cls)
+            gain_q = P @ g
+            improved = _improve(actions, gain_q)
+            if np.array_equal(improved, actions):
+                slack = _IMPROVEMENT_RTOL * np.abs(gain_q).max()
+                keeps_gain = gain_q >= gain_q[states, actions][:, None] - slack
+                improved = _improve(actions, reward + P @ h, keeps_gain)
+        if np.array_equal(improved, actions):
+            return deterministic_policy(actions, A)
+        actions = improved

@@ -73,15 +73,6 @@ class TrainingDivergedError(RuntimeError):
     """A learner table became non-finite."""
 
 
-# Accepted relative-value-iteration plateau inside the exact trainer. Mixed
-# rewards routinely produce greedy policies whose only exit from a region is
-# stacked slip events; their bias magnitudes push the span's numerical floor
-# above best_response's default acceptance. The greedy policy is already
-# stable there and its gain error is bounded by the span, far below any
-# constraint tolerance the trainer works with.
-_BR_STALL_TOL = 1e-2
-
-
 class FtlMode(str, Enum):
     # MovingAverage: exponentially decayed statistics (the online recipe).
     # FullAverage: uniform running means of the occupancies, the averaged
@@ -99,7 +90,6 @@ class ExactTrainConfig:
     moving_average: MovingAverageConfig = MovingAverageConfig()
     policy_init: str = "random"  # random rows break the initial symmetry
     seed: int = 0
-    best_response_tol: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -228,8 +218,8 @@ def train_exact(
     """Run the exact three-player loop for cfg.outer_iterations steps.
 
     The anchor's constraint reference is the exact optimal extrinsic value
-    (computed once; the extrinsic reward never changes). Best responses
-    warm-start from the previous iteration's value function. The returned
+    (computed once; the extrinsic reward never changes). Each member's best
+    response starts from that member's current policy. The returned
     trace has one record per iteration plus a final evaluation record for
     the policies as returned.
     """
@@ -237,14 +227,11 @@ def train_exact(
     rng = np.random.default_rng(cfg.seed)
     pset = init_set(n, d, S, A, policy_init=cfg.policy_init, rng=rng)
 
-    pi_star = best_response(
-        mdp, mdp.reward, cfg.criterion, tol=cfg.best_response_tol, stall_tol=_BR_STALL_TOL
-    )
+    pi_star = best_response(mdp, mdp.reward, cfg.criterion)
     pset.vstar_estimate = policy_value(mdp, occupancy(mdp, pi_star, cfg.criterion))
 
     features_sa = mdp.features_sa
     zero_reward = np.zeros_like(mdp.reward)
-    warm: list[np.ndarray | None] = [None] * n
     run_d = np.zeros((n, S * A))  # running-mean occupancies (FullAverage)
     run_v = np.zeros(n)
     records: list[TraceRecord] = []
@@ -290,15 +277,7 @@ def train_exact(
 
         for i in range(n):
             r_i = mix(strategy_cfg, mdp.reward, rewards_d[i], pset, i)
-            pset.policies[i], warm[i] = best_response(
-                mdp,
-                r_i,
-                cfg.criterion,
-                tol=cfg.best_response_tol,
-                stall_tol=_BR_STALL_TOL,
-                v_init=warm[i],
-                return_values=True,
-            )
+            pset.policies[i] = best_response(mdp, r_i, cfg.criterion, pset.policies[i])
 
     values, psis, _ = measure()
     records.append(_trace_record(cfg.outer_iterations, values, pset, psis, diversity_cfg))

@@ -190,13 +190,25 @@ MESSAGES = [
         "trainer.lagrange_lr: expected a finite number, got inf",
     ),
     (
-        {"trainer": {"mode": "exact", "best_response_tol": float("nan")}},
-        "trainer.best_response_tol: expected a finite number, got nan",
+        {"trainer": {"mode": "exact", "lagrange_lr": float("nan")}},
+        "trainer.lagrange_lr: expected a finite number, got nan",
     ),
     ({"strategy": {"kind": "Smerl", "c_d": float("inf")}}, "strategy.c_d: expected a finite number, got inf"),
     # the bounds above match StrategyConfig's own checks, which only NaN got past
     ({"strategy": {"kind": "Smerl", "alpha": float("nan")}}, "strategy.alpha: expected a finite number, got nan"),
     ({"kshot": _kshot(ci_level=float("nan"))}, "kshot.ci_level: expected a finite number, got nan"),
+    # the best-response solver takes no tolerance
+    (
+        {"trainer": {"mode": "exact", "best_response_tol": 1e-9}},
+        "trainer: unknown key(s) ['best_response_tol']",
+    ),
+    # Always takes no timing keys, so a mistyped Periodic schedule does not run always-on
+    (
+        {"kshot": _kshot(perturbation={"schedule": {"type": "Always", "period": 3, "duration": 2}})},
+        "kshot.perturbations[0].schedule: unknown key(s) ['duration', 'period']",
+    ),
+    ({"kshot": _kshot(perturbation={"schedule": 5})}, "kshot.perturbations[0].schedule: expected an object, got int"),
+    ({"environment": [4]}, "environment: expected an object, got list"),
 ]
 
 

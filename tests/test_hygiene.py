@@ -1,0 +1,81 @@
+"""Source hygiene of src/divset: no unused imports, no unreferenced private names.
+
+Both checks read the modules with the standard library's ast, so they run
+without importing the package.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "divset"
+TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, as a bare name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _exports(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_import_is_used():
+    unused = []
+    for module, tree in TREES.items():
+        if module == "__init__":
+            continue  # the package's imports are its public API
+        used = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        used |= _exports(tree)
+        unused += [f"{module}.{name}" for name in _imported_names(tree) if name not in used]
+    assert not unused, f"unused imports: {unused}"
+
+
+def test_every_private_name_is_referenced():
+    read = {module: _read_names(tree) for module, tree in TREES.items()}
+    unreferenced = [
+        f"{module}.{name}"
+        for module, tree in TREES.items()
+        for name in _private_definitions(tree)
+        if not any(name in names for names in read.values())
+    ]
+    assert not unreferenced, f"private names referenced nowhere in src/: {unreferenced}"

@@ -5,7 +5,6 @@ import pytest
 
 from divset import (
     Criterion,
-    ConvergenceError,
     InvalidMdpError,
     NonUnichainError,
     TabularMdp,
@@ -24,7 +23,7 @@ from divset import (
 )
 from divset.envs import FeatureKind
 
-from helpers import random_mdp
+from helpers import deterministic_action_tables, random_mdp
 
 
 def test_validate_rejects_bad_row_sums():
@@ -132,19 +131,45 @@ def test_best_response_breaks_ties_to_the_lowest_action():
         assert np.array_equal(pol.probs, deterministic_policy(np.zeros(4, dtype=int), 3).probs)
 
 
-def test_best_response_warm_start_changes_nothing():
+def test_best_response_value_does_not_depend_on_the_start():
     rng = np.random.default_rng(10)
-    mdp = random_mdp(rng, 5, 3, 1)
-    pol_cold, v = best_response(mdp, mdp.reward, Criterion.AVERAGE, return_values=True)
-    pol_warm = best_response(mdp, mdp.reward, Criterion.AVERAGE, v_init=v)
-    assert np.array_equal(pol_cold.probs, pol_warm.probs)
+    for criterion in (Criterion.DISCOUNTED, Criterion.AVERAGE):
+        mdp = random_mdp(rng, 6, 3, 1)
+        cold = policy_value(mdp, occupancy(mdp, best_response(mdp, mdp.reward, criterion), criterion))
+        for _ in range(20):
+            start = random_policy(rng, 6, 3)
+            pol = best_response(mdp, mdp.reward, criterion, start)
+            assert abs(policy_value(mdp, occupancy(mdp, pol, criterion)) - cold) < 1e-12
 
 
-def test_best_response_reports_nonconvergence():
-    rng = np.random.default_rng(11)
-    mdp = random_mdp(rng, 4, 2, 1)
-    with pytest.raises(ConvergenceError):
-        best_response(mdp, mdp.reward, Criterion.DISCOUNTED, max_iter=1)
+def _cesaro_gain(mdp: TabularMdp, actions: np.ndarray) -> np.ndarray:
+    """Per-state gain of a deterministic policy on a deterministic MDP.
+
+    After S steps every path is on its cycle, and a cycle of at most S
+    states repeats exactly over lcm(1..S) steps, so the Cesaro average of
+    P_pi^t r_pi over that window is the gain, without smoothing the
+    recurrent classes together as occupancy does.
+    """
+    S = mdp.num_states
+    P_pi = mdp.transition[np.arange(S), actions]
+    x = np.linalg.matrix_power(P_pi, S) @ mdp.reward[np.arange(S), actions]
+    window = np.lcm.reduce(np.arange(1, S + 1))
+    total = np.zeros(S)
+    for _ in range(window):
+        total += x
+        x = P_pi @ x
+    return total / window
+
+
+def test_best_response_is_gain_optimal_from_every_multichain_start():
+    # the slip-free chain: "stay" everywhere makes every state its own class
+    mdp = build_chain(5, end_reward=1.0)
+    tables = deterministic_action_tables(5, 3)
+    best = np.max([_cesaro_gain(mdp, row) for row in tables], axis=0)
+    for row in tables:
+        pol = best_response(mdp, mdp.reward, Criterion.AVERAGE, deterministic_policy(row, 3))
+        gain = _cesaro_gain(mdp, np.argmax(pol.probs, axis=1))
+        assert np.max(np.abs(gain - best)) < 1e-12, row
 
 
 def test_disconnected_chain_raises_non_unichain():
