@@ -67,8 +67,6 @@ from .mdp import (
     Criterion,
     InvalidMdpError,
     NonUnichainError,
-    Occupancy,
-    Policy,
     TabularMdp,
     best_response,
     deterministic_policy,
@@ -77,9 +75,7 @@ from .mdp import (
     occupancy,
     policy_transition_matrix,
     policy_value,
-    random_policy,
     stationary_distribution,
-    uniform_policy,
     validate_mdp,
 )
 from .plotting import plot_qd
@@ -103,7 +99,6 @@ from .training import (
     SampleTrainConfig,
     TraceRecord,
     TrainingDivergedError,
-    TrainTrace,
     rollout,
     train_exact,
     train_sampled,

@@ -333,7 +333,6 @@ _TRAINERS = {
             "entropy_weight": _NONNEGATIVE,
             "n_step": _COUNT,
             "lagrange_lr": _NONNEGATIVE,
-            "lagrange_optimizer": _choice("adam", "sgd"),
             "eval_every": _COUNT,
         },
     ),

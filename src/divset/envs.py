@@ -390,7 +390,6 @@ def _apply_always(
         radius = int(round(m))
         rng = child_rng(seed, "shift")
         cells = grid_cells(grid_spec)
-        index = {cell: s for s, cell in enumerate(cells)}
         new_goals: dict = {}
         for cell in sorted(grid_spec.goal_cells):
             value = grid_spec.goal_cells[cell]
@@ -402,10 +401,8 @@ def _apply_always(
             target = near[rng.integers(len(near))]
             # colliding relocations keep the larger reward
             new_goals[target] = max(new_goals.get(target, 0.0), value)
-        reward = np.full_like(mdp.reward, grid_spec.base_reward)
-        for cell, value in new_goals.items():
-            reward[index[cell], :] += value
-        return mdp.transition.copy(), reward
+        shifted = build_gridworld(dataclasses.replace(grid_spec, goal_cells=new_goals))
+        return mdp.transition.copy(), shifted.reward
 
     if p.kind == PerturbationKind.BLOCK_CELLS:
         if not 0.0 <= m <= 1.0:

@@ -35,7 +35,7 @@ from .mdp import TabularMdp
 from .policy_set import PolicySet, policy_set_to_json
 from .seeding import hash64
 from .strategies import StrategyConfig, StrategyKind
-from .training import TrainTrace, train_exact, train_sampled
+from .training import TraceRecord, train_exact, train_sampled
 
 __all__ = [
     "WORKERS_ENV",
@@ -141,7 +141,7 @@ def _train(
     diversity: DiversityConfig,
     strategy: StrategyConfig,
     seed: int,
-) -> tuple[PolicySet, TrainTrace]:
+) -> tuple[PolicySet, list[TraceRecord]]:
     """Train one set with the configured trainer (exact or sampled)."""
     train = train_exact if config.trainer.mode == "exact" else train_sampled
     return train(mdp, n, diversity, strategy, config.trainer.instantiate(seed))
@@ -157,7 +157,7 @@ def run_single(
         config.strategy, alpha=spec.alpha, c_e=spec.c_e, c_d=spec.c_d
     )
     pset, trace = _train(config, mdp, spec.set_size, dcfg, scfg, spec.train_seed)
-    final = trace.records[-1]
+    final = trace[-1]
     qd_row = [
         strategy_descriptor(scfg),
         repr(float(spec.alpha)),
@@ -169,7 +169,7 @@ def run_single(
         repr(float(final.diversity_mean)),
     ]
     trace_rows = []
-    for rec in trace.records:
+    for rec in trace:
         for i in range(spec.set_size):
             trace_rows.append(
                 [

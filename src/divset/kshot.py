@@ -62,7 +62,9 @@ class KShotResult:
     baseline_nonpositive: bool
 
 
-def episode_return(mdp: TabularMdp, policy, horizon: int, rng: np.random.Generator) -> float:
+def episode_return(
+    mdp: TabularMdp, policy: np.ndarray, horizon: int, rng: np.random.Generator
+) -> float:
     return float(rollout(mdp, policy, horizon, rng).rewards.sum())
 
 
@@ -156,18 +158,24 @@ def _paired_ratio_ci(
     resamples: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Nested bootstrap of the mean per-seed ratio, resampling both sides."""
+    """Nested bootstrap of the mean per-seed ratio, resampling both sides.
+
+    Each resample draws its seeds, then for every drawn seed n_eval episode
+    indices into returns and n_eval into base_returns, in that order. A
+    resample whose baseline mean is not positive for some drawn seed has a
+    nan statistic and is left out of the percentiles.
+    """
     rng = np.random.default_rng(seed)
     n_seeds, n_eval = returns.shape
     stats = np.full(resamples, np.nan)
     for b in range(resamples):
-        chosen = rng.integers(n_seeds, size=n_seeds)
-        ratios = np.empty(n_seeds)
-        for j, t in enumerate(chosen):
-            m = returns[t, rng.integers(n_eval, size=n_eval)].mean()
-            base = base_returns[t, rng.integers(n_eval, size=n_eval)].mean()
-            ratios[j] = m / base if base > 0 else np.nan
-        stats[b] = np.mean(ratios)
+        chosen = rng.integers(n_seeds, size=n_seeds)[:, None]
+        episodes = rng.integers(n_eval, size=(n_seeds, 2, n_eval))
+        m = returns[chosen, episodes[:, 0]].mean(axis=1)
+        base = base_returns[chosen, episodes[:, 1]].mean(axis=1)
+        ratios = np.full(n_seeds, np.nan)
+        np.divide(m, base, out=ratios, where=base > 0.0)
+        stats[b] = ratios.mean()
     stats = stats[np.isfinite(stats)]
     lo = (1.0 - level) / 2.0 * 100.0
     return float(np.percentile(stats, lo)), float(np.percentile(stats, 100.0 - lo))

@@ -7,6 +7,12 @@ Conventions used throughout:
   Phi with one row per state-action pair (row index s * A + a), discount
   gamma in [0, 1) and initial distribution d0.
 
+- Policies and occupancies are plain numpy arrays. A policy is its (S, A)
+  array of probabilities pi[s, a] = pi(a | s), each row on the simplex; a
+  set of n policies is one (n, S, A) array. An occupancy d is a length
+  S * A array, row-major over (s, a), so d.reshape(S, A) indexes it by
+  state and action.
+
 - Occupancies are distributions over state-action pairs (length S * A,
   summing to one) and come in two flavors:
 
@@ -36,15 +42,11 @@ import numpy as np
 
 __all__ = [
     "Criterion",
-    "Policy",
-    "Occupancy",
     "TabularMdp",
     "InvalidMdpError",
     "NonUnichainError",
     "validate_mdp",
-    "uniform_policy",
     "deterministic_policy",
-    "random_policy",
     "policy_transition_matrix",
     "stationary_distribution",
     "discounted_occupancy",
@@ -57,8 +59,9 @@ __all__ = [
 _SIMPLEX_TOL = 1e-9
 _STATIONARY_RESIDUAL_TOL = 1e-9
 _SMOOTHING_EPS = 1e-6
-# Policy iteration switches a state's action only for a gain of more than
-# this fraction of the largest |q|, so rounding noise cannot make it cycle.
+# Howard's policy iteration switches a state's action only for a gain of
+# more than this fraction of the largest |q|, so rounding noise cannot make
+# it cycle.
 _IMPROVEMENT_RTOL = 1e-12
 
 
@@ -75,32 +78,6 @@ class Criterion(str, Enum):
 
     AVERAGE = "average"
     DISCOUNTED = "discounted"
-
-
-@dataclass(frozen=True)
-class Policy:
-    """A stationary stochastic policy; probs[s, a] = pi(a | s)."""
-
-    probs: np.ndarray
-
-    @property
-    def num_states(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def num_actions(self) -> int:
-        return self.probs.shape[1]
-
-
-@dataclass(frozen=True)
-class Occupancy:
-    """A state-action visitation distribution of a given flavor."""
-
-    criterion: Criterion
-    d: np.ndarray  # length S * A, row-major over (s, a)
-
-    def state_marginal(self, num_actions: int) -> np.ndarray:
-        return self.d.reshape(-1, num_actions).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -181,25 +158,16 @@ def validate_mdp(mdp: TabularMdp) -> None:
         raise InvalidMdpError(f"initial_dist is not a distribution (sum {d0.sum()!r})")
 
 
-def uniform_policy(num_states: int, num_actions: int) -> Policy:
-    return Policy(np.full((num_states, num_actions), 1.0 / num_actions))
-
-
-def deterministic_policy(actions: np.ndarray, num_actions: int) -> Policy:
+def deterministic_policy(actions: np.ndarray, num_actions: int) -> np.ndarray:
+    """The (S, A) policy that takes actions[s] in state s."""
     probs = np.zeros((len(actions), num_actions))
     probs[np.arange(len(actions)), actions] = 1.0
-    return Policy(probs)
+    return probs
 
 
-def random_policy(rng: np.random.Generator, num_states: int, num_actions: int) -> Policy:
-    """Rows drawn uniformly from the simplex (flat Dirichlet)."""
-    probs = rng.dirichlet(np.ones(num_actions), size=num_states)
-    return Policy(probs)
-
-
-def policy_transition_matrix(mdp: TabularMdp, policy: Policy) -> np.ndarray:
+def policy_transition_matrix(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
     """P_pi[s, s'] = sum_a pi(a | s) P(s' | s, a)."""
-    return np.einsum("sa,sat->st", policy.probs, mdp.transition)
+    return np.einsum("sa,sat->st", policy, mdp.transition)
 
 
 def _solve_stationary(P_pi: np.ndarray) -> np.ndarray | None:
@@ -228,7 +196,7 @@ def _solve_stationary(P_pi: np.ndarray) -> np.ndarray | None:
     return rho / rho.sum()
 
 
-def stationary_distribution(mdp: TabularMdp, policy: Policy) -> Occupancy:
+def stationary_distribution(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
     """Average-flavor occupancy d(s, a) = rho(s) pi(a | s).
 
     If the induced chain is reducible into several recurrent classes the
@@ -237,9 +205,7 @@ def stationary_distribution(mdp: TabularMdp, policy: Policy) -> Occupancy:
     chain is irreducible whenever the MDP is connected under the union of
     actions. A second failure raises NonUnichainError.
     """
-    probs = policy.probs
-    P_pi = policy_transition_matrix(mdp, policy)
-    rho = _solve_stationary(P_pi)
+    rho = _solve_stationary(policy_transition_matrix(mdp, policy))
     if rho is None:
         warnings.warn(
             "policy-induced chain has no unique stationary distribution; "
@@ -247,19 +213,17 @@ def stationary_distribution(mdp: TabularMdp, policy: Policy) -> Occupancy:
             RuntimeWarning,
             stacklevel=2,
         )
-        probs = (1.0 - _SMOOTHING_EPS) * policy.probs + _SMOOTHING_EPS / mdp.num_actions
-        P_pi = np.einsum("sa,sat->st", probs, mdp.transition)
-        rho = _solve_stationary(P_pi)
+        policy = (1.0 - _SMOOTHING_EPS) * policy + _SMOOTHING_EPS / mdp.num_actions
+        rho = _solve_stationary(policy_transition_matrix(mdp, policy))
         if rho is None:
             raise NonUnichainError(
                 "stationary equations remain rank-deficient after smoothing; "
                 "the chain has multiple recurrent classes"
             )
-    d = (rho[:, None] * probs).ravel()
-    return Occupancy(Criterion.AVERAGE, d)
+    return (rho[:, None] * policy).ravel()
 
 
-def discounted_occupancy(mdp: TabularMdp, policy: Policy) -> Occupancy:
+def discounted_occupancy(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
     """Discounted occupancy with weights (1 - gamma) gamma^t from t = 0.
 
     The state marginal m solves m = (1 - gamma) d0 + gamma P_pi^T m, i.e.
@@ -269,28 +233,27 @@ def discounted_occupancy(mdp: TabularMdp, policy: Policy) -> Occupancy:
     gamma = mdp.discount
     P_pi = policy_transition_matrix(mdp, policy)
     m = np.linalg.solve(np.eye(S) - gamma * P_pi.T, (1.0 - gamma) * mdp.initial_dist)
-    d = (m[:, None] * policy.probs).ravel()
-    return Occupancy(Criterion.DISCOUNTED, d)
+    return (m[:, None] * policy).ravel()
 
 
-def occupancy(mdp: TabularMdp, policy: Policy, criterion: Criterion) -> Occupancy:
+def occupancy(mdp: TabularMdp, policy: np.ndarray, criterion: Criterion) -> np.ndarray:
     if criterion == Criterion.AVERAGE:
         return stationary_distribution(mdp, policy)
     return discounted_occupancy(mdp, policy)
 
 
-def policy_value(mdp: TabularMdp, occ: Occupancy) -> float:
-    """Expected extrinsic reward under the occupancy.
+def policy_value(mdp: TabularMdp, occ: np.ndarray) -> float:
+    """Expected extrinsic reward under the occupancy d.
 
     Average flavor: the gain. Discounted flavor: the (1 - gamma)-normalised
     discounted return from d0.
     """
-    return float(mdp.reward.ravel() @ occ.d)
+    return float(mdp.reward.ravel() @ occ)
 
 
-def expected_features(mdp: TabularMdp, occ: Occupancy) -> np.ndarray:
+def expected_features(mdp: TabularMdp, occ: np.ndarray) -> np.ndarray:
     """psi = Phi^T d, a length-d vector."""
-    return mdp.features.T @ occ.d
+    return mdp.features.T @ occ
 
 
 def _transitive_closure(edges: np.ndarray) -> np.ndarray:
@@ -352,8 +315,8 @@ def _improve(actions: np.ndarray, q: np.ndarray, allowed: np.ndarray | bool = Tr
 
 
 def best_response(
-    mdp: TabularMdp, reward: np.ndarray, criterion: Criterion, start: Policy | None = None
-) -> Policy:
+    mdp: TabularMdp, reward: np.ndarray, criterion: Criterion, start: np.ndarray | None = None
+) -> np.ndarray:
     """An optimal deterministic policy for an arbitrary reward matrix.
 
     Howard policy iteration (Puterman 1994, ch. 6 and 9) from the greedy
@@ -376,7 +339,7 @@ def best_response(
         raise ValueError(f"reward must be {(S, A)}, got {reward.shape}")
     P = mdp.transition
     states = np.arange(S)
-    actions = np.argmax(reward if start is None else start.probs, axis=1)
+    actions = np.argmax(reward if start is None else start, axis=1)
     while True:
         P_pi, r_pi = P[states, actions], reward[states, actions]
         if criterion == Criterion.DISCOUNTED:

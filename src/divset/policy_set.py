@@ -1,11 +1,11 @@
-"""Policy sets and the bounded Lagrange machinery.
+"""Sets of policies and the bounded Lagrange machinery.
 
-A PolicySet holds n policies, one raw Lagrange parameter per policy, and
-running estimates of each policy's value and expected features. The first
-policy (index 0) is the extrinsic anchor: its mixing weight is pinned to 1
-by convention (the stored mu[0] is inert), so it always optimises the
-extrinsic reward alone and its value anchors the near-optimality
-constraint for everyone else.
+A PolicySet holds n policies as one (n, S, A) array, one raw Lagrange
+parameter per policy, and running estimates of each policy's value and
+expected features. The first policy (index 0) is the extrinsic anchor:
+its mixing weight is pinned to 1 by convention (the stored mu[0] is
+inert), so it always optimises the extrinsic reward alone and its value
+anchors the near-optimality constraint for everyone else.
 
 For i >= 1 the reward seen by the policy player is the bounded mix
 
@@ -25,8 +25,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-
-from .mdp import Policy, random_policy, uniform_policy
 
 __all__ = [
     "MU_BOUND",
@@ -57,7 +55,7 @@ class MovingAverageConfig:
 
 @dataclass
 class PolicySet:
-    policies: list[Policy]
+    policies: np.ndarray  # (n, S, A); policies[i, s, a] = pi_i(a | s)
     mu: np.ndarray  # (n,) raw pre-sigmoid parameters; entry 0 is inert
     avg_value: np.ndarray  # (n,) running extrinsic value estimates v~
     avg_psi: np.ndarray  # (n, d) running expected-feature estimates psi~
@@ -80,7 +78,7 @@ class PolicySet:
 
     def copy(self) -> "PolicySet":
         return PolicySet(
-            policies=[Policy(p.probs.copy()) for p in self.policies],
+            policies=self.policies.copy(),
             mu=self.mu.copy(),
             avg_value=self.avg_value.copy(),
             avg_psi=self.avg_psi.copy(),
@@ -105,11 +103,11 @@ def init_set(
     if n < 1:
         raise ValueError(f"need at least one policy, got n={n}")
     if policy_init == "uniform":
-        policies = [uniform_policy(num_states, num_actions) for _ in range(n)]
+        policies = np.full((n, num_states, num_actions), 1.0 / num_actions)
     elif policy_init == "random":
         if rng is None:
             raise ValueError('policy_init="random" requires an rng')
-        policies = [random_policy(rng, num_states, num_actions) for _ in range(n)]
+        policies = rng.dirichlet(np.ones(num_actions), size=(n, num_states))
     else:
         raise ValueError(f"unknown policy_init {policy_init!r}")
     return PolicySet(
@@ -209,7 +207,7 @@ def constraint_indicator(pset: PolicySet, i: int, alpha: float) -> bool:
 
 def policy_set_to_json(pset: PolicySet) -> str:
     payload = {
-        "policies": [p.probs.tolist() for p in pset.policies],
+        "policies": pset.policies.tolist(),
         "mu": pset.mu.tolist(),
         "avg_value": pset.avg_value.tolist(),
         "avg_psi": pset.avg_psi.tolist(),
@@ -221,7 +219,7 @@ def policy_set_to_json(pset: PolicySet) -> str:
 def policy_set_from_json(text: str) -> PolicySet:
     payload = json.loads(text)
     return PolicySet(
-        policies=[Policy(np.array(p, dtype=float)) for p in payload["policies"]],
+        policies=np.array(payload["policies"], dtype=float),
         mu=np.array(payload["mu"], dtype=float),
         avg_value=np.array(payload["avg_value"], dtype=float),
         avg_psi=np.array(payload["avg_psi"], dtype=float),

@@ -38,7 +38,6 @@ from .diversity import (
 from .envs import Always, PerturbedMdp, Schedule
 from .mdp import (
     Criterion,
-    Policy,
     TabularMdp,
     best_response,
     expected_features,
@@ -61,7 +60,6 @@ __all__ = [
     "ExactTrainConfig",
     "SampleTrainConfig",
     "TraceRecord",
-    "TrainTrace",
     "TrainingDivergedError",
     "rollout",
     "train_exact",
@@ -101,7 +99,6 @@ class SampleTrainConfig:
     entropy_weight: float = 0.01
     n_step: int = 5
     lagrange_lr: float = 1e-3
-    lagrange_optimizer: str = "adam"  # "adam" | "sgd"
     moving_average: MovingAverageConfig = MovingAverageConfig()
     seed: int = 0
     eval_every: int = 100
@@ -115,11 +112,6 @@ class TraceRecord:
     diversity_mean: float  # nearest-neighbour mean over the psi~ estimates
     diversity_mean_exact: float  # same, over exact expected features
     objective_value: float  # cost player's objective at the psi~ estimates
-
-
-@dataclass
-class TrainTrace:
-    records: list[TraceRecord]
 
 
 @dataclass(frozen=True)
@@ -160,7 +152,7 @@ def _scheduled_dynamics(mdp: TabularMdp) -> tuple[Schedule, TabularMdp]:
 
 
 def rollout(
-    mdp: TabularMdp, policy: Policy, horizon: int, rng: np.random.Generator
+    mdp: TabularMdp, policy: np.ndarray, horizon: int, rng: np.random.Generator
 ) -> _Trajectory:
     """Sample one fixed-horizon episode from the initial distribution.
 
@@ -173,7 +165,7 @@ def rollout(
     schedule, fallback = _scheduled_dynamics(mdp)
     active = [schedule.active(t) for t in range(horizon)]
     transition_cdfs = (fallback.transition_cdf, mdp.transition_cdf)  # by active[t]
-    policy_cdf = np.cumsum(policy.probs, axis=1)
+    policy_cdf = np.cumsum(policy, axis=1)
     initial_cdf = np.cumsum(mdp.initial_dist)
     draws = rng.random(2 * horizon + 1)
     s = _sample_from_cdf(initial_cdf, draws[0])
@@ -214,14 +206,14 @@ def train_exact(
     diversity_cfg: DiversityConfig,
     strategy_cfg: StrategyConfig,
     cfg: ExactTrainConfig,
-) -> tuple[PolicySet, TrainTrace]:
+) -> tuple[PolicySet, list[TraceRecord]]:
     """Run the exact three-player loop for cfg.outer_iterations steps.
 
     The anchor's constraint reference is the exact optimal extrinsic value
     (computed once; the extrinsic reward never changes). Each member's best
     response starts from that member's current policy. The returned
-    trace has one record per iteration plus a final evaluation record for
-    the policies as returned.
+    trace is a list of one record per iteration plus a final evaluation
+    record for the policies as returned.
     """
     S, A, d = mdp.num_states, mdp.num_actions, mdp.feature_dim
     rng = np.random.default_rng(cfg.seed)
@@ -256,7 +248,7 @@ def train_exact(
         values, psis, occs = measure()
         if cfg.ftl_mode == FtlMode.FULL_AVERAGE:
             for i in range(n):
-                run_d[i] += (occs[i].d - run_d[i]) / (k + 1)
+                run_d[i] += (occs[i] - run_d[i]) / (k + 1)
             run_v += (values - run_v) / (k + 1)
             pset.avg_psi[:] = run_d @ mdp.features
             pset.avg_value[:] = run_v
@@ -281,7 +273,7 @@ def train_exact(
 
     values, psis, _ = measure()
     records.append(_trace_record(cfg.outer_iterations, values, pset, psis, diversity_cfg))
-    return pset, TrainTrace(records)
+    return pset, records
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -316,7 +308,7 @@ def train_sampled(
     diversity_cfg: DiversityConfig,
     strategy_cfg: StrategyConfig,
     cfg: SampleTrainConfig,
-) -> tuple[PolicySet, TrainTrace]:
+) -> tuple[PolicySet, list[TraceRecord]]:
     """Tabular softmax actor-critic over latent-indexed policies.
 
     Per episode one latent z is drawn, one fixed-horizon episode is rolled
@@ -337,18 +329,15 @@ def train_sampled(
     records: list[TraceRecord] = []
 
     def record(it: int) -> None:
-        exact_psis = []
-        for i in range(n):
-            occ = occupancy(mdp, Policy(_softmax(logits[i])), Criterion.AVERAGE)
-            exact_psis.append(expected_features(mdp, occ))
-        records.append(
-            _trace_record(it, pset.avg_value.copy(), pset, np.stack(exact_psis), diversity_cfg)
+        exact_psis = np.stack(
+            [expected_features(mdp, occupancy(mdp, p, Criterion.AVERAGE)) for p in pset.policies]
         )
+        records.append(_trace_record(it, pset.avg_value.copy(), pset, exact_psis, diversity_cfg))
 
     for ep in range(cfg.total_episodes):
         z = int(rng.integers(n))
         probs = _softmax(logits[z])
-        traj = rollout(mdp, Policy(probs), cfg.episode_length, rng)
+        traj = rollout(mdp, probs, cfg.episode_length, rng)
         T = cfg.episode_length
 
         if z > 0 and n >= 2:
@@ -392,12 +381,7 @@ def train_sampled(
         update_moving_averages(pset, z, traj.rewards, traj.features, cfg.moving_average)
         pset.vstar_estimate = float(pset.avg_value[0])
         if strategy_cfg.kind == StrategyKind.DOMINO_LAGRANGIAN and n > 1:
-            if cfg.lagrange_optimizer == "adam":
-                lagrange_step_adam(pset, strategy_cfg.alpha, cfg.lagrange_lr, adam)
-            elif cfg.lagrange_optimizer == "sgd":
-                lagrange_step(pset, strategy_cfg.alpha, cfg.lagrange_lr)
-            else:
-                raise ValueError(f"unknown lagrange_optimizer {cfg.lagrange_optimizer!r}")
+            lagrange_step_adam(pset, strategy_cfg.alpha, cfg.lagrange_lr, adam)
 
         if not (
             np.all(np.isfinite(logits[z]))
@@ -407,8 +391,8 @@ def train_sampled(
             raise TrainingDivergedError(f"non-finite learner table after episode {ep}")
 
         if (ep + 1) % cfg.eval_every == 0 or ep + 1 == cfg.total_episodes:
-            pset.policies = [Policy(_softmax(logits[i])) for i in range(n)]
+            pset.policies = _softmax(logits)
             record(ep + 1)
 
-    pset.policies = [Policy(_softmax(logits[i])) for i in range(n)]
-    return pset, TrainTrace(records)
+    pset.policies = _softmax(logits)
+    return pset, records

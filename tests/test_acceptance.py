@@ -22,7 +22,6 @@ from divset import (
     DiversityKind,
     ExactTrainConfig,
     FeatureSet,
-    Policy,
     SampleTrainConfig,
     StrategyConfig,
     StrategyKind,
@@ -140,7 +139,7 @@ def test_criterion_2_occupancy_oracles(acceptance_line):
         S = int(rng.integers(2, 9))
         A = int(rng.integers(2, 4))
         mdp = random_mdp(rng, S, A, 2, discount=float(rng.uniform(0.8, 0.99)))
-        pol = Policy(rng.dirichlet(np.ones(A), size=S))
+        pol = rng.dirichlet(np.ones(A), size=S)
         P = policy_transition_matrix(mdp, pol)
 
         occ = discounted_occupancy(mdp, pol)
@@ -152,8 +151,8 @@ def test_criterion_2_occupancy_oracles(acceptance_line):
             series += weight * mu
             mu = mu @ P
             weight *= gamma
-        oracle = (series[:, None] * pol.probs).ravel()
-        worst_disc = max(worst_disc, float(np.abs(occ.d - oracle).max()))
+        oracle = (series[:, None] * pol).ravel()
+        worst_disc = max(worst_disc, float(np.abs(occ - oracle).max()))
 
         stat = stationary_distribution(mdp, pol)
         v = np.full(S, 1.0 / S)
@@ -163,8 +162,8 @@ def test_criterion_2_occupancy_oracles(acceptance_line):
                 v = nxt
                 break
             v = nxt
-        stat_oracle = (v[:, None] * pol.probs).ravel()
-        worst_stat = max(worst_stat, float(np.abs(stat.d - stat_oracle).max()))
+        stat_oracle = (v[:, None] * pol).ravel()
+        worst_stat = max(worst_stat, float(np.abs(stat - stat_oracle).max()))
     assert worst_disc <= 1e-8
     assert worst_stat <= 1e-8
     elapsed = time.time() - t0
@@ -370,7 +369,7 @@ def test_criterion_8_diversity_falls_as_the_constraint_tightens(acceptance_line)
         for seed in range(5):
             tcfg = cfg.trainer.instantiate(seed)
             _, trace = train_exact(mdp, 5, cfg.diversity, scfg, tcfg)
-            finals.append(trace.records[-1].diversity_mean)
+            finals.append(trace[-1].diversity_mean)
         means[alpha] = float(np.mean(finals))
         scatter[alpha] = [round(f, 4) for f in finals]
     trend_holds = means[0.5] >= means[0.98]

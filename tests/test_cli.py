@@ -112,14 +112,22 @@ def test_missing_command_is_an_argparse_error():
 
 
 def test_module_runs_as_script(tmp_path):
+    import os
     import subprocess
     import sys
 
+    import divset
+
+    # the subprocess finds the package where this process imported it from
+    src = str(Path(divset.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     path = write_config(tmp_path)
     proc = subprocess.run(
         [sys.executable, "-m", "divset.cli", "validate", str(path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "ok:" in proc.stdout

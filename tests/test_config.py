@@ -209,6 +209,11 @@ MESSAGES = [
     ),
     ({"kshot": _kshot(perturbation={"schedule": 5})}, "kshot.perturbations[0].schedule: expected an object, got int"),
     ({"environment": [4]}, "environment: expected an object, got list"),
+    # the sampled trainer's multiplier step is always Adam
+    (
+        {"trainer": {"mode": "sampled", "lagrange_optimizer": "sgd"}},
+        "trainer: unknown key(s) ['lagrange_optimizer']",
+    ),
 ]
 
 
@@ -278,13 +283,13 @@ def test_sampled_trainer_section():
                 "mode": "sampled",
                 "total_episodes": 50,
                 "episode_length": 30,
-                "lagrange_optimizer": "sgd",
+                "n_step": 3,
                 "value_decay": 0.8,
             }
         )
     )
     t = cfg.trainer.instantiate(1)
-    assert (t.total_episodes, t.episode_length, t.lagrange_optimizer) == (50, 30, "sgd")
+    assert (t.total_episodes, t.episode_length, t.n_step) == (50, 30, 3)
     assert t.moving_average.value_decay == 0.8
     assert t.seed == 1
 

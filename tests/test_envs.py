@@ -9,7 +9,6 @@ from divset import (
     Periodic,
     Perturbation,
     PerturbationKind,
-    Policy,
     TabularMdp,
     UnreachableGoalError,
     build_chain,
@@ -18,7 +17,6 @@ from divset import (
     four_rooms_spec,
     grid_cells,
     perturb,
-    random_policy,
     rollout,
 )
 
@@ -294,13 +292,13 @@ def test_periodic_rollouts_match_the_clock_expanded_mdp():
     remap = Perturbation(kind=PerturbationKind.ACTION_REMAP, magnitude=1.0)
     always = perturb(mdp, remap, seed=0)
     assert not np.array_equal(always.reward, mdp.reward)
-    probs = random_policy(np.random.default_rng(4), 5, 3).probs
+    probs = np.random.default_rng(4).dirichlet(np.ones(3), size=5)
     for sched in (Periodic(period=3, duration=1), Periodic(period=4, duration=2, start=3)):
         scheduled = perturb(mdp, Perturbation(remap.kind, remap.magnitude, sched), seed=0)
         oracle = _clock_expanded(mdp, always, sched)
-        oracle_policy = Policy(np.repeat(probs, sched.period, axis=0))
+        oracle_policy = np.repeat(probs, sched.period, axis=0)
         for seed in range(20):
-            traj = rollout(scheduled, Policy(probs), 30, np.random.default_rng(seed))
+            traj = rollout(scheduled, probs, 30, np.random.default_rng(seed))
             ref = rollout(oracle, oracle_policy, 30, np.random.default_rng(seed))
             assert np.array_equal(traj.states, ref.states // sched.period)
             assert np.array_equal(traj.next_states, ref.next_states // sched.period)

@@ -10,7 +10,6 @@ import pytest
 import divset.kshot
 from divset import (
     KShotConfig,
-    Policy,
     build_chain,
     child_rng,
     episode_return,
@@ -29,7 +28,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 def test_episode_return_sums_rewards():
     mdp = build_chain(3, end_reward=1.0)
     flat = dataclasses.replace(mdp, reward=np.full_like(mdp.reward, 0.5))
-    pol = Policy(np.full((3, 3), 1.0 / 3.0))
+    pol = np.full((3, 3), 1.0 / 3.0)
     total = episode_return(flat, pol, 7, np.random.default_rng(0))
     assert total == pytest.approx(0.5 * 7)
 
@@ -37,21 +36,21 @@ def test_episode_return_sums_rewards():
 def make_set(policies):
     n = len(policies)
     d = 1
-    base = init_set(n, d, policies[0].num_states, policies[0].num_actions)
+    base = init_set(n, d, *policies[0].shape)
     base.policies[:] = policies
     return base
 
 
-def right_policy(num_states: int) -> Policy:
+def right_policy(num_states: int) -> np.ndarray:
     probs = np.zeros((num_states, 3))
     probs[:, 1] = 1.0
-    return Policy(probs)
+    return probs
 
 
-def stay_policy(num_states: int) -> Policy:
+def stay_policy(num_states: int) -> np.ndarray:
     probs = np.zeros((num_states, 3))
     probs[:, 2] = 1.0
-    return Policy(probs)
+    return probs
 
 
 def test_kshot_select_prefers_the_higher_return_member():
@@ -144,6 +143,47 @@ def test_nonpositive_baseline_flags_and_nans():
     assert np.isnan(result.ratio_mean)
     assert np.isnan(result.ci_low) and np.isnan(result.ci_high)
     assert np.all(np.isnan(result.per_seed_ratios))
+
+
+def _loop_paired_ratio_ci(returns, base_returns, level, resamples, seed):
+    """Reference nested bootstrap, drawn one seed at a time.
+
+    Returns the (lo, hi) interval and how many resamples it dropped for a
+    nonpositive resampled baseline mean.
+    """
+    rng = np.random.default_rng(seed)
+    n_seeds, n_eval = returns.shape
+    stats = np.full(resamples, np.nan)
+    for b in range(resamples):
+        chosen = rng.integers(n_seeds, size=n_seeds)
+        ratios = np.empty(n_seeds)
+        for j, t in enumerate(chosen):
+            m = returns[t, rng.integers(n_eval, size=n_eval)].mean()
+            base = base_returns[t, rng.integers(n_eval, size=n_eval)].mean()
+            ratios[j] = m / base if base > 0 else np.nan
+        stats[b] = np.mean(ratios)
+    kept = stats[np.isfinite(stats)]
+    lo = (1.0 - level) / 2.0 * 100.0
+    interval = (float(np.percentile(kept, lo)), float(np.percentile(kept, 100.0 - lo)))
+    return interval, resamples - len(kept)
+
+
+@pytest.mark.parametrize(
+    "n_seeds, n_eval, sparse_baseline",
+    [(1, 1, False), (3, 7, False), (5, 40, False), (4, 3, True)],
+)
+def test_paired_ratio_ci_matches_the_per_seed_loop(n_seeds, n_eval, sparse_baseline):
+    rng = np.random.default_rng(100 * n_seeds + n_eval)
+    returns = rng.uniform(0.0, 5.0, size=(n_seeds, n_eval))
+    base_returns = rng.uniform(0.5, 5.0, size=(n_seeds, n_eval))
+    if sparse_baseline:
+        # one positive episode per seed: every per-seed mean is positive, but
+        # a resample that misses that episode has a zero baseline mean
+        base_returns[:, 1:] = 0.0
+    expected, dropped = _loop_paired_ratio_ci(returns, base_returns, 0.9, 200, 17)
+    assert (dropped > 0) == sparse_baseline
+    got = divset.kshot._paired_ratio_ci(returns, base_returns, 0.9, 200, 17)
+    assert got == expected
 
 
 def golden_kshot_config(out: Path) -> dict:

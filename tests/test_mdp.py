@@ -16,9 +16,7 @@ from divset import (
     occupancy,
     policy_transition_matrix,
     policy_value,
-    random_policy,
     stationary_distribution,
-    uniform_policy,
     validate_mdp,
 )
 from divset.envs import FeatureKind
@@ -64,27 +62,27 @@ def test_stationary_distribution_is_a_fixed_point():
     rng = np.random.default_rng(3)
     for _ in range(20):
         mdp = random_mdp(rng, int(rng.integers(2, 8)), int(rng.integers(2, 4)), 2)
-        pol = random_policy(rng, mdp.num_states, mdp.num_actions)
+        pol = rng.dirichlet(np.ones(mdp.num_actions), size=mdp.num_states)
         occ = stationary_distribution(mdp, pol)
-        assert occ.criterion == Criterion.AVERAGE
-        assert occ.d.min() >= 0.0
-        assert abs(occ.d.sum() - 1.0) < 1e-12
-        rho = occ.state_marginal(mdp.num_actions)
+        assert occ.shape == (mdp.num_states * mdp.num_actions,)
+        assert occ.min() >= 0.0
+        assert abs(occ.sum() - 1.0) < 1e-12
+        rho = occ.reshape(mdp.num_states, -1).sum(axis=1)
         P_pi = policy_transition_matrix(mdp, pol)
         assert np.max(np.abs(rho @ P_pi - rho)) < 1e-9
         # d factorises as rho(s) pi(a | s)
-        assert np.allclose(occ.d.reshape(mdp.num_states, -1), rho[:, None] * pol.probs)
+        assert np.allclose(occ.reshape(mdp.num_states, -1), rho[:, None] * pol)
 
 
 def test_discounted_occupancy_satisfies_flow_conservation():
     rng = np.random.default_rng(4)
     for _ in range(20):
         mdp = random_mdp(rng, int(rng.integers(2, 8)), int(rng.integers(2, 4)), 2)
-        pol = random_policy(rng, mdp.num_states, mdp.num_actions)
+        pol = rng.dirichlet(np.ones(mdp.num_actions), size=mdp.num_states)
         occ = discounted_occupancy(mdp, pol)
-        assert occ.criterion == Criterion.DISCOUNTED
-        assert abs(occ.d.sum() - 1.0) < 1e-12
-        m = occ.state_marginal(mdp.num_actions)
+        assert occ.shape == (mdp.num_states * mdp.num_actions,)
+        assert abs(occ.sum() - 1.0) < 1e-12
+        m = occ.reshape(mdp.num_states, -1).sum(axis=1)
         P_pi = policy_transition_matrix(mdp, pol)
         resid = m - ((1.0 - mdp.discount) * mdp.initial_dist + mdp.discount * P_pi.T @ m)
         assert np.max(np.abs(resid)) < 1e-12
@@ -95,10 +93,10 @@ def test_discounted_value_matches_bellman_solve():
     rng = np.random.default_rng(5)
     for _ in range(10):
         mdp = random_mdp(rng, 5, 3, 1)
-        pol = random_policy(rng, 5, 3)
+        pol = rng.dirichlet(np.ones(3), size=5)
         v_occ = policy_value(mdp, discounted_occupancy(mdp, pol))
         P_pi = policy_transition_matrix(mdp, pol)
-        r_pi = (pol.probs * mdp.reward).sum(axis=1)
+        r_pi = (pol * mdp.reward).sum(axis=1)
         v_s = np.linalg.solve(np.eye(5) - mdp.discount * P_pi, r_pi)
         assert abs(v_occ - (1.0 - mdp.discount) * mdp.initial_dist @ v_s) < 1e-12
 
@@ -106,9 +104,9 @@ def test_discounted_value_matches_bellman_solve():
 def test_one_hot_expected_features_equal_the_state_marginal():
     mdp = build_chain(5, FeatureKind.ONE_HOT_STATE)
     rng = np.random.default_rng(6)
-    pol = random_policy(rng, 5, 3)
+    pol = rng.dirichlet(np.ones(3), size=5)
     occ = discounted_occupancy(mdp, pol)
-    assert np.allclose(expected_features(mdp, occ), occ.state_marginal(3), atol=1e-12)
+    assert np.allclose(expected_features(mdp, occ), occ.reshape(5, 3).sum(axis=1), atol=1e-12)
 
 
 def test_best_response_dominates_random_policies():
@@ -118,7 +116,7 @@ def test_best_response_dominates_random_policies():
         pol = best_response(mdp, mdp.reward, criterion)
         v_star = policy_value(mdp, occupancy(mdp, pol, criterion))
         for _ in range(25):
-            other = random_policy(rng, 5, 3)
+            other = rng.dirichlet(np.ones(3), size=5)
             v = policy_value(mdp, occupancy(mdp, other, criterion))
             assert v <= v_star + 1e-9
 
@@ -128,7 +126,7 @@ def test_best_response_breaks_ties_to_the_lowest_action():
     mdp = random_mdp(rng, 4, 3, 1)
     for criterion in (Criterion.DISCOUNTED, Criterion.AVERAGE):
         pol = best_response(mdp, np.zeros((4, 3)), criterion)
-        assert np.array_equal(pol.probs, deterministic_policy(np.zeros(4, dtype=int), 3).probs)
+        assert np.array_equal(pol, deterministic_policy(np.zeros(4, dtype=int), 3))
 
 
 def test_best_response_value_does_not_depend_on_the_start():
@@ -137,7 +135,7 @@ def test_best_response_value_does_not_depend_on_the_start():
         mdp = random_mdp(rng, 6, 3, 1)
         cold = policy_value(mdp, occupancy(mdp, best_response(mdp, mdp.reward, criterion), criterion))
         for _ in range(20):
-            start = random_policy(rng, 6, 3)
+            start = rng.dirichlet(np.ones(3), size=6)
             pol = best_response(mdp, mdp.reward, criterion, start)
             assert abs(policy_value(mdp, occupancy(mdp, pol, criterion)) - cold) < 1e-12
 
@@ -168,7 +166,7 @@ def test_best_response_is_gain_optimal_from_every_multichain_start():
     best = np.max([_cesaro_gain(mdp, row) for row in tables], axis=0)
     for row in tables:
         pol = best_response(mdp, mdp.reward, Criterion.AVERAGE, deterministic_policy(row, 3))
-        gain = _cesaro_gain(mdp, np.argmax(pol.probs, axis=1))
+        gain = _cesaro_gain(mdp, np.argmax(pol, axis=1))
         assert np.max(np.abs(gain - best)) < 1e-12, row
 
 
@@ -180,4 +178,4 @@ def test_disconnected_chain_raises_non_unichain():
     mdp = TabularMdp(P, np.zeros((2, 2)), np.zeros((4, 1)), 0.9, np.array([0.5, 0.5]))
     with pytest.warns(RuntimeWarning, match="stationary"):
         with pytest.raises(NonUnichainError):
-            stationary_distribution(mdp, uniform_policy(2, 2))
+            stationary_distribution(mdp, np.full((2, 2), 0.5))

@@ -24,8 +24,7 @@ def test_init_set_state():
     assert np.array_equal(pset.avg_value, np.zeros(3))
     assert np.array_equal(pset.avg_psi, np.full((3, 4), 0.25))
     assert pset.vstar_estimate == 0.0
-    for pol in pset.policies:
-        assert np.array_equal(pol.probs, np.full((5, 2), 0.5))
+    assert np.array_equal(pset.policies, np.full((3, 5, 2), 0.5))
 
 
 def test_init_set_random_needs_rng_and_differs_per_seed():
@@ -33,7 +32,10 @@ def test_init_set_random_needs_rng_and_differs_per_seed():
         init_set(2, 1, 3, 2, policy_init="random")
     a = init_set(2, 1, 3, 2, policy_init="random", rng=np.random.default_rng(0))
     b = init_set(2, 1, 3, 2, policy_init="random", rng=np.random.default_rng(1))
-    assert not np.array_equal(a.policies[0].probs, b.policies[0].probs)
+    assert not np.array_equal(a.policies[0], b.policies[0])
+    # one draw for the set makes the same draws as one per member in turn
+    rng = np.random.default_rng(0)
+    assert np.array_equal(a.policies, [rng.dirichlet(np.ones(2), size=3) for _ in range(2)])
     with pytest.raises(ValueError, match="policy_init"):
         init_set(2, 1, 3, 2, policy_init="sorted")
 
@@ -118,8 +120,7 @@ def test_policy_set_json_round_trip():
     assert np.array_equal(back.avg_value, pset.avg_value)
     assert np.array_equal(back.avg_psi, pset.avg_psi)
     assert back.vstar_estimate == pset.vstar_estimate
-    for a, b in zip(back.policies, pset.policies):
-        assert np.array_equal(a.probs, b.probs)
+    assert np.array_equal(back.policies, pset.policies)
 
 
 def test_copy_is_deep():
@@ -127,7 +128,7 @@ def test_copy_is_deep():
     clone = pset.copy()
     clone.mu[1] = 3.0
     clone.avg_psi[0, 0] = 9.0
-    clone.policies[0].probs[0, 0] = 9.0
+    clone.policies[0, 0, 0] = 9.0
     assert pset.mu[1] == 0.0
     assert pset.avg_psi[0, 0] == 0.5
-    assert pset.policies[0].probs[0, 0] == 0.5
+    assert pset.policies[0, 0, 0] == 0.5

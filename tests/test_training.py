@@ -38,7 +38,7 @@ def test_single_policy_training_recovers_the_optimum():
     pset, trace = train_exact(mdp, 1, _REPULSIVE, StrategyConfig(kind=StrategyKind.NO_DIVERSITY), cfg)
     v = policy_value(mdp, occupancy(mdp, pset.policies[0], Criterion.AVERAGE))
     assert v == pytest.approx(1.0, abs=1e-9)
-    assert len(trace.records) == 6  # one per iteration plus the final evaluation
+    assert len(trace) == 6  # one per iteration plus the final evaluation
 
 
 def test_exact_trainer_seeds_the_estimates_with_true_initial_statistics():
@@ -59,11 +59,11 @@ def test_exact_trainer_seeds_the_estimates_with_true_initial_statistics():
     )
     # the first record's estimate-based diversity equals the exact one:
     # the running averages start at the measured statistics, not at a prior
-    assert trace.records[0].diversity_mean == pytest.approx(
+    assert trace[0].diversity_mean == pytest.approx(
         diversity_score(FeatureSet(psis)).mean, abs=1e-12
     )
-    assert trace.records[0].diversity_mean == pytest.approx(
-        trace.records[0].diversity_mean_exact, abs=1e-12
+    assert trace[0].diversity_mean == pytest.approx(
+        trace[0].diversity_mean_exact, abs=1e-12
     )
 
 
@@ -75,8 +75,7 @@ def test_exact_trainer_is_deterministic_given_the_seed():
     b, _ = train_exact(mdp, 2, _REPULSIVE, _DOMINO, cfg)
     assert np.array_equal(a.mu, b.mu)
     assert np.array_equal(a.avg_psi, b.avg_psi)
-    for pa, pb in zip(a.policies, b.policies):
-        assert np.array_equal(pa.probs, pb.probs)
+    assert np.array_equal(a.policies, b.policies)
 
 
 def test_diversity_training_separates_members():
@@ -91,12 +90,12 @@ def test_diversity_training_separates_members():
     )
     _, trace_dom = train_exact(mdp, 2, _REPULSIVE, _DOMINO, cfg)
     # without a diversity reward both members collapse onto the optimum
-    assert trace_none.records[-1].diversity_mean_exact == pytest.approx(0.0, abs=1e-12)
+    assert trace_none[-1].diversity_mean_exact == pytest.approx(0.0, abs=1e-12)
     # a pure diversity member separates in the final greedy iterate
-    assert trace_pure.records[-1].diversity_mean_exact > 1e-3
+    assert trace_pure[-1].diversity_mean_exact > 1e-3
     # the constrained method separates in its reported running statistics
     # while the tight constraint keeps the final iterates near the optimum
-    assert trace_dom.records[-1].diversity_mean > 1e-3
+    assert trace_dom[-1].diversity_mean > 1e-3
 
 
 def test_anchor_constraint_reference_is_the_exact_optimum():
@@ -112,7 +111,7 @@ def test_full_average_mode_tracks_running_means():
         outer_iterations=3, seed=0, ftl_mode=FtlMode.FULL_AVERAGE, policy_init="uniform"
     )
     pset, trace = train_exact(mdp, 1, _REPULSIVE, StrategyConfig(kind=StrategyKind.NO_DIVERSITY), cfg)
-    values = [rec.extrinsic_values[0] for rec in trace.records[:-1]]
+    values = [rec.extrinsic_values[0] for rec in trace[:-1]]
     assert pset.avg_value[0] == pytest.approx(np.mean(values), abs=1e-12)
 
 
@@ -121,7 +120,7 @@ def test_trace_records_expose_weights_and_objective():
     mdp = random_mdp(rng, 4, 2, 2)
     cfg = ExactTrainConfig(outer_iterations=4, seed=1)
     _, trace = train_exact(mdp, 3, _REPULSIVE, _DOMINO, cfg)
-    for rec in trace.records:
+    for rec in trace:
         assert rec.sigma_mu[0] == 1.0
         assert rec.extrinsic_values.shape == (3,)
         assert np.isfinite(rec.objective_value)
@@ -153,11 +152,10 @@ def test_sampled_trainer_is_deterministic_and_records_on_schedule():
     cfg = SampleTrainConfig(total_episodes=30, episode_length=20, eval_every=10, seed=5)
     a, trace = train_sampled(mdp, 2, _REPULSIVE, _DOMINO, cfg)
     b, _ = train_sampled(mdp, 2, _REPULSIVE, _DOMINO, cfg)
-    assert [rec.iteration for rec in trace.records] == [10, 20, 30]
+    assert [rec.iteration for rec in trace] == [10, 20, 30]
     assert np.array_equal(a.mu, b.mu)
-    for pa, pb in zip(a.policies, b.policies):
-        assert np.array_equal(pa.probs, pb.probs)
-        assert np.all(pa.probs > 0.0)  # softmax policies stay stochastic
+    assert np.array_equal(a.policies, b.policies)
+    assert np.all(a.policies > 0.0)  # softmax policies stay stochastic
 
 
 def test_sampled_trainer_learns_a_simple_task():
