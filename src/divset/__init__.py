@@ -23,14 +23,10 @@ from .config import (
 from .diversity import (
     DiversityConfig,
     DiversityKind,
-    DiversityScore,
-    FeatureSet,
     RewardScaling,
+    diversity_objective,
     diversity_reward,
     diversity_score,
-    nearest_index,
-    repulsive_objective,
-    vdw_objective,
 )
 from .envs import (
     Always,

@@ -1,29 +1,32 @@
 """Diversity objectives over sets of expected-feature vectors.
 
-A set of n policies is summarised by its expected features psi^i = Phi^T d^i.
-Diversity is measured through nearest-neighbour distances
-l_i = min_{j != i} ||psi^i - psi^j||_2 and maximised by giving each policy a
-reward equal to the gradient of its own objective term with respect to its
-occupancy. Because psi is linear in d, that gradient is always of the form
+A set of n policies is summarised by its expected features psi^i = Phi^T d^i,
+passed around as one (n, d) array. Diversity is measured through
+nearest-neighbour distances l_i = min_{j != i} ||psi^i - psi^j||_2. The set
+objective is sum_i f(l_i), and each policy is rewarded with the gradient of
+its own term f(l_i) with respect to its occupancy. Because psi is linear in
+d, that gradient is always of the form
 
-    r_i(s, a) = c(l_i) * phi(s, a) . (psi^i - psi^{j*_i}),
+    r_i(s, a) = c(l_i) * phi(s, a) . (psi^i - psi^{j*_i}),    f'(l) = l c(l).
 
-with a scalar coefficient c depending on the objective:
+Each kernel is one (f, c) pair, with x = l / l0:
 
-    repulsive       f_i = 0.5 l_i^2                      c = 1
-    van der Waals   f_i = 0.5 l_i^2 - 0.2 l_i^5 / l0^3   c = 1 - (l_i / l0)^3
-    generalized     c = (1 - a) (l_i / l0)^p_r - a (l_i / l0)^p_a
+    repulsive       f = 0.5 l^2                                   c = 1
+    van der Waals   f = 0.5 l^2 - 0.2 l^5 / l0^3                  c = 1 - x^3
+    generalized     f = l0^2 [(1 - a) T(x, p_r) - a T(x, p_a)]    c = (1 - a) x^p_r - a x^p_a
 
-The van der Waals form has its per-pair maximum exactly at l_i = l0 (the
-contact distance), giving attraction beyond l0 and repulsion inside it. The
-generalized family reproduces repulsive at (a=0, p_r=0) and, at
-(a=0.5, p_r=0, p_a=3), one half of the van der Waals coefficient.
+where T(x, p) = x^(p+2) / (p+2), or ln x when p = -2. The van der Waals
+form has its per-pair maximum exactly at l = l0 (the contact distance),
+giving attraction beyond l0 and repulsion inside it. The generalized family
+reproduces repulsive at (a=0, p_r=0) and, at (a=0.5, p_r=0, p_a=3), one half
+of van der Waals; at (a=0, p_r=-1) its f is l0 l.
 
 Reward scaling conventions differ between the closed forms above
 (RewardScaling.PAPER_EXACT, the default) and a variant that additionally
-divides by the feature dimension (RewardScaling.APPENDIX_CODE). Both are
-exposed; they differ by a positive constant factor, which best responses
-ignore but gradient-based learners feel through the step size.
+divides by the feature dimension d (RewardScaling.APPENDIX_CODE). The
+variant divides both f and the reward, so the reward stays the gradient of
+the reported term. The two differ by a positive constant factor, which best
+responses ignore but gradient-based learners feel through the step size.
 """
 
 from __future__ import annotations
@@ -37,13 +40,9 @@ __all__ = [
     "DiversityKind",
     "RewardScaling",
     "DiversityConfig",
-    "FeatureSet",
-    "DiversityScore",
-    "nearest_index",
-    "repulsive_objective",
-    "vdw_objective",
     "diversity_reward",
     "diversity_score",
+    "diversity_objective",
 ]
 
 
@@ -80,93 +79,87 @@ class DiversityConfig:
                 raise ValueError(f"attractive_coeff must be in [0, 1], got {self.attractive_coeff}")
 
 
-@dataclass(frozen=True)
-class FeatureSet:
-    """Expected-feature vectors of a policy set, one row per policy."""
-
-    psis: np.ndarray  # (n, d)
-
-    @property
-    def n(self) -> int:
-        return self.psis.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.psis.shape[1]
+def _antiderivative(x: np.ndarray, p: float) -> np.ndarray:
+    """T(x, p), whose derivative in x is x^(p+1)."""
+    if p == -2.0:
+        return np.log(x)
+    return x ** (p + 2.0) / (p + 2.0)
 
 
-@dataclass(frozen=True)
-class DiversityScore:
-    mean: float
-    total: float
-    per_policy: np.ndarray  # nearest-neighbour distance l_i per policy
-
-
-def _pairwise_distances(psis: np.ndarray) -> np.ndarray:
-    diff = psis[:, None, :] - psis[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
-
-
-def nearest_index(fset: FeatureSet, i: int) -> tuple[int, float]:
-    """Index of and distance to the nearest other member (ties: lowest index)."""
-    if fset.n < 2:
-        raise ValueError("nearest_index needs at least two members")
-    dists = np.linalg.norm(fset.psis - fset.psis[i], axis=1)
-    dists[i] = np.inf
-    j = int(np.argmin(dists))
-    return j, float(dists[j])
-
-
-def repulsive_objective(fset: FeatureSet) -> float:
-    """0.5 sum_i min_{j != i} ||psi^i - psi^j||^2."""
-    dists = _pairwise_distances(fset.psis)
-    np.fill_diagonal(dists, np.inf)
-    return float(0.5 * (dists.min(axis=1) ** 2).sum())
-
-
-def vdw_objective(fset: FeatureSet, contact_distance: float) -> float:
-    """sum_i [0.5 l_i^2 - 0.2 l_i^5 / l0^3]; per-pair maximum at l_i = l0."""
-    dists = _pairwise_distances(fset.psis)
-    np.fill_diagonal(dists, np.inf)
-    l = dists.min(axis=1)
-    return float((0.5 * l**2 - 0.2 * l**5 / contact_distance**3).sum())
-
-
-def _coefficient(l: float, cfg: DiversityConfig) -> float:
-    if cfg.kind == DiversityKind.REPULSIVE:
-        return 1.0
+def _generalized_f(l: np.ndarray, cfg: DiversityConfig) -> np.ndarray:
     x = l / cfg.contact_distance
-    if cfg.kind == DiversityKind.VAN_DER_WAALS:
-        return 1.0 - x**3
+    a = cfg.attractive_coeff
+    return cfg.contact_distance**2 * (
+        (1.0 - a) * _antiderivative(x, cfg.repulsive_power)
+        - a * _antiderivative(x, cfg.attractive_power)
+    )
+
+
+def _generalized_c(l: float, cfg: DiversityConfig) -> float:
+    x = l / cfg.contact_distance
     a = cfg.attractive_coeff
     return (1.0 - a) * x**cfg.repulsive_power - a * x**cfg.attractive_power
 
 
+# kind -> (f, c): f maps the array of l_i to the objective terms, c maps one
+# l_i (a Python float) to the reward coefficient; f'(l) = l c(l).
+_KERNELS = {
+    DiversityKind.REPULSIVE: (lambda l, cfg: 0.5 * l**2, lambda l, cfg: 1.0),
+    DiversityKind.VAN_DER_WAALS: (
+        lambda l, cfg: 0.5 * l**2 - 0.2 * l**5 / cfg.contact_distance**3,
+        lambda l, cfg: 1.0 - (l / cfg.contact_distance) ** 3,
+    ),
+    DiversityKind.GENERALIZED: (_generalized_f, _generalized_c),
+}
+
+
+def _nearest(psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each member's nearest other member (ties: lowest index) and its distance."""
+    diff = psis[:, None, :] - psis[None, :, :]
+    dists = np.sqrt((diff**2).sum(axis=2))
+    np.fill_diagonal(dists, np.inf)
+    return dists.argmin(axis=1), dists.min(axis=1)
+
+
+def _scale(
+    value: float | np.ndarray, psis: np.ndarray, cfg: DiversityConfig
+) -> float | np.ndarray:
+    if cfg.scaling == RewardScaling.APPENDIX_CODE:
+        return value / psis.shape[1]
+    return value
+
+
 def diversity_reward(
-    features_sa: np.ndarray, fset: FeatureSet, i: int, cfg: DiversityConfig
+    features_sa: np.ndarray, psis: np.ndarray, i: int, cfg: DiversityConfig
 ) -> np.ndarray:
-    """Per-pair gradient reward for member i, as an (S, A) matrix.
+    """Per-pair gradient reward for member i of the (n, d) psis, as an (S, A) matrix.
 
     features_sa is the MDP's feature tensor reshaped to (S, A, d). When
     member i coincides with its nearest neighbour (l_i = 0) the difference
     vector vanishes and the reward is identically zero; this also guards
     the negative-power generalized coefficients, which diverge at l = 0.
     """
-    j, l = nearest_index(fset, i)
+    if len(psis) < 2:
+        raise ValueError("diversity_reward needs at least two members")
+    nearest, dists = _nearest(psis)
+    l = float(dists[i])
     if l == 0.0:
         return np.zeros(features_sa.shape[:2])
-    diff = fset.psis[i] - fset.psis[j]
-    reward = _coefficient(l, cfg) * (features_sa @ diff)
-    if cfg.scaling == RewardScaling.APPENDIX_CODE:
-        reward = reward / fset.dim
-    return reward
+    diff = psis[i] - psis[nearest[i]]
+    _, c = _KERNELS[cfg.kind]
+    return _scale(c(l, cfg) * (features_sa @ diff), psis, cfg)
 
 
-def diversity_score(fset: FeatureSet) -> DiversityScore:
-    """Mean (and sum of) nearest-neighbour distances; zero for singletons."""
-    if fset.n < 2:
-        return DiversityScore(mean=0.0, total=0.0, per_policy=np.zeros(fset.n))
-    dists = _pairwise_distances(fset.psis)
-    np.fill_diagonal(dists, np.inf)
-    per = dists.min(axis=1)
-    return DiversityScore(mean=float(per.mean()), total=float(per.sum()), per_policy=per)
+def diversity_score(psis: np.ndarray) -> float:
+    """Mean nearest-neighbour distance of the (n, d) psis; zero for a singleton."""
+    if len(psis) < 2:
+        return 0.0
+    return float(_nearest(psis)[1].mean())
+
+
+def diversity_objective(psis: np.ndarray, cfg: DiversityConfig) -> float:
+    """sum_i f(l_i) over the (n, d) psis for cfg's kernel; zero for a singleton."""
+    if len(psis) < 2:
+        return 0.0
+    f, _ = _KERNELS[cfg.kind]
+    return _scale(float(f(_nearest(psis)[1], cfg).sum()), psis, cfg)

@@ -65,13 +65,8 @@ class PolicySet:
     def n(self) -> int:
         return len(self.policies)
 
-    def extrinsic_weight(self, i: int) -> float:
-        """sigma(mu_i), with the anchor pinned to exactly 1."""
-        if i == 0:
-            return 1.0
-        return float(sigmoid(self.mu[i]))
-
     def extrinsic_weights(self) -> np.ndarray:
+        """sigma(mu_i) per member, with the anchor pinned to exactly 1."""
         w = np.asarray(sigmoid(self.mu), dtype=float)
         w[0] = 1.0
         return w

@@ -54,7 +54,7 @@ def weights(strategy: StrategyConfig, pset: PolicySet, i: int) -> tuple[float, f
     if i == 0 or strategy.kind == StrategyKind.NO_DIVERSITY:
         return 1.0, 0.0
     if strategy.kind == StrategyKind.DOMINO_LAGRANGIAN:
-        w = pset.extrinsic_weight(i)
+        w = float(pset.extrinsic_weights()[i])
         return w, 1.0 - w
     if strategy.kind == StrategyKind.SMERL:
         violated = constraint_indicator(pset, i, strategy.alpha)

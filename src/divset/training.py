@@ -26,15 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .diversity import (
-    DiversityConfig,
-    DiversityKind,
-    FeatureSet,
-    diversity_reward,
-    diversity_score,
-    repulsive_objective,
-    vdw_objective,
-)
+from .diversity import DiversityConfig, diversity_objective, diversity_reward, diversity_score
 from .envs import Always, PerturbedMdp, Schedule
 from .mdp import (
     Criterion,
@@ -111,7 +103,7 @@ class TraceRecord:
     sigma_mu: np.ndarray  # (n,) extrinsic mixing weights, anchor pinned to 1
     diversity_mean: float  # nearest-neighbour mean over the psi~ estimates
     diversity_mean_exact: float  # same, over exact expected features
-    objective_value: float  # cost player's objective at the psi~ estimates
+    objective_value: float  # sum_i f(l_i) of the diversity kernel at the psi~ estimates
 
 
 @dataclass(frozen=True)
@@ -121,14 +113,6 @@ class _Trajectory:
     rewards: np.ndarray  # (T,)
     features: np.ndarray  # (T, d)
     next_states: np.ndarray  # (T,)
-
-
-def _objective(fset: FeatureSet, cfg: DiversityConfig) -> float:
-    if fset.n < 2:
-        return 0.0
-    if cfg.kind == DiversityKind.VAN_DER_WAALS:
-        return vdw_objective(fset, cfg.contact_distance)
-    return repulsive_objective(fset)
 
 
 def _sample_from_cdf(cdf_row: np.ndarray, u: float) -> int:
@@ -189,14 +173,13 @@ def _trace_record(
     exact_psis: np.ndarray,
     diversity_cfg: DiversityConfig,
 ) -> TraceRecord:
-    estimates = FeatureSet(pset.avg_psi)
     return TraceRecord(
         iteration=iteration,
         extrinsic_values=extrinsic_values,
         sigma_mu=pset.extrinsic_weights(),
-        diversity_mean=diversity_score(estimates).mean,
-        diversity_mean_exact=diversity_score(FeatureSet(exact_psis)).mean,
-        objective_value=_objective(estimates, diversity_cfg),
+        diversity_mean=diversity_score(pset.avg_psi),
+        diversity_mean_exact=diversity_score(exact_psis),
+        objective_value=diversity_objective(pset.avg_psi, diversity_cfg),
     )
 
 
@@ -258,10 +241,9 @@ def train_exact(
 
         records.append(_trace_record(k, values, pset, psis, diversity_cfg))
 
-        fset = FeatureSet(pset.avg_psi.copy())
         rewards_d = [zero_reward]
         rewards_d += [
-            diversity_reward(features_sa, fset, i, diversity_cfg) for i in range(1, n)
+            diversity_reward(features_sa, pset.avg_psi, i, diversity_cfg) for i in range(1, n)
         ]
 
         if strategy_cfg.kind == StrategyKind.DOMINO_LAGRANGIAN:
@@ -341,9 +323,7 @@ def train_sampled(
         T = cfg.episode_length
 
         if z > 0 and n >= 2:
-            r_d_mat = diversity_reward(
-                features_sa, FeatureSet(pset.avg_psi.copy()), z, diversity_cfg
-            )
+            r_d_mat = diversity_reward(features_sa, pset.avg_psi, z, diversity_cfg)
         else:
             r_d_mat = np.zeros((S, A))
         r_d_t = r_d_mat[traj.states, traj.actions]

@@ -1,8 +1,31 @@
-"""Shared builders for the test suite."""
+"""Shared builders and oracles for the test suite."""
+
+import math
 
 import numpy as np
 
-from divset import TabularMdp, validate_mdp
+from divset import DiversityConfig, DiversityKind, RewardScaling, TabularMdp, validate_mdp
+
+# one config per kernel form: repulsive, van der Waals, the generalized
+# l0 * l of the committed configs, a generalized kernel with a logarithmic
+# repulsive term, and the appendix scaling
+KERNEL_CASES = (
+    DiversityConfig(kind=DiversityKind.REPULSIVE),
+    DiversityConfig(kind=DiversityKind.VAN_DER_WAALS, contact_distance=0.8),
+    DiversityConfig(
+        kind=DiversityKind.GENERALIZED, contact_distance=0.45,
+        attractive_coeff=0.0, repulsive_power=-1.0, attractive_power=3.0,
+    ),
+    DiversityConfig(
+        kind=DiversityKind.GENERALIZED, contact_distance=0.6,
+        attractive_coeff=0.3, repulsive_power=-2.0, attractive_power=1.5,
+    ),
+    DiversityConfig(
+        kind=DiversityKind.GENERALIZED, contact_distance=0.7,
+        attractive_coeff=0.5, repulsive_power=0.0, attractive_power=3.0,
+        scaling=RewardScaling.APPENDIX_CODE,
+    ),
+)
 
 
 def random_mdp(
@@ -32,3 +55,34 @@ def deterministic_action_tables(num_states: int, num_actions: int) -> np.ndarray
     """All action assignments, one row per deterministic policy."""
     grids = np.meshgrid(*([np.arange(num_actions)] * num_states), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def _power_potential(l: float, l0: float, p: float) -> float:
+    """The integral of l (l / l0)^p dl."""
+    if p == -2.0:
+        return l0**2 * math.log(l / l0)
+    return l ** (p + 2.0) / ((p + 2.0) * l0**p)
+
+
+def own_objective_term(psis: np.ndarray, i: int, cfg: DiversityConfig) -> float:
+    """Member i's summand f(l_i) of the set objective, other members held fixed.
+
+    Each kernel's potential is written out here in terms of l itself, apart
+    from the package's own formulation in x = l / l0.
+    """
+    dists = np.linalg.norm(psis - psis[i], axis=1)
+    dists[i] = np.inf
+    l = float(dists.min())
+    l0 = cfg.contact_distance
+    if cfg.kind == DiversityKind.REPULSIVE:
+        f = 0.5 * l * l
+    elif cfg.kind == DiversityKind.VAN_DER_WAALS:
+        f = 0.5 * l * l - 0.2 * l**5 / l0**3
+    else:
+        a = cfg.attractive_coeff
+        repulsive = _power_potential(l, l0, cfg.repulsive_power)
+        attractive = _power_potential(l, l0, cfg.attractive_power)
+        f = (1.0 - a) * repulsive - a * attractive
+    if cfg.scaling == RewardScaling.APPENDIX_CODE:
+        f /= psis.shape[1]
+    return f

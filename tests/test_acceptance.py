@@ -21,7 +21,6 @@ from divset import (
     DiversityConfig,
     DiversityKind,
     ExactTrainConfig,
-    FeatureSet,
     SampleTrainConfig,
     StrategyConfig,
     StrategyKind,
@@ -47,7 +46,7 @@ from divset import (
 from divset.cli import main
 from divset.policy_set import AdamState, sigmoid
 
-from helpers import deterministic_action_tables, random_mdp
+from helpers import KERNEL_CASES, deterministic_action_tables, own_objective_term, random_mdp
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -59,28 +58,14 @@ def _verdict(acceptance_line, num: int, detail: str, elapsed: float, budget: flo
     assert elapsed < budget, f"criterion {num} exceeded its {budget:.0f}s budget"
 
 
-def _own_objective_term(psis: np.ndarray, i: int, cfg: DiversityConfig) -> float:
-    """Member i's summand of the set objective, other members held fixed."""
-    diffs = psis - psis[i]
-    dists = np.linalg.norm(diffs, axis=1)
-    dists[i] = np.inf
-    l = float(dists.min())
-    if cfg.kind == DiversityKind.REPULSIVE:
-        return 0.5 * l * l
-    l0 = cfg.contact_distance
-    return 0.5 * l * l - 0.2 * l**5 / l0**3
-
-
 def test_criterion_1_reward_is_the_gradient_of_each_members_term(acceptance_line):
     """The per-member diversity reward equals the finite-difference gradient
     of that member's own nearest-neighbour objective term with respect to
-    its occupancy, for both the repulsive and the contact-seeking kernel."""
+    its occupancy, for every kernel (repulsive, van der Waals, generalized
+    with a power and with a logarithmic repulsive term) and for the appendix
+    scaling."""
     t0 = time.time()
     rng = np.random.default_rng(314)
-    kinds = [
-        DiversityConfig(kind=DiversityKind.REPULSIVE),
-        DiversityConfig(kind=DiversityKind.VAN_DER_WAALS, contact_distance=0.8),
-    ]
     worst = 0.0
     checked = 0
     while checked < 50:
@@ -101,10 +86,9 @@ def test_criterion_1_reward_is_the_gradient_of_each_members_term(acceptance_line
         if min(gaps) < 1e-3:
             continue
         checked += 1
-        cfg = kinds[checked % 2]
-        fset = FeatureSet(psis)
+        cfg = KERNEL_CASES[checked % len(KERNEL_CASES)]
         for i in range(n):
-            reward = diversity_reward(phi.reshape(S, A, d), fset, i, cfg).ravel()
+            reward = diversity_reward(phi.reshape(S, A, d), psis, i, cfg).ravel()
             eps = 1e-6
             grad = np.empty(S * A)
             for k in range(S * A):
@@ -112,10 +96,10 @@ def test_criterion_1_reward_is_the_gradient_of_each_members_term(acceptance_line
                 dm = occs[i].copy()
                 dp[k] += eps
                 dm[k] -= eps
-                up = _own_objective_term(
+                up = own_objective_term(
                     np.vstack([psis[:i], dp @ phi, psis[i + 1 :]]), i, cfg
                 )
-                dn = _own_objective_term(
+                dn = own_objective_term(
                     np.vstack([psis[:i], dm @ phi, psis[i + 1 :]]), i, cfg
                 )
                 grad[k] = (up - dn) / (2.0 * eps)
@@ -124,7 +108,12 @@ def test_criterion_1_reward_is_the_gradient_of_each_members_term(acceptance_line
             assert rel <= 1e-4, f"instance {checked} member {i}: rel error {rel:.2e}"
     elapsed = time.time() - t0
     _verdict(
-        acceptance_line, 1, f"50 instances, worst rel error {worst:.1e} (limit 1e-4)", elapsed, 10.0
+        acceptance_line,
+        1,
+        f"50 instances over {len(KERNEL_CASES)} kernel configs, "
+        f"worst rel error {worst:.1e} (limit 1e-4)",
+        elapsed,
+        10.0,
     )
 
 

@@ -1,79 +1,87 @@
 """Diversity objectives, rewards, and their gradient identity."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from divset import (
     DiversityConfig,
     DiversityKind,
-    FeatureSet,
     RewardScaling,
+    diversity_objective,
     diversity_reward,
     diversity_score,
-    nearest_index,
-    repulsive_objective,
-    vdw_objective,
 )
+
+from helpers import KERNEL_CASES, own_objective_term
+
+_REPULSIVE = DiversityConfig(kind=DiversityKind.REPULSIVE)
 
 
 def test_nearest_index_picks_closest_and_breaks_ties_low():
-    fset = FeatureSet(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 1.0]]))
-    j, dist = nearest_index(fset, 0)
-    assert (j, dist) == (2, 1.0)
-    # equidistant neighbours resolve to the lowest index
-    tied = FeatureSet(np.array([[0.0], [1.0], [-1.0]]))
-    assert nearest_index(tied, 0)[0] == 1
+    # with identity features the repulsive reward is psi^i - psi^j itself
+    identity = np.eye(2).reshape(1, 2, 2)
+    psis = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 1.0]])
+    reward = diversity_reward(identity, psis, 0, _REPULSIVE)
+    assert np.array_equal(reward, [[0.0, -1.0]])  # nearest is member 2, at distance 1
+    # equidistant neighbours resolve to the lowest index: member 1 at +1,
+    # not member 2 at -1, so the reward pushes member 0 down
+    tied = np.array([[0.0], [1.0], [-1.0]])
+    assert diversity_reward(np.ones((1, 1, 1)), tied, 0, _REPULSIVE)[0, 0] < 0.0
     with pytest.raises(ValueError):
-        nearest_index(FeatureSet(np.zeros((1, 2))), 0)
+        diversity_reward(identity, np.zeros((1, 2)), 0, _REPULSIVE)
 
 
 def test_repulsive_objective_hand_value():
-    fset = FeatureSet(np.array([[0.0, 0.0], [1.0, 0.0], [4.0, 0.0]]))
+    psis = np.array([[0.0, 0.0], [1.0, 0.0], [4.0, 0.0]])
     # nearest-neighbour distances are 1, 1, 3
-    assert repulsive_objective(fset) == pytest.approx(0.5 * (1 + 1 + 9))
+    assert diversity_objective(psis, _REPULSIVE) == pytest.approx(0.5 * (1 + 1 + 9))
 
 
 def test_vdw_objective_peaks_at_the_contact_distance():
     l0 = 2.0
+    cfg = DiversityConfig(kind=DiversityKind.VAN_DER_WAALS, contact_distance=l0)
     values = {
-        l: vdw_objective(FeatureSet(np.array([[0.0], [l]])), l0)
-        for l in np.linspace(0.2, 4.0, 39)
+        l: diversity_objective(np.array([[0.0], [l]]), cfg) for l in np.linspace(0.2, 4.0, 39)
     }
-    at_l0 = vdw_objective(FeatureSet(np.array([[0.0], [l0]])), l0)
+    at_l0 = diversity_objective(np.array([[0.0], [l0]]), cfg)
     assert all(at_l0 >= v - 1e-12 for v in values.values())
     # closed form at the peak: 0.3 l0^2 per member, two members
     assert at_l0 == pytest.approx(2 * (0.5 * l0**2 - 0.2 * l0**2))
 
 
-def _own_term(psis, i, cfg):
-    fset = FeatureSet(psis)
-    _, l = nearest_index(fset, i)
-    if cfg.kind == DiversityKind.REPULSIVE:
-        return 0.5 * l**2
-    return 0.5 * l**2 - 0.2 * l**5 / cfg.contact_distance**3
+def test_diversity_objective_is_the_sum_of_the_oracle_terms():
+    rng = np.random.default_rng(4)
+    for cfg in KERNEL_CASES:
+        for _ in range(5):
+            n, d = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+            psis = rng.uniform(-1.0, 1.0, size=(n, d))
+            oracle = sum(own_objective_term(psis, i, cfg) for i in range(n))
+            assert diversity_objective(psis, cfg) == pytest.approx(oracle, rel=1e-12, abs=1e-15)
+        assert diversity_objective(np.ones((1, 2)), cfg) == 0.0
 
 
 def test_reward_is_the_gradient_of_the_own_objective_term():
     # psi_i = Phi^T d_i, so the reward matrix must equal the finite-difference
     # gradient of member i's nearest-neighbour term with respect to d_i
     rng = np.random.default_rng(0)
-    for kind in (DiversityKind.REPULSIVE, DiversityKind.VAN_DER_WAALS):
-        cfg = DiversityConfig(kind=kind, contact_distance=0.8)
+    for cfg in KERNEL_CASES:
         for _ in range(10):
             S, A, d, n = 3, 2, int(rng.integers(1, 4)), int(rng.integers(2, 5))
             phi = rng.uniform(0.0, 1.0, size=(S * A, d))
             ds = rng.dirichlet(np.ones(S * A), size=n)
             psis = ds @ phi
             i = int(rng.integers(n))
-            reward = diversity_reward(phi.reshape(S, A, d), FeatureSet(psis), i, cfg).ravel()
+            reward = diversity_reward(phi.reshape(S, A, d), psis, i, cfg).ravel()
             eps = 1e-6
             grad = np.empty(S * A)
             for k in range(S * A):
                 dp, dm = ds[i].copy(), ds[i].copy()
                 dp[k] += eps
                 dm[k] -= eps
-                up = _own_term(np.vstack([psis[:i], dp @ phi, psis[i + 1:]]), i, cfg)
-                dn = _own_term(np.vstack([psis[:i], dm @ phi, psis[i + 1:]]), i, cfg)
+                up = own_objective_term(np.vstack([psis[:i], dp @ phi, psis[i + 1:]]), i, cfg)
+                dn = own_objective_term(np.vstack([psis[:i], dm @ phi, psis[i + 1:]]), i, cfg)
                 grad[k] = (up - dn) / (2 * eps)
             assert np.max(np.abs(reward - grad)) < 1e-5 * max(1.0, np.max(np.abs(grad)))
 
@@ -83,36 +91,53 @@ def test_coincident_members_get_a_zero_reward():
     psis = np.array([[0.3], [0.3], [0.9]])
     for kind in DiversityKind:
         cfg = DiversityConfig(kind=kind, contact_distance=1.0, repulsive_power=-1.0)
-        reward = diversity_reward(phi.reshape(4, 3, 1), FeatureSet(psis), 0, cfg)
+        reward = diversity_reward(phi.reshape(4, 3, 1), psis, 0, cfg)
         assert np.array_equal(reward, np.zeros((4, 3)))
         assert np.all(np.isfinite(reward))
+
+
+def test_coincident_members_give_a_finite_generalized_objective():
+    cfg = DiversityConfig(
+        kind=DiversityKind.GENERALIZED, contact_distance=0.5,
+        attractive_coeff=0.0, repulsive_power=-1.0, attractive_power=3.0,
+    )
+    psis = np.array([[0.3], [0.3], [0.9]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = diversity_objective(psis, cfg)
+    # f(l) = l0 l at a = 0, p_r = -1; the distances are 0, 0 and 0.6
+    assert value == pytest.approx(0.5 * 0.6, rel=1e-12)
 
 
 def test_appendix_scaling_divides_by_the_feature_dimension():
     rng = np.random.default_rng(1)
     phi = rng.uniform(size=(6, 3))
     psis = rng.uniform(size=(3, 3))
-    base = DiversityConfig(kind=DiversityKind.REPULSIVE)
     scaled = DiversityConfig(kind=DiversityKind.REPULSIVE, scaling=RewardScaling.APPENDIX_CODE)
-    r1 = diversity_reward(phi.reshape(2, 3, 3), FeatureSet(psis), 1, base)
-    r2 = diversity_reward(phi.reshape(2, 3, 3), FeatureSet(psis), 1, scaled)
+    r1 = diversity_reward(phi.reshape(2, 3, 3), psis, 1, _REPULSIVE)
+    r2 = diversity_reward(phi.reshape(2, 3, 3), psis, 1, scaled)
     assert np.allclose(r2, r1 / 3.0)
+    # the reported objective is scaled alike, so r2 stays its gradient
+    assert diversity_objective(psis, scaled) == pytest.approx(
+        diversity_objective(psis, _REPULSIVE) / 3.0, rel=1e-12
+    )
 
 
 def test_generalized_kind_reproduces_the_named_coefficients():
     rng = np.random.default_rng(2)
     phi = rng.uniform(size=(6, 2))
     psis = rng.uniform(size=(2, 2))
-    fs = FeatureSet(psis)
     phi_sa = phi.reshape(3, 2, 2)
     # a = 0, p_r = 0 gives the constant repulsive coefficient
     flat = DiversityConfig(
         kind=DiversityKind.GENERALIZED, contact_distance=0.7,
         attractive_coeff=0.0, repulsive_power=0.0, attractive_power=3.0,
     )
-    rep = DiversityConfig(kind=DiversityKind.REPULSIVE)
     assert np.allclose(
-        diversity_reward(phi_sa, fs, 1, flat), diversity_reward(phi_sa, fs, 1, rep)
+        diversity_reward(phi_sa, psis, 1, flat), diversity_reward(phi_sa, psis, 1, _REPULSIVE)
+    )
+    assert diversity_objective(psis, flat) == pytest.approx(
+        diversity_objective(psis, _REPULSIVE), rel=1e-12
     )
     # a = 0.5, p_r = 0, p_a = 3 gives half the van der Waals coefficient
     half = DiversityConfig(
@@ -121,18 +146,16 @@ def test_generalized_kind_reproduces_the_named_coefficients():
     )
     vdw = DiversityConfig(kind=DiversityKind.VAN_DER_WAALS, contact_distance=0.7)
     assert np.allclose(
-        diversity_reward(phi_sa, fs, 1, half), 0.5 * diversity_reward(phi_sa, fs, 1, vdw)
+        diversity_reward(phi_sa, psis, 1, half), 0.5 * diversity_reward(phi_sa, psis, 1, vdw)
+    )
+    assert diversity_objective(psis, half) == pytest.approx(
+        0.5 * diversity_objective(psis, vdw), rel=1e-12
     )
 
 
 def test_diversity_score_statistics():
-    fset = FeatureSet(np.array([[0.0], [1.0], [5.0]]))
-    score = diversity_score(fset)
-    assert np.allclose(score.per_policy, [1.0, 1.0, 4.0])
-    assert score.total == pytest.approx(6.0)
-    assert score.mean == pytest.approx(2.0)
-    single = diversity_score(FeatureSet(np.array([[3.0]])))
-    assert (single.mean, single.total) == (0.0, 0.0)
+    assert diversity_score(np.array([[0.0], [1.0], [5.0]])) == pytest.approx(2.0)
+    assert diversity_score(np.array([[3.0]])) == 0.0
 
 
 def test_config_validation_rejects_bad_parameters():

@@ -1,4 +1,5 @@
-"""Source hygiene of src/divset: no unused imports, no unreferenced private names.
+"""Source hygiene: no unused imports in src/divset or tests, and no
+unreferenced private names in src/divset.
 
 Both checks read the modules with the standard library's ast, so they run
 without importing the package.
@@ -7,8 +8,12 @@ without importing the package.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "divset"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "divset"
 TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+TEST_TREES = {
+    f"tests/{path.stem}": ast.parse(path.read_text()) for path in sorted(TESTS.glob("*.py"))
+}
 
 
 def _read_names(tree: ast.Module) -> set[str]:
@@ -57,7 +62,7 @@ def _private_definitions(tree: ast.Module) -> list[str]:
 
 def test_every_import_is_used():
     unused = []
-    for module, tree in TREES.items():
+    for module, tree in (TREES | TEST_TREES).items():
         if module == "__init__":
             continue  # the package's imports are its public API
         used = {

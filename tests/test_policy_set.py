@@ -43,9 +43,8 @@ def test_init_set_random_needs_rng_and_differs_per_seed():
 def test_anchor_weight_is_pinned_regardless_of_mu():
     pset = init_set(2, 1, 2, 2)
     pset.mu[0] = -50.0
-    assert pset.extrinsic_weight(0) == 1.0
     assert pset.extrinsic_weights()[0] == 1.0
-    assert pset.extrinsic_weight(1) == pytest.approx(0.5)
+    assert pset.extrinsic_weights()[1] == pytest.approx(0.5)
 
 
 def test_moving_average_update_formula():

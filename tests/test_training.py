@@ -8,7 +8,6 @@ from divset import (
     DiversityConfig,
     DiversityKind,
     ExactTrainConfig,
-    FeatureSet,
     FtlMode,
     SampleTrainConfig,
     StrategyConfig,
@@ -59,9 +58,7 @@ def test_exact_trainer_seeds_the_estimates_with_true_initial_statistics():
     )
     # the first record's estimate-based diversity equals the exact one:
     # the running averages start at the measured statistics, not at a prior
-    assert trace[0].diversity_mean == pytest.approx(
-        diversity_score(FeatureSet(psis)).mean, abs=1e-12
-    )
+    assert trace[0].diversity_mean == pytest.approx(diversity_score(psis), abs=1e-12)
     assert trace[0].diversity_mean == pytest.approx(
         trace[0].diversity_mean_exact, abs=1e-12
     )
@@ -125,6 +122,21 @@ def test_trace_records_expose_weights_and_objective():
         assert rec.extrinsic_values.shape == (3,)
         assert np.isfinite(rec.objective_value)
         assert rec.diversity_mean >= 0.0
+
+
+def test_generalized_trace_objective_is_l0_times_the_summed_distances():
+    # at a = 0, p_r = -1 the generalized potential is f(l) = l0 l, so the
+    # reported objective is l0 n times the mean nearest-neighbour distance
+    rng = np.random.default_rng(5)
+    mdp = random_mdp(rng, 4, 2, 2)
+    l0 = 0.45
+    cfg = DiversityConfig(
+        kind=DiversityKind.GENERALIZED, contact_distance=l0,
+        attractive_coeff=0.0, repulsive_power=-1.0, attractive_power=3.0,
+    )
+    _, trace = train_exact(mdp, 3, cfg, _DOMINO, ExactTrainConfig(outer_iterations=4, seed=1))
+    for rec in trace:
+        assert rec.objective_value == pytest.approx(l0 * 3 * rec.diversity_mean, rel=1e-12)
 
 
 def test_rollout_follows_the_dynamics():
