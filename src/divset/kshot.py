@@ -161,21 +161,23 @@ def _paired_ratio_ci(
     """Nested bootstrap of the mean per-seed ratio, resampling both sides.
 
     Each resample draws its seeds, then for every drawn seed n_eval episode
-    indices into returns and n_eval into base_returns, in that order. A
+    indices into returns and n_eval into base_returns, in that order; the
+    draws are collected first and every resample is scored in one pass. A
     resample whose baseline mean is not positive for some drawn seed has a
     nan statistic and is left out of the percentiles.
     """
     rng = np.random.default_rng(seed)
     n_seeds, n_eval = returns.shape
-    stats = np.full(resamples, np.nan)
+    chosen = np.empty((resamples, n_seeds, 1), dtype=int)
+    episodes = np.empty((resamples, n_seeds, 2, n_eval), dtype=int)
     for b in range(resamples):
-        chosen = rng.integers(n_seeds, size=n_seeds)[:, None]
-        episodes = rng.integers(n_eval, size=(n_seeds, 2, n_eval))
-        m = returns[chosen, episodes[:, 0]].mean(axis=1)
-        base = base_returns[chosen, episodes[:, 1]].mean(axis=1)
-        ratios = np.full(n_seeds, np.nan)
-        np.divide(m, base, out=ratios, where=base > 0.0)
-        stats[b] = ratios.mean()
+        chosen[b, :, 0] = rng.integers(n_seeds, size=n_seeds)
+        episodes[b] = rng.integers(n_eval, size=(n_seeds, 2, n_eval))
+    m = returns[chosen, episodes[:, :, 0]].mean(axis=2)
+    base = base_returns[chosen, episodes[:, :, 1]].mean(axis=2)
+    ratios = np.full((resamples, n_seeds), np.nan)
+    np.divide(m, base, out=ratios, where=base > 0.0)
+    stats = ratios.mean(axis=1)
     stats = stats[np.isfinite(stats)]
     lo = (1.0 - level) / 2.0 * 100.0
     return float(np.percentile(stats, lo)), float(np.percentile(stats, 100.0 - lo))

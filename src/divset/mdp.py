@@ -106,15 +106,24 @@ class TabularMdp:
         return self.features.reshape(self.num_states, self.num_actions, -1)
 
     @cached_property
-    def transition_cdf(self) -> np.ndarray:
-        """Cumulative next-state rows, (S, A, S); computed once per MDP.
+    def transition_cdf(self) -> list[tuple[list[float], list[int]]]:
+        """Sparse cumulative next-state rows, one per (s, a) at index s * A + a.
 
-        Shared by every rollout on this MDP, so it is read-only, and the
-        transition tensor must not be edited in place after first use.
+        Each row is a pair of Python lists (cum, outcomes): outcomes holds
+        the next states with positive probability in increasing order, and
+        cum the cumulative sums of the dense row at those states. The
+        skipped zero entries add 0.0, which is exact, so cum holds the very
+        values of the dense cumsum. Computed once per MDP and shared by
+        every rollout on it: treat the rows as read-only, and do not edit
+        the transition tensor in place after first use.
         """
-        cdf = np.cumsum(self.transition, axis=2)
-        cdf.flags.writeable = False
-        return cdf
+        S, A = self.num_states, self.num_actions
+        P = self.transition.reshape(S * A, S)
+        rows = []
+        for p, cum in zip(P, np.cumsum(P, axis=1)):
+            outcomes = np.flatnonzero(p)
+            rows.append((cum[outcomes].tolist(), outcomes.tolist()))
+        return rows
 
     @cached_property
     def reach_under_every_policy(self) -> np.ndarray:

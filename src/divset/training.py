@@ -21,6 +21,7 @@ deterministic given its seed.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -115,16 +116,17 @@ class _Trajectory:
     next_states: np.ndarray  # (T,)
 
 
-def _sample_from_cdf(cdf_row: np.ndarray, u: float) -> int:
-    """The outcome whose cumulative-mass interval holds u.
+def _sample_from_cdf(cum: list[float], u: float) -> int:
+    """Index of the entry of the cumulative row cum whose interval holds u.
 
-    Rounding can leave cdf_row[-1] short of 1; a u at or above it maps to
-    the last outcome with positive probability.
+    Rounding can leave cum[-1] short of 1. A u at or past it maps to the
+    first index that reaches cum[-1]: the last outcome whose probability
+    survives in the sums, never a later one that rounding absorbed.
     """
-    k = int(np.searchsorted(cdf_row, u, side="right"))
-    if k < len(cdf_row):
+    k = bisect_right(cum, u)
+    if k < len(cum):
         return k
-    return int(np.searchsorted(cdf_row, cdf_row[-1], side="left"))
+    return bisect_left(cum, cum[-1])
 
 
 def _scheduled_dynamics(mdp: TabularMdp) -> tuple[Schedule, TabularMdp]:
@@ -148,19 +150,20 @@ def rollout(
     A = mdp.num_actions
     schedule, fallback = _scheduled_dynamics(mdp)
     active = [schedule.active(t) for t in range(horizon)]
-    transition_cdfs = (fallback.transition_cdf, mdp.transition_cdf)  # by active[t]
-    policy_cdf = np.cumsum(policy, axis=1)
-    initial_cdf = np.cumsum(mdp.initial_dist)
-    draws = rng.random(2 * horizon + 1)
-    s = _sample_from_cdf(initial_cdf, draws[0])
-    states = np.empty(horizon, dtype=int)
-    actions = np.empty(horizon, dtype=int)
-    next_states = np.empty(horizon, dtype=int)
+    transition_rows = (fallback.transition_cdf, mdp.transition_cdf)  # by active[t]
+    policy_cdf = np.cumsum(policy, axis=1).tolist()
+    draws = rng.random(2 * horizon + 1).tolist()
+    s = _sample_from_cdf(np.cumsum(mdp.initial_dist).tolist(), draws[0])
+    visited, chosen = [], []
     for t in range(horizon):
         a = _sample_from_cdf(policy_cdf[s], draws[2 * t + 1])
-        s_next = _sample_from_cdf(transition_cdfs[active[t]][s, a], draws[2 * t + 2])
-        states[t], actions[t], next_states[t] = s, a, s_next
-        s = s_next
+        cum, outcomes = transition_rows[active[t]][s * A + a]
+        visited.append(s)
+        chosen.append(a)
+        s = outcomes[_sample_from_cdf(cum, draws[2 * t + 2])]
+    states = np.array(visited, dtype=int)
+    actions = np.array(chosen, dtype=int)
+    next_states = np.array((visited + [s])[1:], dtype=int)
     rewards = np.where(active, mdp.reward[states, actions], fallback.reward[states, actions])
     features = mdp.features[states * A + actions]
     return _Trajectory(states, actions, rewards, features, next_states)
@@ -336,26 +339,24 @@ def train_sampled(
         w_e, w_d = weights(strategy_cfg, pset, z)
         adv = w_e * adv_e + w_d * adv_d
 
+        # one bincount adds the terms to each cell in the order three
+        # np.add.at calls would: action terms, -adv * pi rows, entropy rows
         pi_visited = probs[traj.states]
-        grad = np.zeros((S, A))
-        np.add.at(grad, (traj.states, traj.actions), adv)
-        np.add.at(grad, traj.states, -adv[:, None] * pi_visited)
+        row_cells = (traj.states[:, None] * A + np.arange(A)).ravel()
+        cells = [traj.states * A + traj.actions, row_cells]
+        terms = [adv, (-adv[:, None] * pi_visited).ravel()]
         if cfg.entropy_weight > 0.0:
             logp = np.log(np.clip(pi_visited, 1e-30, None))
             ent = -(pi_visited * logp).sum(axis=1)
-            np.add.at(
-                grad,
-                traj.states,
-                -cfg.entropy_weight * pi_visited * (logp + ent[:, None]),
-            )
-        logits[z] += cfg.policy_lr * grad / T
+            cells.append(row_cells)
+            terms.append((-cfg.entropy_weight * pi_visited * (logp + ent[:, None])).ravel())
+        grad = np.bincount(np.concatenate(cells), np.concatenate(terms), minlength=S * A)
+        logits[z] += cfg.policy_lr * grad.reshape(S, A) / T
 
+        tcnt = np.bincount(traj.states, minlength=S)
+        mask = tcnt > 0
         for table, targets in ((v_e[z], targ_e), (v_d[z], targ_d)):
-            tsum = np.zeros(S)
-            tcnt = np.zeros(S)
-            np.add.at(tsum, traj.states, targets)
-            np.add.at(tcnt, traj.states, 1.0)
-            mask = tcnt > 0
+            tsum = np.bincount(traj.states, targets, minlength=S)
             table[mask] += cfg.value_lr * (tsum[mask] / tcnt[mask] - table[mask])
 
         update_moving_averages(pset, z, traj.rewards, traj.features, cfg.moving_average)

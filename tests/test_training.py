@@ -1,17 +1,23 @@
 """Exact and sampled training loops."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from divset import (
+    Always,
     Criterion,
     DiversityConfig,
     DiversityKind,
     ExactTrainConfig,
     FtlMode,
+    Periodic,
+    PerturbedMdp,
     SampleTrainConfig,
     StrategyConfig,
     StrategyKind,
+    TabularMdp,
     best_response,
     build_chain,
     deterministic_policy,
@@ -150,12 +156,119 @@ def test_rollout_follows_the_dynamics():
     assert np.array_equal(traj.next_states[:-1], traj.states[1:])
 
 
+def _dense_rollout(mdp, policy, horizon, rng):
+    """Reference rollout: np.searchsorted on the dense cumulative rows."""
+
+    def sample(cdf_row, u):
+        k = int(np.searchsorted(cdf_row, u, side="right"))
+        if k < len(cdf_row):
+            return k
+        return int(np.searchsorted(cdf_row, cdf_row[-1], side="left"))
+
+    A = mdp.num_actions
+    if isinstance(mdp, PerturbedMdp):
+        schedule, fallback = mdp.schedule, mdp.unperturbed
+    else:
+        schedule, fallback = Always(), mdp
+    active = [schedule.active(t) for t in range(horizon)]
+    transition_cdfs = (np.cumsum(fallback.transition, axis=2), np.cumsum(mdp.transition, axis=2))
+    policy_cdf = np.cumsum(policy, axis=1)
+    draws = rng.random(2 * horizon + 1)
+    s = sample(np.cumsum(mdp.initial_dist), draws[0])
+    states = np.empty(horizon, dtype=int)
+    actions = np.empty(horizon, dtype=int)
+    next_states = np.empty(horizon, dtype=int)
+    for t in range(horizon):
+        a = sample(policy_cdf[s], draws[2 * t + 1])
+        s_next = sample(transition_cdfs[active[t]][s, a], draws[2 * t + 2])
+        states[t], actions[t], next_states[t] = s, a, s_next
+        s = s_next
+    rewards = np.where(active, mdp.reward[states, actions], fallback.reward[states, actions])
+    return states, actions, rewards, mdp.features[states * A + actions], next_states
+
+
+def _sparse(rng, rows, width):
+    """Random rows on the simplex with about half their entries exactly zero."""
+    p = rng.dirichlet(np.ones(width), size=rows) * (rng.random((rows, width)) < 0.5)
+    p[np.arange(rows), rng.integers(width, size=rows)] += 0.1  # no empty row
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def test_rollout_matches_the_dense_searchsorted_rollout():
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        S, A = 7, 3
+        base = random_mdp(rng, S, A, 2)
+        base = dataclasses.replace(
+            base,
+            transition=_sparse(rng, S * A, S).reshape(S, A, S),
+            initial_dist=_sparse(rng, 1, S)[0],
+        )
+        perturbed = dict(
+            transition=_sparse(rng, S * A, S).reshape(S, A, S),
+            reward=rng.uniform(-1.0, 0.0, size=(S, A)),
+            features=base.features,
+            discount=base.discount,
+            initial_dist=base.initial_dist,
+            unperturbed=base,
+        )
+        policy = _sparse(rng, S, A)
+        for mdp in (
+            base,
+            PerturbedMdp(**perturbed),
+            PerturbedMdp(**perturbed, schedule=Periodic(period=4, duration=2, start=1)),
+        ):
+            for episode in range(10):
+                traj = rollout(mdp, policy, 40, np.random.default_rng([seed, episode]))
+                ref = _dense_rollout(mdp, policy, 40, np.random.default_rng([seed, episode]))
+                got = (traj.states, traj.actions, traj.rewards, traj.features, traj.next_states)
+                for g, r in zip(got, ref):
+                    assert g.dtype == r.dtype
+                    assert np.array_equal(g, r)
+
+
+def _one_row_mdp(row):
+    """An MDP that starts in state 0 and whose every (s, a) has the given next-state row."""
+    S = len(row)
+    return TabularMdp(
+        transition=np.tile(row, (S, 1, 1)),
+        reward=np.zeros((S, 1)),
+        features=np.zeros((S, 1)),
+        discount=0.9,
+        initial_dist=np.eye(S)[0],
+    )
+
+
+class _FixedDraws:
+    """Stands in for a Generator: hands out the given uniform draws."""
+
+    def __init__(self, draws):
+        self.draws = np.array(draws)
+
+    def random(self, size):
+        assert size == len(self.draws)
+        return self.draws
+
+
 def test_draws_past_a_rounded_cdf_land_on_the_last_positive_outcome():
-    cdf = np.array([0.3, 0.6, 0.6])  # total mass short of 1, last outcome impossible
-    assert _sample_from_cdf(cdf, 0.0) == 0
-    assert _sample_from_cdf(cdf, 0.3) == 1
-    assert _sample_from_cdf(cdf, 0.6) == 1
-    assert _sample_from_cdf(cdf, 0.99) == 1
+    # total mass short of 1, last outcome impossible
+    cum, outcomes = _one_row_mdp(np.array([0.3, 0.3, 0.0])).transition_cdf[0]
+    assert (cum, outcomes) == ([0.3, 0.6], [0, 1])
+    assert [outcomes[_sample_from_cdf(cum, u)] for u in (0.0, 0.3, 0.6, 0.99)] == [0, 1, 1, 1]
+    # the same on a dense row, as policy rows are sampled
+    assert [_sample_from_cdf([0.3, 0.6, 0.6], u) for u in (0.0, 0.3, 0.6, 0.99)] == [0, 1, 1, 1]
+
+
+def test_a_positive_tail_absorbed_by_rounding_is_never_drawn():
+    # 0.6 + 1e-18 rounds to 0.6: outcome 2 has positive probability but no
+    # mass in the sums, so a draw past the sums lands on outcome 1
+    mdp = _one_row_mdp(np.array([0.3, 0.3, 1e-18, 0.0]))
+    cum, outcomes = mdp.transition_cdf[0]
+    assert (cum, outcomes) == ([0.3, 0.6, 0.6], [0, 1, 2])
+    assert outcomes[_sample_from_cdf(cum, 0.7)] == 1
+    traj = rollout(mdp, np.ones((4, 1)), 1, _FixedDraws([0.0, 0.5, 0.7]))
+    assert traj.states.tolist() == [0]
+    assert traj.next_states.tolist() == [1]
 
 
 def test_sampled_trainer_is_deterministic_and_records_on_schedule():
