@@ -38,6 +38,9 @@ __all__ = [
     "kshot_evaluate",
 ]
 
+# resamples drawn and scored at once by the bootstrap; bounds its memory
+_BOOTSTRAP_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class KShotConfig:
@@ -161,23 +164,28 @@ def _paired_ratio_ci(
     """Nested bootstrap of the mean per-seed ratio, resampling both sides.
 
     Each resample draws its seeds, then for every drawn seed n_eval episode
-    indices into returns and n_eval into base_returns, in that order; the
-    draws are collected first and every resample is scored in one pass. A
-    resample whose baseline mean is not positive for some drawn seed has a
-    nan statistic and is left out of the percentiles.
+    indices into returns and n_eval into base_returns, in that order. The
+    resamples are drawn in that order and scored _BOOTSTRAP_CHUNK at a time,
+    so memory does not grow with their number; each statistic depends on its
+    own resample's draws alone. A resample whose baseline mean is not
+    positive for some drawn seed has a nan statistic and is left out of the
+    percentiles.
     """
     rng = np.random.default_rng(seed)
     n_seeds, n_eval = returns.shape
-    chosen = np.empty((resamples, n_seeds, 1), dtype=int)
-    episodes = np.empty((resamples, n_seeds, 2, n_eval), dtype=int)
-    for b in range(resamples):
-        chosen[b, :, 0] = rng.integers(n_seeds, size=n_seeds)
-        episodes[b] = rng.integers(n_eval, size=(n_seeds, 2, n_eval))
-    m = returns[chosen, episodes[:, :, 0]].mean(axis=2)
-    base = base_returns[chosen, episodes[:, :, 1]].mean(axis=2)
-    ratios = np.full((resamples, n_seeds), np.nan)
-    np.divide(m, base, out=ratios, where=base > 0.0)
-    stats = ratios.mean(axis=1)
+    stats = np.empty(resamples)
+    for first in range(0, resamples, _BOOTSTRAP_CHUNK):
+        size = min(_BOOTSTRAP_CHUNK, resamples - first)
+        chosen = np.empty((size, n_seeds, 1), dtype=int)
+        episodes = np.empty((size, n_seeds, 2, n_eval), dtype=int)
+        for b in range(size):
+            chosen[b, :, 0] = rng.integers(n_seeds, size=n_seeds)
+            episodes[b] = rng.integers(n_eval, size=(n_seeds, 2, n_eval))
+        m = returns[chosen, episodes[:, :, 0]].mean(axis=2)
+        base = base_returns[chosen, episodes[:, :, 1]].mean(axis=2)
+        ratios = np.full((size, n_seeds), np.nan)
+        np.divide(m, base, out=ratios, where=base > 0.0)
+        stats[first : first + size] = ratios.mean(axis=1)
     stats = stats[np.isfinite(stats)]
     lo = (1.0 - level) / 2.0 * 100.0
     return float(np.percentile(stats, lo)), float(np.percentile(stats, 100.0 - lo))

@@ -29,6 +29,13 @@ Conventions used throughout:
   policies, which evaluates each policy by linear solves (the discounted
   values, or the gain and bias of every closed class of a multichain P_pi)
   and stops once no state's action improves. There is no tolerance to tune.
+  best_response takes one (S, A) reward or an (n, S, A) stack and runs the
+  n iterations in lockstep: each round gathers the policy matrices of the
+  members still changing and evaluates them with one stacked solve. When
+  every policy of the MDP is irreducible (reach_under_every_policy is all
+  true, as on a grid with slip) the average criterion skips class
+  detection and the gain stage; other MDPs keep the multichain evaluation,
+  member by member.
 """
 
 from __future__ import annotations
@@ -131,7 +138,9 @@ class TabularMdp:
 
         Every policy reaches at least these pairs, so best_response starts
         each policy's reachability from them. On a grid with slip they are
-        all pairs, and no policy needs a closure of its own.
+        all pairs: then every policy is irreducible, with one closed class
+        and one gain, and best_response takes its unichain fast path, which
+        needs neither a closure per policy nor the gain stage.
         """
         reach = _transitive_closure(np.all(self.transition > 0, axis=1))
         reach.flags.writeable = False
@@ -168,9 +177,10 @@ def validate_mdp(mdp: TabularMdp) -> None:
 
 
 def deterministic_policy(actions: np.ndarray, num_actions: int) -> np.ndarray:
-    """The (S, A) policy that takes actions[s] in state s."""
-    probs = np.zeros((len(actions), num_actions))
-    probs[np.arange(len(actions)), actions] = 1.0
+    """The (S, A) policy that takes actions[s] in state s; for (n, S) actions,
+    the (n, S, A) stack of such policies."""
+    probs = np.zeros((*actions.shape, num_actions))
+    np.put_along_axis(probs, actions[..., None], 1.0, axis=-1)
     return probs
 
 
@@ -316,53 +326,102 @@ def _gain_and_bias(
 
 
 def _improve(actions: np.ndarray, q: np.ndarray, allowed: np.ndarray | bool = True) -> np.ndarray:
-    """Per state, the lowest allowed action whose q beats the current
-    action's by more than _IMPROVEMENT_RTOL * max |q|; else the current one."""
-    current = q[np.arange(len(q)), actions][:, None]
-    better = allowed & (q > current + _IMPROVEMENT_RTOL * np.abs(q).max())
-    return np.where(better.any(axis=1), np.argmax(better, axis=1), actions)
+    """Per member and state, the lowest allowed action whose q beats the
+    current action's by more than _IMPROVEMENT_RTOL * that member's max |q|;
+    else the current one. actions is (m, S) and q is (m, S, A)."""
+    m, S = actions.shape
+    current = q[np.arange(m)[:, None], np.arange(S), actions][:, :, None]
+    slack = _IMPROVEMENT_RTOL * np.abs(q).max(axis=(1, 2), keepdims=True)
+    better = allowed & (q > current + slack)
+    return np.where(better.any(axis=2), np.argmax(better, axis=2), actions)
+
+
+def _multichain_round(mdp: TabularMdp, reward: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """One average-criterion Howard round for one member on any MDP.
+
+    Each state takes the best action for P g and, once no gain improves,
+    the best action for r + P h among the actions that keep the gain.
+    """
+    P = mdp.transition
+    states = np.arange(mdp.num_states)
+    P_pi, r_pi = P[states, actions], reward[states, actions]
+    cls = _closed_classes(P_pi, mdp.reach_under_every_policy)
+    g, h = _gain_and_bias(P_pi, r_pi, cls)
+    gain_q = (P @ g)[None]
+    improved = _improve(actions[None], gain_q)
+    if np.array_equal(improved[0], actions):
+        slack = _IMPROVEMENT_RTOL * np.abs(gain_q).max()
+        keeps_gain = gain_q >= gain_q[:, states, actions][:, :, None] - slack
+        improved = _improve(actions[None], (reward + P @ h)[None], keeps_gain)
+    return improved[0]
 
 
 def best_response(
     mdp: TabularMdp, reward: np.ndarray, criterion: Criterion, start: np.ndarray | None = None
 ) -> np.ndarray:
-    """An optimal deterministic policy for an arbitrary reward matrix.
+    """Optimal deterministic policies for a stack of arbitrary reward matrices.
 
-    Howard policy iteration (Puterman 1994, ch. 6 and 9) from the greedy
-    actions of start, or of reward when no start is given. Each round
-    evaluates the current policy exactly and then improves it:
+    reward is one (S, A) matrix or an (n, S, A) stack, and the result has
+    the same shape: the best response to each reward. start, if given, has
+    reward's shape too.
+
+    Howard policy iteration (Puterman 1994, ch. 6, 8 and 9) from the
+    greedy actions of start, or of reward when no start is given. The n
+    iterations run in lockstep, and each round evaluates every member whose
+    policy changed in the previous round exactly, then improves it:
 
     - discounted: v solves (I - gamma P_pi) v = r_pi, and each state takes
       the best action for r + gamma P v;
-    - average: g and h are the multichain gain and bias (_gain_and_bias);
-      each state takes the best action for P g and, once no gain improves,
-      the best action for r + P h among the actions that keep the gain.
+    - average, when every policy is irreducible (reach_under_every_policy
+      is all true): one class, so the gain is one number and cannot pick
+      an action. The bias h solves g + h = r_pi + P_pi h with h = 0 at
+      state 0, and each state takes the best action for r + P h;
+    - average, on any other MDP: g and h are the multichain gain and bias
+      (_gain_and_bias), member by member; each state takes the best action
+      for P g and, once no gain improves, the best action for r + P h among
+      the actions that keep the gain.
 
-    A state switches only to an action that beats its current one by more
-    than a relative 1e-12, and then to the lowest-index such action. Ties
-    therefore keep the current action, which makes the loop end; the
-    policy is returned once no state switches.
+    The first two stack the members' policy matrices into one linear solve.
+    P @ h stays one product per member: one product over the stack would
+    change the low bits of q. A state switches only to an action that beats
+    its current one by more than a relative 1e-12, and then to the
+    lowest-index such action. Ties therefore keep the current action, which
+    makes each member's loop end; a member leaves the stack once no state
+    switches.
     """
     S, A = mdp.num_states, mdp.num_actions
-    if reward.shape != (S, A):
-        raise ValueError(f"reward must be {(S, A)}, got {reward.shape}")
-    P = mdp.transition
-    states = np.arange(S)
-    actions = np.argmax(reward if start is None else start, axis=1)
-    while True:
-        P_pi, r_pi = P[states, actions], reward[states, actions]
-        if criterion == Criterion.DISCOUNTED:
-            v = np.linalg.solve(np.eye(S) - mdp.discount * P_pi, r_pi)
-            improved = _improve(actions, reward + mdp.discount * (P @ v))
+    if reward.ndim not in (2, 3) or reward.shape[-2:] != (S, A):
+        raise ValueError(f"reward must be {(S, A)} or (n, {S}, {A}), got {reward.shape}")
+    if start is not None and start.shape != reward.shape:
+        raise ValueError(f"start must have reward's shape {reward.shape}, got {start.shape}")
+    rewards = reward.reshape(-1, S, A)
+    actions = np.argmax(rewards if start is None else start.reshape(-1, S, A), axis=2)
+    P, states = mdp.transition, np.arange(S)
+    discounted = criterion == Criterion.DISCOUNTED
+    stacked = discounted or mdp.reach_under_every_policy.all()
+    live = np.arange(len(rewards))
+    while live.size:
+        a, r = actions[live], rewards[live]
+        if stacked:
+            r_pi = r[np.arange(len(a))[:, None], states, a]
+            # the policy matrices, turned in place into I - gamma P_pi, or
+            # into I - P_pi with the column of h(0) = 0 carrying the gain
+            M = P[states, a]
+            if discounted:
+                M *= mdp.discount
+            np.subtract(np.eye(S), M, out=M)
+            if not discounted:
+                M[:, :, 0] = 1.0
+            x = np.linalg.solve(M, r_pi[:, :, None])[:, :, 0]
+            if discounted:
+                q = r + mdp.discount * np.stack([P @ v for v in x])
+            else:
+                x[:, 0] = 0.0
+                q = r + np.stack([P @ h for h in x])
+            improved = _improve(a, q)
         else:
-            cls = _closed_classes(P_pi, mdp.reach_under_every_policy)
-            g, h = _gain_and_bias(P_pi, r_pi, cls)
-            gain_q = P @ g
-            improved = _improve(actions, gain_q)
-            if np.array_equal(improved, actions):
-                slack = _IMPROVEMENT_RTOL * np.abs(gain_q).max()
-                keeps_gain = gain_q >= gain_q[states, actions][:, None] - slack
-                improved = _improve(actions, reward + P @ h, keeps_gain)
-        if np.array_equal(improved, actions):
-            return deterministic_policy(actions, A)
-        actions = improved
+            improved = np.stack([_multichain_round(mdp, r_i, a_i) for r_i, a_i in zip(r, a)])
+        changed = np.any(improved != a, axis=1)
+        actions[live] = improved
+        live = live[changed]
+    return deterministic_policy(actions, A).reshape(reward.shape)

@@ -24,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,6 +130,13 @@ def _sample_from_cdf(cum: list[float], u: float) -> int:
     return bisect_left(cum, cum[-1])
 
 
+@lru_cache(maxsize=16)
+def _active_steps(schedule: Schedule, horizon: int) -> tuple[bool, ...]:
+    """schedule.active(t) for every step t of an episode, built once per
+    (schedule, horizon) and shared by all episodes on that schedule."""
+    return tuple(schedule.active(t) for t in range(horizon))
+
+
 def _scheduled_dynamics(mdp: TabularMdp) -> tuple[Schedule, TabularMdp]:
     """mdp's own dynamics apply at the steps the schedule marks active, the
     fallback MDP's at every other step."""
@@ -149,7 +157,7 @@ def rollout(
     """
     A = mdp.num_actions
     schedule, fallback = _scheduled_dynamics(mdp)
-    active = [schedule.active(t) for t in range(horizon)]
+    active = _active_steps(schedule, horizon)
     transition_rows = (fallback.transition_cdf, mdp.transition_cdf)  # by active[t]
     policy_cdf = np.cumsum(policy, axis=1).tolist()
     draws = rng.random(2 * horizon + 1).tolist()
@@ -196,8 +204,9 @@ def train_exact(
     """Run the exact three-player loop for cfg.outer_iterations steps.
 
     The anchor's constraint reference is the exact optimal extrinsic value
-    (computed once; the extrinsic reward never changes). Each member's best
-    response starts from that member's current policy. The returned
+    (computed once; the extrinsic reward never changes). Each outer
+    iteration makes one best_response call over the stack of the members'
+    mixed rewards, each member starting from its current policy. The returned
     trace is a list of one record per iteration plus a final evaluation
     record for the policies as returned.
     """
@@ -252,9 +261,10 @@ def train_exact(
         if strategy_cfg.kind == StrategyKind.DOMINO_LAGRANGIAN:
             lagrange_step(pset, strategy_cfg.alpha, cfg.lagrange_lr)
 
-        for i in range(n):
-            r_i = mix(strategy_cfg, mdp.reward, rewards_d[i], pset, i)
-            pset.policies[i] = best_response(mdp, r_i, cfg.criterion, pset.policies[i])
+        # every mixed reward is fixed before any member moves, so the n best
+        # responses are one stacked solve
+        mixed = np.stack([mix(strategy_cfg, mdp.reward, rewards_d[i], pset, i) for i in range(n)])
+        pset.policies[:] = best_response(mdp, mixed, cfg.criterion, pset.policies)
 
     values, psis, _ = measure()
     records.append(_trace_record(cfg.outer_iterations, values, pset, psis, diversity_cfg))

@@ -1,15 +1,18 @@
-"""Source hygiene: no unused imports in src/divset or tests, and no
-unreferenced private names in src/divset.
+"""Source hygiene: no unused imports in src/divset or tests, no
+unreferenced private names in src/divset, and every committed BENCH_*.json
+trajectory readable with the keys they all share.
 
-Both checks read the modules with the standard library's ast, so they run
-without importing the package.
+The source checks read the modules with the standard library's ast, so they
+run without importing the package.
 """
 
 import ast
+import json
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src" / "divset"
+ROOT = TESTS.parent
+SRC = ROOT / "src" / "divset"
 TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 TEST_TREES = {
     f"tests/{path.stem}": ast.parse(path.read_text()) for path in sorted(TESTS.glob("*.py"))
@@ -84,3 +87,18 @@ def test_every_private_name_is_referenced():
         if not any(name in names for names in read.values())
     ]
     assert not unreferenced, f"private names referenced nowhere in src/: {unreferenced}"
+
+
+# the keys every BENCH_*.json trajectory carries: what was compared, how,
+# where, the paired runs and the Tier-1 times
+BENCH_KEYS = {
+    "label", "change", "parent_rev", "change_rev", "claim", "command", "machine", "runs", "tier1"
+}
+
+
+def test_every_bench_file_parses_with_the_shared_keys():
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths, "no BENCH_*.json committed"
+    for path in paths:
+        missing = BENCH_KEYS - json.loads(path.read_text()).keys()
+        assert not missing, f"{path.name} lacks {sorted(missing)}"

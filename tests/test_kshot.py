@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,21 @@ def test_paired_ratio_ci_matches_the_per_seed_loop(n_seeds, n_eval, sparse_basel
     assert (dropped > 0) == sparse_baseline
     got = divset.kshot._paired_ratio_ci(returns, base_returns, 0.9, 200, 17)
     assert got == expected
+
+
+def test_paired_ratio_ci_memory_does_not_grow_with_the_resamples():
+    # holding every resample's indices would cost n_seeds * 2 * n_eval ints
+    # (3,200 bytes here) per resample; chunked scoring keeps a few floats
+    rng = np.random.default_rng(5)
+    returns = rng.uniform(0.0, 5.0, size=(5, 40))
+    base_returns = rng.uniform(0.5, 5.0, size=(5, 40))
+    peaks = {}
+    for resamples in (500, 4000):
+        tracemalloc.start()
+        divset.kshot._paired_ratio_ci(returns, base_returns, 0.95, resamples, 3)
+        peaks[resamples] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[4000] - peaks[500] < 64 * (4000 - 500)
 
 
 def golden_kshot_config(out: Path) -> dict:

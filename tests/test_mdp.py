@@ -19,7 +19,8 @@ from divset import (
     stationary_distribution,
     validate_mdp,
 )
-from divset.envs import FeatureKind
+from divset.envs import FeatureKind, build_gridworld, four_rooms_spec
+from divset.mdp import _closed_classes, _gain_and_bias
 
 from helpers import deterministic_action_tables, random_mdp
 
@@ -168,6 +169,97 @@ def test_best_response_is_gain_optimal_from_every_multichain_start():
         pol = best_response(mdp, mdp.reward, Criterion.AVERAGE, deterministic_policy(row, 3))
         gain = _cesaro_gain(mdp, np.argmax(pol, axis=1))
         assert np.max(np.abs(gain - best)) < 1e-12, row
+
+
+def _scalar_improve(actions, q, allowed=True):
+    current = q[np.arange(len(q)), actions][:, None]
+    better = allowed & (q > current + 1e-12 * np.abs(q).max())
+    return np.where(better.any(axis=1), np.argmax(better, axis=1), actions)
+
+
+def _scalar_best_response(mdp, reward, criterion, start=None):
+    """Oracle: the one-reward Howard iteration that the stacked solver
+    replaced, with its multichain evaluation for every MDP. Returns actions."""
+    S = mdp.num_states
+    P = mdp.transition
+    states = np.arange(S)
+    actions = np.argmax(reward if start is None else start, axis=1)
+    while True:
+        P_pi, r_pi = P[states, actions], reward[states, actions]
+        if criterion == Criterion.DISCOUNTED:
+            v = np.linalg.solve(np.eye(S) - mdp.discount * P_pi, r_pi)
+            improved = _scalar_improve(actions, reward + mdp.discount * (P @ v))
+        else:
+            cls = _closed_classes(P_pi, mdp.reach_under_every_policy)
+            g, h = _gain_and_bias(P_pi, r_pi, cls)
+            gain_q = P @ g
+            improved = _scalar_improve(actions, gain_q)
+            if np.array_equal(improved, actions):
+                slack = 1e-12 * np.abs(gain_q).max()
+                keeps_gain = gain_q >= gain_q[states, actions][:, None] - slack
+                improved = _scalar_improve(actions, reward + P @ h, keeps_gain)
+        if np.array_equal(improved, actions):
+            return actions
+        actions = improved
+
+
+def _assert_matches_the_scalar_oracle(mdp, rewards, criterion, starts=None):
+    got = best_response(mdp, rewards, criterion, starts)
+    assert got.shape == rewards.shape
+    for i in range(len(rewards)):
+        start = None if starts is None else starts[i]
+        expected = _scalar_best_response(mdp, rewards[i], criterion, start)
+        assert np.array_equal(got[i], deterministic_policy(expected, mdp.num_actions)), i
+
+
+@pytest.mark.parametrize("n", [1, 5, 10])
+def test_stacked_best_response_matches_the_scalar_oracle_on_four_rooms(n):
+    mdp = build_gridworld(four_rooms_spec())
+    assert mdp.reach_under_every_policy.all()  # the unichain fast path
+    rng = np.random.default_rng(n)
+    shape = (n, mdp.num_states, mdp.num_actions)
+    rewards = mdp.reward + rng.normal(0.0, 0.3, size=shape)
+    _assert_matches_the_scalar_oracle(mdp, rewards, Criterion.AVERAGE)
+    starts = rng.dirichlet(np.ones(mdp.num_actions), size=shape[:2])
+    _assert_matches_the_scalar_oracle(mdp, rewards, Criterion.AVERAGE, starts)
+    # each member's switch rule is relative to its own largest |q|
+    scales = 10.0 ** np.linspace(-6.0, 6.0, n)[:, None, None]
+    _assert_matches_the_scalar_oracle(mdp, scales * rewards, Criterion.AVERAGE, starts)
+
+
+def test_stacked_best_response_matches_the_scalar_oracle_on_multichain_starts():
+    # all 243 deterministic starts of the slip-free chain in one stack
+    mdp = build_chain(5, end_reward=1.0)
+    assert not mdp.reach_under_every_policy.all()  # the multichain path
+    starts = deterministic_policy(deterministic_action_tables(5, 3), 3)
+    rng = np.random.default_rng(11)
+    for rewards in (np.tile(mdp.reward, (len(starts), 1, 1)), rng.normal(size=starts.shape)):
+        _assert_matches_the_scalar_oracle(mdp, rewards, Criterion.AVERAGE, starts)
+
+
+def test_stacked_best_response_matches_the_scalar_oracle_when_discounted():
+    rng = np.random.default_rng(12)
+    for mdp in (build_gridworld(four_rooms_spec()), build_chain(5, end_reward=1.0)):
+        shape = (6, mdp.num_states, mdp.num_actions)
+        rewards = rng.normal(size=shape)
+        _assert_matches_the_scalar_oracle(mdp, rewards, Criterion.DISCOUNTED)
+        starts = rng.dirichlet(np.ones(mdp.num_actions), size=shape[:2])
+        _assert_matches_the_scalar_oracle(mdp, rewards, Criterion.DISCOUNTED, starts)
+
+
+def test_best_response_keeps_the_shape_of_one_reward_and_rejects_others():
+    mdp = build_chain(5, end_reward=1.0)
+    for criterion in Criterion:
+        pol = best_response(mdp, mdp.reward, criterion)
+        assert pol.shape == (5, 3)
+        expected = _scalar_best_response(mdp, mdp.reward, criterion)
+        assert np.array_equal(pol, deterministic_policy(expected, 3))
+        assert best_response(mdp, mdp.reward[None], criterion).shape == (1, 5, 3)
+    for bad in (np.zeros(15), np.zeros((5, 4)), np.zeros((2, 4, 3)), np.zeros((1, 2, 5, 3))):
+        with pytest.raises(ValueError, match="reward"):
+            best_response(mdp, bad, Criterion.AVERAGE)
+    with pytest.raises(ValueError, match="start"):
+        best_response(mdp, np.zeros((2, 5, 3)), Criterion.AVERAGE, np.zeros((5, 3)))
 
 
 def test_disconnected_chain_raises_non_unichain():
