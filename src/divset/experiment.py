@@ -23,6 +23,7 @@ import dataclasses
 import itertools
 import json
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -140,11 +141,14 @@ def _train(
     n: int,
     diversity: DiversityConfig,
     strategy: StrategyConfig,
-    seed: int,
-) -> tuple[PolicySet, list[TraceRecord]]:
-    """Train one set with the configured trainer (exact or sampled)."""
-    train = train_exact if config.trainer.mode == "exact" else train_sampled
-    return train(mdp, n, diversity, strategy, config.trainer.instantiate(seed))
+    seeds: Sequence[int],
+) -> list[tuple[PolicySet, list[TraceRecord]]]:
+    """Train one set per seed with the configured trainer: the exact trainer
+    trains them in one lockstep call, the sampled trainer one at a time."""
+    cfgs = [config.trainer.instantiate(seed) for seed in seeds]
+    if config.trainer.mode == "exact":
+        return train_exact(mdp, n, diversity, strategy, cfgs)
+    return [train_sampled(mdp, n, diversity, strategy, cfg) for cfg in cfgs]
 
 
 def run_single(
@@ -156,7 +160,7 @@ def run_single(
     scfg = dataclasses.replace(
         config.strategy, alpha=spec.alpha, c_e=spec.c_e, c_d=spec.c_d
     )
-    pset, trace = _train(config, mdp, spec.set_size, dcfg, scfg, spec.train_seed)
+    pset, trace = _train(config, mdp, spec.set_size, dcfg, scfg, [spec.train_seed])[0]
     final = trace[-1]
     qd_row = [
         strategy_descriptor(scfg),
@@ -292,6 +296,8 @@ def _kshot_rows(
 def run_kshot(config: ExperimentConfig) -> Path:
     """Train per-method and baseline sets, evaluate under perturbations.
 
+    Each method's sets, and the baseline's, are trained with one _train
+    call over the training seeds: in lockstep under the exact trainer.
     Evaluation episode streams are derived without the method name, so
     every method (and the baseline against itself) sees identical
     environment randomness for a given perturbation. Each set is rolled
@@ -303,24 +309,17 @@ def run_kshot(config: ExperimentConfig) -> Path:
     ks = config.kshot
     mdp, grid_spec = config.environment.build()
 
-    def train_set(strategy: StrategyConfig, set_size: int, seed: int) -> PolicySet:
-        return _train(config, mdp, set_size, config.diversity, strategy, seed)[0]
+    def train_sets(strategy: StrategyConfig, set_size: int, *label: str) -> list[PolicySet]:
+        seeds = [
+            hash64(config.master_seed, "kshot-train", *label, t) for t in range(ks.n_train_seeds)
+        ]
+        trained = _train(config, mdp, set_size, config.diversity, strategy, seeds)
+        return [pset for pset, _ in trained]
 
     baseline_strategy = StrategyConfig(kind=StrategyKind.NO_DIVERSITY)
-    baselines = [
-        train_set(baseline_strategy, 1, hash64(config.master_seed, "kshot-train", "baseline", t))
-        for t in range(ks.n_train_seeds)
-    ]
+    baselines = train_sets(baseline_strategy, 1, "baseline")
     sets_by_method = {
-        m.name: [
-            train_set(
-                m.strategy,
-                m.set_size,
-                hash64(config.master_seed, "kshot-train", "method", m.name, t),
-            )
-            for t in range(ks.n_train_seeds)
-        ]
-        for m in ks.methods
+        m.name: train_sets(m.strategy, m.set_size, "method", m.name) for m in ks.methods
     }
 
     rows: list[list[str]] = []

@@ -14,7 +14,10 @@ never from the method, so competing methods face identical environment
 randomness: the baseline evaluated against itself gives a ratio of
 exactly 1. Aggregation across training seeds uses a nested bootstrap
 (resample seeds, then episodes within each seed) so both levels of
-variance reach the interval.
+variance reach the interval. The bootstrap draws its seed indices and its
+episode indices from two streams of its own, child_rng(ci seed, "seeds")
+and child_rng(ci seed, "episodes"), where the ci seed is
+hash64(seed, "ci").
 """
 
 from __future__ import annotations
@@ -163,29 +166,28 @@ def _paired_ratio_ci(
 ) -> tuple[float, float]:
     """Nested bootstrap of the mean per-seed ratio, resampling both sides.
 
-    Each resample draws its seeds, then for every drawn seed n_eval episode
-    indices into returns and n_eval into base_returns, in that order. The
-    resamples are drawn in that order and scored _BOOTSTRAP_CHUNK at a time,
-    so memory does not grow with their number; each statistic depends on its
-    own resample's draws alone. A resample whose baseline mean is not
+    Each resample draws n_seeds seed indices from child_rng(seed, "seeds"),
+    then for every drawn seed n_eval episode indices into returns and n_eval
+    into base_returns from child_rng(seed, "episodes"). The resamples are
+    drawn and scored _BOOTSTRAP_CHUNK at a time, with one call per stream
+    and chunk, so memory does not grow with their number. Bounded draws
+    split across calls give the values of one call, so the interval does not
+    depend on the chunk size either. A resample whose baseline mean is not
     positive for some drawn seed has a nan statistic and is left out of the
     percentiles.
     """
-    rng = np.random.default_rng(seed)
+    seed_rng, episode_rng = child_rng(seed, "seeds"), child_rng(seed, "episodes")
     n_seeds, n_eval = returns.shape
     stats = np.empty(resamples)
     for first in range(0, resamples, _BOOTSTRAP_CHUNK):
         size = min(_BOOTSTRAP_CHUNK, resamples - first)
-        chosen = np.empty((size, n_seeds, 1), dtype=int)
-        episodes = np.empty((size, n_seeds, 2, n_eval), dtype=int)
-        for b in range(size):
-            chosen[b, :, 0] = rng.integers(n_seeds, size=n_seeds)
-            episodes[b] = rng.integers(n_eval, size=(n_seeds, 2, n_eval))
+        chosen = seed_rng.integers(n_seeds, size=(size, n_seeds, 1))
+        episodes = episode_rng.integers(n_eval, size=(size, n_seeds, 2, n_eval))
         m = returns[chosen, episodes[:, :, 0]].mean(axis=2)
         base = base_returns[chosen, episodes[:, :, 1]].mean(axis=2)
         ratios = np.full((size, n_seeds), np.nan)
         np.divide(m, base, out=ratios, where=base > 0.0)
         stats[first : first + size] = ratios.mean(axis=1)
-    stats = stats[np.isfinite(stats)]
     lo = (1.0 - level) / 2.0 * 100.0
-    return float(np.percentile(stats, lo)), float(np.percentile(stats, 100.0 - lo))
+    low, high = np.percentile(stats[np.isfinite(stats)], [lo, 100.0 - lo])
+    return float(low), float(high)

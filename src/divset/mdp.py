@@ -133,6 +133,12 @@ class TabularMdp:
         return rows
 
     @cached_property
+    def initial_cdf(self) -> list[float]:
+        """Cumulative sums of initial_dist as a Python list, computed once per
+        MDP and shared by every rollout on it; treat it as read-only."""
+        return np.cumsum(self.initial_dist).tolist()
+
+    @cached_property
     def reach_under_every_policy(self) -> np.ndarray:
         """reach[s, t]: t can follow s whatever the actions; (S, S), computed once per MDP.
 

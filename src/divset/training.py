@@ -14,14 +14,20 @@ Both trainers implement the same game. Each outer step,
      an exact best response, or a policy-gradient step.
 
 The exact trainer is deterministic given its seed (randomness only enters
-through the initial policies). The sampled trainer is a tabular softmax
+through the initial policies). It trains one set, or several sets that
+differ only in seed in lockstep: each outer step's best responses of every
+set's members are one stacked solve, and each set's arithmetic is what it
+would be alone. A member's occupancy is solved again only when its policy
+changed. The sampled trainer is a tabular softmax
 actor-critic with one critic per reward stream and n-step advantages,
 deterministic given its seed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -59,6 +65,11 @@ __all__ = [
     "train_exact",
     "train_sampled",
 ]
+
+
+# most members in one best_response stack when train_exact trains several
+# sets in lockstep; it bounds the stack's memory whatever the number of sets
+_LOCKSTEP_MEMBERS = 64
 
 
 class TrainingDivergedError(RuntimeError):
@@ -131,10 +142,14 @@ def _sample_from_cdf(cum: list[float], u: float) -> int:
 
 
 @lru_cache(maxsize=16)
-def _active_steps(schedule: Schedule, horizon: int) -> tuple[bool, ...]:
-    """schedule.active(t) for every step t of an episode, built once per
-    (schedule, horizon) and shared by all episodes on that schedule."""
-    return tuple(schedule.active(t) for t in range(horizon))
+def _active_steps(schedule: Schedule, horizon: int) -> tuple[tuple[bool, ...], np.ndarray]:
+    """schedule.active(t) for every step t of an episode, as a tuple for the
+    step loop and as a read-only boolean array for selecting rewards; built
+    once per (schedule, horizon) and shared by all episodes on that schedule."""
+    steps = tuple(schedule.active(t) for t in range(horizon))
+    mask = np.array(steps, dtype=bool)
+    mask.flags.writeable = False
+    return steps, mask
 
 
 def _scheduled_dynamics(mdp: TabularMdp) -> tuple[Schedule, TabularMdp]:
@@ -157,11 +172,11 @@ def rollout(
     """
     A = mdp.num_actions
     schedule, fallback = _scheduled_dynamics(mdp)
-    active = _active_steps(schedule, horizon)
+    active, active_mask = _active_steps(schedule, horizon)
     transition_rows = (fallback.transition_cdf, mdp.transition_cdf)  # by active[t]
     policy_cdf = np.cumsum(policy, axis=1).tolist()
     draws = rng.random(2 * horizon + 1).tolist()
-    s = _sample_from_cdf(np.cumsum(mdp.initial_dist).tolist(), draws[0])
+    s = _sample_from_cdf(mdp.initial_cdf, draws[0])
     visited, chosen = [], []
     for t in range(horizon):
         a = _sample_from_cdf(policy_cdf[s], draws[2 * t + 1])
@@ -172,7 +187,7 @@ def rollout(
     states = np.array(visited, dtype=int)
     actions = np.array(chosen, dtype=int)
     next_states = np.array((visited + [s])[1:], dtype=int)
-    rewards = np.where(active, mdp.reward[states, actions], fallback.reward[states, actions])
+    rewards = np.where(active_mask, mdp.reward[states, actions], fallback.reward[states, actions])
     features = mdp.features[states * A + actions]
     return _Trajectory(states, actions, rewards, features, next_states)
 
@@ -194,40 +209,90 @@ def _trace_record(
     )
 
 
+@dataclass
+class _ExactRun:
+    """One set's state in the lockstep exact loop."""
+
+    pset: PolicySet
+    run_d: np.ndarray  # (n, S * A) running-mean occupancies (FullAverage)
+    run_v: np.ndarray  # (n,) running-mean values (FullAverage)
+    measured: np.ndarray  # (n, S, A) each member's policy at its last occupancy solve
+    occs: list  # per member, that policy's occupancy
+    records: list[TraceRecord]
+
+
 def train_exact(
     mdp: TabularMdp,
     n: int,
     diversity_cfg: DiversityConfig,
     strategy_cfg: StrategyConfig,
-    cfg: ExactTrainConfig,
-) -> tuple[PolicySet, list[TraceRecord]]:
+    cfg: ExactTrainConfig | Sequence[ExactTrainConfig],
+) -> tuple[PolicySet, list[TraceRecord]] | list[tuple[PolicySet, list[TraceRecord]]]:
     """Run the exact three-player loop for cfg.outer_iterations steps.
+
+    cfg is one config, which trains one set and returns its (pset, trace),
+    or a sequence of configs that differ only in seed, which trains one set
+    per config in lockstep and returns one (pset, trace) per config, in
+    order. The sets are trained in groups of at most _LOCKSTEP_MEMBERS
+    members (a set larger than that alone). Each set's arithmetic is what
+    it would be alone, so grouping changes no output.
 
     The anchor's constraint reference is the exact optimal extrinsic value
     (computed once; the extrinsic reward never changes). Each outer
-    iteration makes one best_response call over the stack of the members'
-    mixed rewards, each member starting from its current policy. The returned
-    trace is a list of one record per iteration plus a final evaluation
-    record for the policies as returned.
+    iteration makes one best_response call over the stack of every set's
+    members' mixed rewards, each member starting from its current policy.
+    A member's occupancy is solved again only when its policy changed since
+    its last solve. The returned trace is a list of one record per
+    iteration plus a final evaluation record for the policies as returned.
     """
-    S, A, d = mdp.num_states, mdp.num_actions, mdp.feature_dim
-    rng = np.random.default_rng(cfg.seed)
-    pset = init_set(n, d, S, A, policy_init=cfg.policy_init, rng=rng)
+    single = isinstance(cfg, ExactTrainConfig)
+    cfgs = [cfg] if single else list(cfg)
+    if any(dataclasses.replace(c, seed=0) != dataclasses.replace(cfgs[0], seed=0) for c in cfgs):
+        raise ValueError("lockstep exact training needs configs that differ only in seed")
+    if n < 1:
+        raise ValueError(f"need at least one policy, got n={n}")
+    per_group = max(1, _LOCKSTEP_MEMBERS // n)
+    results = []
+    for first in range(0, len(cfgs), per_group):
+        results += _train_exact_group(
+            mdp, n, diversity_cfg, strategy_cfg, cfgs[first : first + per_group]
+        )
+    return results[0] if single else results
 
-    pi_star = best_response(mdp, mdp.reward, cfg.criterion)
-    pset.vstar_estimate = policy_value(mdp, occupancy(mdp, pi_star, cfg.criterion))
+
+def _train_exact_group(
+    mdp: TabularMdp,
+    n: int,
+    diversity_cfg: DiversityConfig,
+    strategy_cfg: StrategyConfig,
+    cfgs: list[ExactTrainConfig],
+) -> list[tuple[PolicySet, list[TraceRecord]]]:
+    S, A, d = mdp.num_states, mdp.num_actions, mdp.feature_dim
+    shared = cfgs[0]  # every field but the seed
+    criterion = shared.criterion
+    pi_star = best_response(mdp, mdp.reward, criterion)
+    vstar = policy_value(mdp, occupancy(mdp, pi_star, criterion))
+
+    runs = []
+    for cfg in cfgs:
+        rng = np.random.default_rng(cfg.seed)
+        pset = init_set(n, d, S, A, policy_init=cfg.policy_init, rng=rng)
+        pset.vstar_estimate = vstar
+        # nan policies equal no policy, so the first measure solves every member
+        unmeasured = np.full((n, S, A), np.nan)
+        runs.append(_ExactRun(pset, np.zeros((n, S * A)), np.zeros(n), unmeasured, [None] * n, []))
 
     features_sa = mdp.features_sa
     zero_reward = np.zeros_like(mdp.reward)
-    run_d = np.zeros((n, S * A))  # running-mean occupancies (FullAverage)
-    run_v = np.zeros(n)
-    records: list[TraceRecord] = []
 
-    def measure() -> tuple[np.ndarray, np.ndarray, list]:
-        occs = [occupancy(mdp, pset.policies[i], cfg.criterion) for i in range(n)]
-        values = np.array([policy_value(mdp, o) for o in occs])
-        psis = np.stack([expected_features(mdp, o) for o in occs])
-        return values, psis, occs
+    def measure(run: _ExactRun) -> tuple[np.ndarray, np.ndarray]:
+        for i, policy in enumerate(run.pset.policies):
+            if not np.array_equal(policy, run.measured[i]):
+                run.occs[i] = occupancy(mdp, policy, criterion)
+                run.measured[i] = policy
+        values = np.array([policy_value(mdp, o) for o in run.occs])
+        psis = np.stack([expected_features(mdp, o) for o in run.occs])
+        return values, psis
 
     # Seed the follow-the-leader state with the initial policies' true
     # statistics. Exact mode has no estimation phase, and starting every
@@ -235,40 +300,49 @@ def train_exact(
     # distances (hence the diversity rewards) vanishingly small, which can
     # lock members onto identical best responses before the multipliers
     # react.
-    init_values, init_psis, _ = measure()
-    pset.avg_psi[:] = init_psis
-    pset.avg_value[:] = init_values
+    for run in runs:
+        run.pset.avg_value[:], run.pset.avg_psi[:] = measure(run)
 
-    for k in range(cfg.outer_iterations):
-        values, psis, occs = measure()
-        if cfg.ftl_mode == FtlMode.FULL_AVERAGE:
-            for i in range(n):
-                run_d[i] += (occs[i] - run_d[i]) / (k + 1)
-            run_v += (values - run_v) / (k + 1)
-            pset.avg_psi[:] = run_d @ mdp.features
-            pset.avg_value[:] = run_v
-        else:
-            for i in range(n):
-                update_moving_averages(pset, i, values[i], psis[i], cfg.moving_average)
+    for k in range(shared.outer_iterations):
+        mixed = []
+        for run in runs:
+            pset = run.pset
+            values, psis = measure(run)
+            if shared.ftl_mode == FtlMode.FULL_AVERAGE:
+                for i in range(n):
+                    run.run_d[i] += (run.occs[i] - run.run_d[i]) / (k + 1)
+                run.run_v += (values - run.run_v) / (k + 1)
+                pset.avg_psi[:] = run.run_d @ mdp.features
+                pset.avg_value[:] = run.run_v
+            else:
+                for i in range(n):
+                    update_moving_averages(pset, i, values[i], psis[i], shared.moving_average)
 
-        records.append(_trace_record(k, values, pset, psis, diversity_cfg))
+            run.records.append(_trace_record(k, values, pset, psis, diversity_cfg))
 
-        rewards_d = [zero_reward]
-        rewards_d += [
-            diversity_reward(features_sa, pset.avg_psi, i, diversity_cfg) for i in range(1, n)
-        ]
+            rewards_d = [zero_reward]
+            rewards_d += [
+                diversity_reward(features_sa, pset.avg_psi, i, diversity_cfg) for i in range(1, n)
+            ]
 
-        if strategy_cfg.kind == StrategyKind.DOMINO_LAGRANGIAN:
-            lagrange_step(pset, strategy_cfg.alpha, cfg.lagrange_lr)
+            if strategy_cfg.kind == StrategyKind.DOMINO_LAGRANGIAN:
+                lagrange_step(pset, strategy_cfg.alpha, shared.lagrange_lr)
 
-        # every mixed reward is fixed before any member moves, so the n best
-        # responses are one stacked solve
-        mixed = np.stack([mix(strategy_cfg, mdp.reward, rewards_d[i], pset, i) for i in range(n)])
-        pset.policies[:] = best_response(mdp, mixed, cfg.criterion, pset.policies)
+            mixed += [mix(strategy_cfg, mdp.reward, rewards_d[i], pset, i) for i in range(n)]
 
-    values, psis, _ = measure()
-    records.append(_trace_record(cfg.outer_iterations, values, pset, psis, diversity_cfg))
-    return pset, records
+        # every mixed reward is fixed before any member moves, so the best
+        # responses of every set's members are one stacked solve
+        start = np.concatenate([run.pset.policies for run in runs])
+        policies = best_response(mdp, np.stack(mixed), criterion, start)
+        for j, run in enumerate(runs):
+            run.pset.policies[:] = policies[j * n : (j + 1) * n]
+
+    for run in runs:
+        values, psis = measure(run)
+        run.records.append(
+            _trace_record(shared.outer_iterations, values, run.pset, psis, diversity_cfg)
+        )
+    return [(run.pset, run.records) for run in runs]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

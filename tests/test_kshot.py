@@ -147,20 +147,22 @@ def test_nonpositive_baseline_flags_and_nans():
 
 
 def _loop_paired_ratio_ci(returns, base_returns, level, resamples, seed):
-    """Reference nested bootstrap, drawn one seed at a time.
+    """Reference nested bootstrap, drawn one resample and one seed at a time.
 
-    Returns the (lo, hi) interval and how many resamples it dropped for a
-    nonpositive resampled baseline mean.
+    Seed indices come from child_rng(seed, "seeds"), episode indices from
+    child_rng(seed, "episodes"): per drawn seed, n_eval into returns, then
+    n_eval into base_returns. Returns the (lo, hi) interval and how many
+    resamples it dropped for a nonpositive resampled baseline mean.
     """
-    rng = np.random.default_rng(seed)
+    seed_rng, episode_rng = child_rng(seed, "seeds"), child_rng(seed, "episodes")
     n_seeds, n_eval = returns.shape
     stats = np.full(resamples, np.nan)
     for b in range(resamples):
-        chosen = rng.integers(n_seeds, size=n_seeds)
+        chosen = seed_rng.integers(n_seeds, size=n_seeds)
         ratios = np.empty(n_seeds)
         for j, t in enumerate(chosen):
-            m = returns[t, rng.integers(n_eval, size=n_eval)].mean()
-            base = base_returns[t, rng.integers(n_eval, size=n_eval)].mean()
+            m = returns[t, episode_rng.integers(n_eval, size=n_eval)].mean()
+            base = base_returns[t, episode_rng.integers(n_eval, size=n_eval)].mean()
             ratios[j] = m / base if base > 0 else np.nan
         stats[b] = np.mean(ratios)
     kept = stats[np.isfinite(stats)]
@@ -185,6 +187,16 @@ def test_paired_ratio_ci_matches_the_per_seed_loop(n_seeds, n_eval, sparse_basel
     assert (dropped > 0) == sparse_baseline
     got = divset.kshot._paired_ratio_ci(returns, base_returns, 0.9, 200, 17)
     assert got == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 300])
+def test_paired_ratio_ci_does_not_depend_on_the_chunk_size(chunk, monkeypatch):
+    rng = np.random.default_rng(9)
+    returns = rng.uniform(0.0, 5.0, size=(4, 6))
+    base_returns = rng.uniform(0.5, 5.0, size=(4, 6))
+    expected = divset.kshot._paired_ratio_ci(returns, base_returns, 0.9, 300, 5)
+    monkeypatch.setattr(divset.kshot, "_BOOTSTRAP_CHUNK", chunk)
+    assert divset.kshot._paired_ratio_ci(returns, base_returns, 0.9, 300, 5) == expected
 
 
 def test_paired_ratio_ci_memory_does_not_grow_with_the_resamples():
@@ -236,6 +248,32 @@ def golden_kshot_config(out: Path) -> dict:
 def test_run_kshot_reproduces_the_golden_kshot_csv(tmp_path):
     path = run_kshot(parse_config(golden_kshot_config(tmp_path / "out")))
     assert path.read_bytes() == (GOLDEN_DIR / "kshot_chain.csv").read_bytes()
+
+
+def test_run_kshot_trains_each_method_in_lockstep_stacks_of_at_most_64(tmp_path, monkeypatch):
+    stacks, calls = [], []
+    real_best_response, real_train_exact = divset.training.best_response, divset.experiment.train_exact
+
+    def recording_best_response(mdp, reward, criterion, start=None):
+        stacks.append(len(reward) if reward.ndim == 3 else 1)
+        return real_best_response(mdp, reward, criterion, start)
+
+    def counting_train_exact(*args):
+        calls.append(1)
+        return real_train_exact(*args)
+
+    monkeypatch.setattr(divset.training, "best_response", recording_best_response)
+    monkeypatch.setattr(divset.experiment, "train_exact", counting_train_exact)
+    d = golden_kshot_config(tmp_path / "out")
+    d["trainer"] = {"mode": "exact", "outer_iterations": 2}
+    d["kshot"]["methods"][0]["set_size"] = 10
+    d["kshot"]["n_train_seeds"] = 7  # 70 members of one method
+    run_kshot(parse_config(d))
+    assert len(calls) == 1 + len(d["kshot"]["methods"])
+    # six sets of ten per stack, then the seventh alone; the baseline's
+    # seven one-member sets are one stack
+    assert max(stacks) == 60
+    assert {60, 10, 7} <= set(stacks)
 
 
 def test_run_kshot_rolls_each_set_once_per_cell_and_seed(tmp_path, monkeypatch):

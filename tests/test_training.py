@@ -20,15 +20,18 @@ from divset import (
     TabularMdp,
     best_response,
     build_chain,
+    build_gridworld,
     deterministic_policy,
     diversity_score,
     expected_features,
+    four_rooms_spec,
     occupancy,
     policy_value,
     rollout,
     train_exact,
     train_sampled,
 )
+import divset.training
 from divset.training import _sample_from_cdf
 
 from helpers import random_mdp
@@ -143,6 +146,86 @@ def test_generalized_trace_objective_is_l0_times_the_summed_distances():
     _, trace = train_exact(mdp, 3, cfg, _DOMINO, ExactTrainConfig(outer_iterations=4, seed=1))
     for rec in trace:
         assert rec.objective_value == pytest.approx(l0 * 3 * rec.diversity_mean, rel=1e-12)
+
+
+def _assert_same_training(got, expected):
+    """Bit-for-bit equality of two (pset, trace) results."""
+    (pset_a, trace_a), (pset_b, trace_b) = got, expected
+    for name in ("policies", "mu", "avg_value", "avg_psi"):
+        assert getattr(pset_a, name).tobytes() == getattr(pset_b, name).tobytes(), name
+    assert repr(pset_a.vstar_estimate) == repr(pset_b.vstar_estimate)
+    assert len(trace_a) == len(trace_b)
+    for rec_a, rec_b in zip(trace_a, trace_b):
+        for field in dataclasses.fields(rec_a):
+            a, b = getattr(rec_a, field.name), getattr(rec_b, field.name)
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes(), (rec_a.iteration, field.name)
+            else:
+                assert repr(a) == repr(b), (rec_a.iteration, field.name)
+
+
+@pytest.mark.parametrize(
+    "case, unichain",
+    [
+        ("four_rooms", True),
+        ("chain", False),
+        ("chain_full_average", False),
+        ("chain_discounted", False),
+    ],
+)
+def test_lockstep_training_equals_one_set_at_a_time(case, unichain):
+    if case == "four_rooms":
+        mdp = build_gridworld(four_rooms_spec())
+    else:
+        mdp = build_chain(5, end_reward=1.0)
+    # the unichain fast path, or the multichain path member by member
+    assert bool(mdp.reach_under_every_policy.all()) == unichain
+    cfg = ExactTrainConfig(outer_iterations=5)
+    if case == "chain_full_average":
+        cfg = dataclasses.replace(cfg, ftl_mode=FtlMode.FULL_AVERAGE)
+    elif case == "chain_discounted":
+        cfg = dataclasses.replace(cfg, criterion=Criterion.DISCOUNTED)
+    cfgs = [dataclasses.replace(cfg, seed=seed) for seed in (3, 0, 11)]
+    together = train_exact(mdp, 3, _REPULSIVE, _DOMINO, cfgs)
+    assert len(together) == len(cfgs)
+    for got, one in zip(together, cfgs):
+        _assert_same_training(got, train_exact(mdp, 3, _REPULSIVE, _DOMINO, one))
+
+
+def test_lockstep_training_needs_configs_that_differ_only_in_seed():
+    mdp = build_chain(4, end_reward=1.0)
+    cfgs = [ExactTrainConfig(outer_iterations=2), ExactTrainConfig(outer_iterations=3, seed=1)]
+    with pytest.raises(ValueError, match="only in seed"):
+        train_exact(mdp, 2, _REPULSIVE, _DOMINO, cfgs)
+
+
+def test_exact_trainer_solves_an_occupancy_only_for_a_changed_policy(monkeypatch):
+    mdp = build_chain(5, end_reward=1.0)
+    n, iterations = 3, 8
+    solves, changed = [], []
+    real_occupancy, real_best_response = divset.training.occupancy, divset.training.best_response
+
+    def counting_occupancy(mdp, policy, criterion):
+        solves.append(1)
+        return real_occupancy(mdp, policy, criterion)
+
+    def tracking_best_response(mdp, reward, criterion, start=None):
+        policies = real_best_response(mdp, reward, criterion, start)
+        if start is not None:
+            changed.append(int(np.any(policies != start, axis=(1, 2)).sum()))
+        return policies
+
+    monkeypatch.setattr(divset.training, "occupancy", counting_occupancy)
+    monkeypatch.setattr(divset.training, "best_response", tracking_best_response)
+    cfg = ExactTrainConfig(outer_iterations=iterations, seed=2)
+    pset, trace = train_exact(mdp, n, _REPULSIVE, _DOMINO, cfg)
+    # the optimum, each initial policy once, then each member whose best
+    # response moved it
+    assert len(changed) == iterations
+    assert len(solves) == 1 + n + sum(changed)
+    assert sum(changed) < iterations * n
+    fresh = [policy_value(mdp, real_occupancy(mdp, p, cfg.criterion)) for p in pset.policies]
+    assert trace[-1].extrinsic_values.tobytes() == np.array(fresh).tobytes()
 
 
 def test_rollout_follows_the_dynamics():
