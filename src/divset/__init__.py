@@ -62,7 +62,6 @@ from .kshot import (
 from .mdp import (
     Criterion,
     InvalidMdpError,
-    NonUnichainError,
     TabularMdp,
     best_response,
     deterministic_policy,

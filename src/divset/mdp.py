@@ -16,8 +16,11 @@ Conventions used throughout:
 - Occupancies are distributions over state-action pairs (length S * A,
   summing to one) and come in two flavors:
 
-    average:     d(s, a) = rho(s) pi(a | s), where rho is the stationary
-                 distribution of the policy-induced chain P_pi.
+    average:     d(s, a) = rho(s) pi(a | s), where rho is the Cesaro limit
+                 of d0 P_pi^t: the stationary distribution of P_pi when it
+                 has one closed class, and otherwise each closed class's
+                 own stationary distribution, weighted by the d0 mass that
+                 ends up in that class.
     discounted:  d(s, a) = (1 - gamma) sum_t gamma^t Pr(s_t = s, a_t = a),
                  with t starting at 0 and s_0 ~ d0.
 
@@ -40,7 +43,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -51,7 +53,6 @@ __all__ = [
     "Criterion",
     "TabularMdp",
     "InvalidMdpError",
-    "NonUnichainError",
     "validate_mdp",
     "deterministic_policy",
     "policy_transition_matrix",
@@ -65,7 +66,6 @@ __all__ = [
 
 _SIMPLEX_TOL = 1e-9
 _STATIONARY_RESIDUAL_TOL = 1e-9
-_SMOOTHING_EPS = 1e-6
 # Howard's policy iteration switches a state's action only for a gain of
 # more than this fraction of the largest |q|, so rounding noise cannot make
 # it cycle.
@@ -74,10 +74,6 @@ _IMPROVEMENT_RTOL = 1e-12
 
 class InvalidMdpError(ValueError):
     """An MDP tuple violates its shape / stochasticity contract."""
-
-
-class NonUnichainError(RuntimeError):
-    """The policy-induced chain has no unique stationary distribution."""
 
 
 class Criterion(str, Enum):
@@ -195,56 +191,56 @@ def policy_transition_matrix(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
     return np.einsum("sa,sat->st", policy, mdp.transition)
 
 
-def _solve_stationary(P_pi: np.ndarray) -> np.ndarray | None:
-    """Solve rho^T P_pi = rho^T, sum rho = 1 by a direct linear solve.
+def _solve_stationary(P_pi: np.ndarray) -> np.ndarray:
+    """Solve rho^T P_pi = rho^T, sum rho = 1 for a chain with one closed class.
 
     The rows of (P_pi^T - I) sum to the zero vector, so exactly one of the
-    stationarity equations is redundant for a unichain and we may replace
-    it with the normalisation. Returns None when the chain admits no
-    unique solution (rank deficiency shows up as a singular system or as
-    a solution that fails the residual / nonnegativity checks).
+    stationarity equations is redundant and we may replace it with the
+    normalisation. With one closed class the system is nonsingular, so a
+    singular system, a negative entry or a residual above 1e-9 can only be
+    a numerical fault, and raises LinAlgError.
     """
     S = P_pi.shape[0]
     A = P_pi.T - np.eye(S)
     A[-1, :] = 1.0
     b = np.zeros(S)
     b[-1] = 1.0
-    try:
-        rho = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(rho)) or rho.min() < -1e-8:
-        return None
-    if np.max(np.abs(rho @ P_pi - rho)) > _STATIONARY_RESIDUAL_TOL:
-        return None
+    rho = np.linalg.solve(A, b)
+    if (
+        not np.all(np.isfinite(rho))
+        or rho.min() < -1e-8
+        or np.max(np.abs(rho @ P_pi - rho)) > _STATIONARY_RESIDUAL_TOL
+    ):
+        raise np.linalg.LinAlgError("the stationary solve is not a distribution of its chain")
     rho = np.clip(rho, 0.0, None)
     return rho / rho.sum()
 
 
 def stationary_distribution(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
-    """Average-flavor occupancy d(s, a) = rho(s) pi(a | s).
+    """Average-flavor occupancy d(s, a) = rho(s) pi(a | s), rho the Cesaro limit of d0 P_pi^t.
 
-    If the induced chain is reducible into several recurrent classes the
-    direct solve is rank deficient; we then retry once with the policy
-    smoothed toward uniform (eps = 1e-6) and warn, since the smoothed
-    chain is irreducible whenever the MDP is connected under the union of
-    actions. A second failure raises NonUnichainError.
+    With one closed class rho is P_pi's stationary distribution, whatever
+    d0. With several (Puterman 1994, App. A), each class C gets the
+    stationary distribution of its own block P_pi[C, C], weighted by the
+    mass that d0 ends up putting into C: its own d0 mass plus what the
+    transient states pass into it, one solve with the transient rows of
+    I - P_pi.
     """
-    rho = _solve_stationary(policy_transition_matrix(mdp, policy))
-    if rho is None:
-        warnings.warn(
-            "policy-induced chain has no unique stationary distribution; "
-            f"retrying with eps={_SMOOTHING_EPS} uniform smoothing",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        policy = (1.0 - _SMOOTHING_EPS) * policy + _SMOOTHING_EPS / mdp.num_actions
-        rho = _solve_stationary(policy_transition_matrix(mdp, policy))
-        if rho is None:
-            raise NonUnichainError(
-                "stationary equations remain rank-deficient after smoothing; "
-                "the chain has multiple recurrent classes"
-            )
+    P_pi = policy_transition_matrix(mdp, policy)
+    S, reach = len(P_pi), mdp.reach_under_every_policy
+    # when every pair is reachable under every policy, every policy has one class
+    cls = np.zeros(S, dtype=int) if reach.all() else _closed_classes(P_pi, reach)
+    heads = np.flatnonzero(cls == np.arange(S))
+    if len(heads) == 1:
+        rho = _solve_stationary(P_pi)
+    else:
+        identity = np.eye(S)
+        M = np.where((cls >= 0)[:, None], identity, identity - P_pi)
+        into = np.linalg.solve(M, (cls[:, None] == heads).astype(float))
+        rho = np.zeros(S)
+        for head, mass in zip(heads, mdp.initial_dist @ into):
+            C = cls == head
+            rho[C] = mass * _solve_stationary(P_pi[np.ix_(C, C)])
     return (rho[:, None] * policy).ravel()
 
 

@@ -115,23 +115,22 @@ def init_set(
 
 def update_moving_averages(
     pset: PolicySet,
-    i: int,
-    episode_rewards: np.ndarray,
-    episode_features: np.ndarray,
+    members: int | np.ndarray,
+    values: float | np.ndarray,
+    psis: np.ndarray,
     cfg: MovingAverageConfig,
 ) -> PolicySet:
-    """x~ <- decay * x~ + (1 - decay) * mean(episode), per statistic.
+    """x~ <- decay * x~ + (1 - decay) * x for the given members, per statistic.
 
-    episode_rewards is a 1-D array of per-step extrinsic rewards and
-    episode_features the matching (T, d) rows; an exact trainer passes the
-    exact value / feature vector as a length-1 episode. Mutates and
-    returns pset.
+    members indexes pset's rows (one index or an index array); values and
+    psis are the matching measured values and feature rows. An exact
+    trainer passes its members' exact values and expected features, a
+    sampled one the mean reward and mean feature row of an episode.
+    Mutates and returns pset.
     """
-    episode_rewards = np.atleast_1d(np.asarray(episode_rewards, dtype=float))
-    episode_features = np.atleast_2d(np.asarray(episode_features, dtype=float))
     a_v, a_f = cfg.value_decay, cfg.feature_decay
-    pset.avg_value[i] = a_v * pset.avg_value[i] + (1.0 - a_v) * episode_rewards.mean()
-    pset.avg_psi[i] = a_f * pset.avg_psi[i] + (1.0 - a_f) * episode_features.mean(axis=0)
+    pset.avg_value[members] = a_v * pset.avg_value[members] + (1.0 - a_v) * values
+    pset.avg_psi[members] = a_f * pset.avg_psi[members] + (1.0 - a_f) * psis
     return pset
 
 

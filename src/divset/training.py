@@ -315,8 +315,7 @@ def _train_exact_group(
                 pset.avg_psi[:] = run.run_d @ mdp.features
                 pset.avg_value[:] = run.run_v
             else:
-                for i in range(n):
-                    update_moving_averages(pset, i, values[i], psis[i], shared.moving_average)
+                update_moving_averages(pset, np.arange(n), values, psis, shared.moving_average)
 
             run.records.append(_trace_record(k, values, pset, psis, diversity_cfg))
 
@@ -443,7 +442,9 @@ def train_sampled(
             tsum = np.bincount(traj.states, targets, minlength=S)
             table[mask] += cfg.value_lr * (tsum[mask] / tcnt[mask] - table[mask])
 
-        update_moving_averages(pset, z, traj.rewards, traj.features, cfg.moving_average)
+        update_moving_averages(
+            pset, z, traj.rewards.mean(), traj.features.mean(axis=0), cfg.moving_average
+        )
         pset.vstar_estimate = float(pset.avg_value[0])
         if strategy_cfg.kind == StrategyKind.DOMINO_LAGRANGIAN and n > 1:
             lagrange_step_adam(pset, strategy_cfg.alpha, cfg.lagrange_lr, adam)

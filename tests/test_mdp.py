@@ -1,12 +1,14 @@
 """Occupancies, values, and best responses."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import divset.mdp
 from divset import (
     Criterion,
     InvalidMdpError,
-    NonUnichainError,
     TabularMdp,
     best_response,
     build_chain,
@@ -146,8 +148,7 @@ def _cesaro_gain(mdp: TabularMdp, actions: np.ndarray) -> np.ndarray:
 
     After S steps every path is on its cycle, and a cycle of at most S
     states repeats exactly over lcm(1..S) steps, so the Cesaro average of
-    P_pi^t r_pi over that window is the gain, without smoothing the
-    recurrent classes together as occupancy does.
+    P_pi^t r_pi over that window is the gain.
     """
     S = mdp.num_states
     P_pi = mdp.transition[np.arange(S), actions]
@@ -262,12 +263,71 @@ def test_best_response_keeps_the_shape_of_one_reward_and_rejects_others():
         best_response(mdp, np.zeros((2, 5, 3)), Criterion.AVERAGE, np.zeros((5, 3)))
 
 
-def test_disconnected_chain_raises_non_unichain():
-    # two absorbing states under every action: no unique stationary distribution
-    P = np.zeros((2, 2, 2))
+def _multichain_chain_mdps():
+    """The slip-free chain (its own uniform d0, and a random one) with all its
+    deterministic policies: "stay" everywhere makes every state its own class."""
+    mdp = build_chain(5, end_reward=1.0)
+    d0 = np.random.default_rng(13).dirichlet(np.ones(5))
+    tables = deterministic_action_tables(5, 3)
+    return (mdp, dataclasses.replace(mdp, initial_dist=d0)), tables
+
+
+def test_average_value_is_the_gain_from_d0_for_every_multichain_policy():
+    mdps, tables = _multichain_chain_mdps()
+    states = np.arange(5)
+    for mdp in mdps:
+        for row in tables:
+            occ = occupancy(mdp, deterministic_policy(row, 3), Criterion.AVERAGE)
+            P_pi, r_pi = mdp.transition[states, row], mdp.reward[states, row]
+            g, _ = _gain_and_bias(P_pi, r_pi, _closed_classes(P_pi, mdp.reach_under_every_policy))
+            assert abs(policy_value(mdp, occ) - mdp.initial_dist @ g) < 1e-12, row
+
+
+def test_average_state_marginal_is_the_cesaro_limit_for_every_multichain_policy():
+    # as in _cesaro_gain: after S steps every path is on its cycle, and the
+    # cycles repeat exactly over lcm(1..S) steps
+    mdps, tables = _multichain_chain_mdps()
+    window = np.lcm.reduce(np.arange(1, 6))
+    for mdp in mdps:
+        for row in tables:
+            occ = occupancy(mdp, deterministic_policy(row, 3), Criterion.AVERAGE)
+            P_pi = mdp.transition[np.arange(5), row]
+            x = mdp.initial_dist @ np.linalg.matrix_power(P_pi, 5)
+            total = np.zeros(5)
+            for _ in range(window):
+                total += x
+                x = x @ P_pi
+            assert np.max(np.abs(occ.reshape(5, 3).sum(axis=1) - total / window)) < 1e-12, row
+
+
+def test_each_closed_class_gets_the_d0_mass_that_ends_up_in_it():
+    # states 0 and 1 absorb under every action; state 2 is transient: action
+    # 0 stays with probability 0.5 or moves to 0, action 1 moves to 1
+    P = np.zeros((3, 2, 3))
     P[0, :, 0] = 1.0
     P[1, :, 1] = 1.0
-    mdp = TabularMdp(P, np.zeros((2, 2)), np.zeros((4, 1)), 0.9, np.array([0.5, 0.5]))
-    with pytest.warns(RuntimeWarning, match="stationary"):
-        with pytest.raises(NonUnichainError):
-            stationary_distribution(mdp, np.full((2, 2), 0.5))
+    P[2, 0, [0, 2]] = 0.5
+    P[2, 1, 1] = 1.0
+    d0 = np.array([0.2, 0.3, 0.5])
+    mdp = TabularMdp(P, np.zeros((3, 2)), np.zeros((6, 1)), 0.9, d0)
+    policy = np.array([[0.5, 0.5], [0.5, 0.5], [0.25, 0.75]])
+    # from state 2, a step stays w.p. 1/8 and leaves for 0 w.p. 1/8, so
+    # state 2's mass goes 1/7 to state 0 and 6/7 to state 1
+    rho = np.array([0.2 + 0.5 / 7, 0.3 + 0.5 * 6 / 7, 0.0])
+    occ = stationary_distribution(mdp, policy)
+    assert np.allclose(occ.reshape(3, 2), rho[:, None] * policy, rtol=0.0, atol=1e-15)
+
+
+def test_occupancy_on_four_rooms_needs_no_class_detection(monkeypatch):
+    def no_closure(*args):
+        raise AssertionError("_closed_classes called")
+
+    monkeypatch.setattr(divset.mdp, "_closed_classes", no_closure)
+    mdp = build_gridworld(four_rooms_spec())
+    rng = np.random.default_rng(14)
+    for _ in range(5):
+        policy = rng.dirichlet(np.ones(mdp.num_actions), size=mdp.num_states)
+        assert abs(occupancy(mdp, policy, Criterion.AVERAGE).sum() - 1.0) < 1e-12
+    # the patch is where occupancy looks: the slip-free chain does call it
+    with pytest.raises(AssertionError, match="_closed_classes"):
+        occupancy(build_chain(5), np.full((5, 3), 1.0 / 3), Criterion.AVERAGE)

@@ -52,12 +52,18 @@ def test_moving_average_update_formula():
     pset.avg_value[1] = 2.0
     pset.avg_psi[1] = np.array([0.0, 1.0])
     cfg = MovingAverageConfig(value_decay=0.9, feature_decay=0.5)
-    episode_rewards = np.array([0.0, 2.0])
-    episode_features = np.array([[1.0, 1.0], [3.0, 1.0]])
-    update_moving_averages(pset, 1, episode_rewards, episode_features, cfg)
-    # decay * old + (1 - decay) * episode mean, per statistic
+    update_moving_averages(pset, 1, 1.0, np.array([2.0, 1.0]), cfg)
+    # decay * old + (1 - decay) * measured, per statistic
     assert pset.avg_value[1] == pytest.approx(0.9 * 2.0 + 0.1 * 1.0)
     assert np.allclose(pset.avg_psi[1], [0.5 * 0.0 + 0.5 * 2.0, 0.5 * 1.0 + 0.5 * 1.0])
+    # one call over several members updates each row as a call of its own would
+    both = pset.copy()
+    values, psis = np.array([3.0, -1.0]), np.array([[1.0, 0.0], [0.0, 4.0]])
+    update_moving_averages(both, np.arange(2), values, psis, cfg)
+    for i in range(2):
+        update_moving_averages(pset, i, values[i], psis[i], cfg)
+    assert np.array_equal(both.avg_value, pset.avg_value)
+    assert np.array_equal(both.avg_psi, pset.avg_psi)
 
 
 def test_lagrange_step_signs_follow_the_constraint_residual():
