@@ -47,9 +47,9 @@ from .envs import (
 from .experiment import (
     RunSpec,
     enumerate_runs,
+    run_cell,
     run_experiment,
     run_kshot,
-    run_single,
 )
 from .kshot import (
     KShotConfig,

@@ -12,8 +12,15 @@ Outputs under output_dir:
     checkpoints/run_XXXXX.json   final policy set
     kshot.csv              few-shot evaluation rows (per-seed + aggregate)
 
-Worker count for sweep runs comes from the DIVSET_WORKERS environment
-variable (default 1); results are assembled in run order regardless.
+A cell is one (alpha, set size, contact distance, c_e, c_d) combination;
+its runs differ only in seed and are consecutive. Under the exact trainer
+a cell's runs train in lockstep, split into at most DIVSET_WORKERS chunks
+of consecutive seeds, one train_exact call and one pool task per chunk;
+sampled runs are one task each. The worker count comes from the
+DIVSET_WORKERS environment variable (default 1), and the pool never has
+more processes than tasks. Results are assembled in run order regardless,
+and lockstep training changes no set's arithmetic, so the output bytes do
+not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ __all__ = [
     "KSHOT_COLUMNS",
     "RunSpec",
     "enumerate_runs",
-    "run_single",
+    "run_cell",
     "run_experiment",
     "run_kshot",
 ]
@@ -151,46 +158,66 @@ def _train(
     return [train_sampled(mdp, n, diversity, strategy, cfg) for cfg in cfgs]
 
 
-def run_single(
-    config: ExperimentConfig, spec: RunSpec
-) -> tuple[list[str], list[list[str]], str]:
-    """One sweep run: returns (qd row, trace rows, checkpoint JSON)."""
+def _cell(spec: RunSpec) -> tuple:
+    return (spec.alpha, spec.set_size, spec.contact_distance, spec.c_e, spec.c_d)
+
+
+def run_cell(
+    config: ExperimentConfig, specs: Sequence[RunSpec]
+) -> list[tuple[list[str], list[list[str]], str]]:
+    """Sweep runs of one cell, trained in lockstep under the exact trainer
+    and one at a time under the sampled one: returns one (qd row, trace
+    rows, checkpoint JSON) per spec, in order."""
+    spec0 = specs[0]
+    if any(_cell(spec) != _cell(spec0) for spec in specs):
+        raise ValueError("run_cell needs runs of one (alpha, n, l0, c_e, c_d) cell")
     mdp, _ = config.environment.build()
-    dcfg = dataclasses.replace(config.diversity, contact_distance=spec.contact_distance)
+    dcfg = dataclasses.replace(config.diversity, contact_distance=spec0.contact_distance)
     scfg = dataclasses.replace(
-        config.strategy, alpha=spec.alpha, c_e=spec.c_e, c_d=spec.c_d
+        config.strategy, alpha=spec0.alpha, c_e=spec0.c_e, c_d=spec0.c_d
     )
-    pset, trace = _train(config, mdp, spec.set_size, dcfg, scfg, [spec.train_seed])[0]
-    final = trace[-1]
-    qd_row = [
-        strategy_descriptor(scfg),
-        repr(float(spec.alpha)),
-        str(spec.set_size),
-        repr(float(spec.contact_distance)),
-        str(spec.seed_label),
-        repr(float(final.extrinsic_values.mean())),
-        json.dumps([float(v) for v in final.extrinsic_values]),
-        repr(float(final.diversity_mean)),
-    ]
-    trace_rows = []
-    for rec in trace:
-        for i in range(spec.set_size):
-            trace_rows.append(
-                [
-                    str(rec.iteration),
-                    str(i),
-                    repr(float(rec.extrinsic_values[i])),
-                    repr(float(rec.sigma_mu[i])),
-                    repr(float(rec.diversity_mean)),
-                    repr(float(rec.diversity_mean_exact)),
-                    repr(float(rec.objective_value)),
-                ]
-            )
-    return qd_row, trace_rows, policy_set_to_json(pset)
+    trained = _train(config, mdp, spec0.set_size, dcfg, scfg, [s.train_seed for s in specs])
+    results = []
+    for spec, (pset, trace) in zip(specs, trained):
+        final = trace[-1]
+        qd_row = [
+            strategy_descriptor(scfg),
+            repr(float(spec.alpha)),
+            str(spec.set_size),
+            repr(float(spec.contact_distance)),
+            str(spec.seed_label),
+            repr(float(final.extrinsic_values.mean())),
+            json.dumps([float(v) for v in final.extrinsic_values]),
+            repr(float(final.diversity_mean)),
+        ]
+        trace_rows = [
+            [
+                str(rec.iteration),
+                str(i),
+                repr(float(rec.extrinsic_values[i])),
+                repr(float(rec.sigma_mu[i])),
+                repr(float(rec.diversity_mean)),
+                repr(float(rec.diversity_mean_exact)),
+                repr(float(rec.objective_value)),
+            ]
+            for rec in trace
+            for i in range(spec.set_size)
+        ]
+        results.append((qd_row, trace_rows, policy_set_to_json(pset)))
+    return results
 
 
-def _run_single_task(args: tuple) -> tuple[list[str], list[list[str]], str]:
-    return run_single(*args)
+def _chunks(config: ExperimentConfig, specs: list[RunSpec], workers: int) -> list[list[RunSpec]]:
+    """Exact runs: each cell split into at most `workers` consecutive chunks
+    of ceil(seeds / workers) runs. Sampled runs: one chunk per run."""
+    if config.trainer.mode != "exact":
+        return [[spec] for spec in specs]
+    chunks = []
+    for _, group in itertools.groupby(specs, key=_cell):
+        cell = list(group)
+        size = -(-len(cell) // workers)
+        chunks += [cell[i : i + size] for i in range(0, len(cell), size)]
+    return chunks
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -216,16 +243,17 @@ def run_experiment(config: ExperimentConfig) -> Path:
     (out / "traces").mkdir(parents=True, exist_ok=True)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     specs = enumerate_runs(config)
-    tasks = [(config, spec) for spec in specs]
     workers = _worker_count()
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_single_task, tasks))
+    chunks = _chunks(config, specs, workers)
+    if workers > 1 and len(chunks) > 1:
+        # a fork pool starts all its processes at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            results = list(pool.map(run_cell, itertools.repeat(config), chunks))
     else:
-        results = [_run_single_task(t) for t in tasks]
+        results = [run_cell(config, chunk) for chunk in chunks]
 
     qd_rows = []
-    for spec, (qd_row, trace_rows, ckpt) in zip(specs, results):
+    for spec, (qd_row, trace_rows, ckpt) in zip(specs, itertools.chain(*results)):
         qd_rows.append(qd_row)
         name = f"run_{spec.run_index:05d}"
         _write_csv(out / "traces" / f"{name}.csv", TRACE_COLUMNS, trace_rows)

@@ -31,7 +31,8 @@ Conventions used throughout:
 - Best responses are exact: Howard policy iteration over deterministic
   policies, which evaluates each policy by linear solves (the discounted
   values, or the gain and bias of every closed class of a multichain P_pi)
-  and stops once no state's action improves. There is no tolerance to tune.
+  and moves each state to its best action (Howard's greedy rule) until no
+  state's action improves. There is no tolerance to tune.
   best_response takes one (S, A) reward or an (n, S, A) stack and runs the
   n iterations in lockstep: each round gathers the policy matrices of the
   members still changing and evaluates them with one stacked solve. When
@@ -66,9 +67,9 @@ __all__ = [
 
 _SIMPLEX_TOL = 1e-9
 _STATIONARY_RESIDUAL_TOL = 1e-9
-# Howard's policy iteration switches a state's action only for a gain of
-# more than this fraction of the largest |q|, so rounding noise cannot make
-# it cycle.
+# Howard's policy iteration moves a state to its best action only when that
+# action beats the current one by more than this fraction of the largest
+# |q|, so rounding noise cannot make it cycle.
 _IMPROVEMENT_RTOL = 1e-12
 
 
@@ -327,15 +328,19 @@ def _gain_and_bias(
     return g, h
 
 
-def _improve(actions: np.ndarray, q: np.ndarray, allowed: np.ndarray | bool = True) -> np.ndarray:
-    """Per member and state, the lowest allowed action whose q beats the
-    current action's by more than _IMPROVEMENT_RTOL * that member's max |q|;
-    else the current one. actions is (m, S) and q is (m, S, A)."""
+def _improve(
+    actions: np.ndarray, q: np.ndarray, allowed: np.ndarray | None = None
+) -> np.ndarray:
+    """Howard's greedy rule, per member and state: the lowest-index allowed
+    action of largest q if it beats the current action's q by more than
+    _IMPROVEMENT_RTOL * that member's max |q|; else the current one.
+    actions is (m, S), q is (m, S, A) and allowed, if given, q's shape."""
     m, S = actions.shape
-    current = q[np.arange(m)[:, None], np.arange(S), actions][:, :, None]
-    slack = _IMPROVEMENT_RTOL * np.abs(q).max(axis=(1, 2), keepdims=True)
-    better = allowed & (q > current + slack)
-    return np.where(better.any(axis=2), np.argmax(better, axis=2), actions)
+    current = q[np.arange(m)[:, None], np.arange(S), actions]
+    slack = _IMPROVEMENT_RTOL * np.abs(q).max(axis=(1, 2))[:, None]
+    if allowed is not None:
+        q = np.where(allowed, q, -np.inf)
+    return np.where(q.max(axis=2) > current + slack, np.argmax(q, axis=2), actions)
 
 
 def _multichain_round(mdp: TabularMdp, reward: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -383,13 +388,13 @@ def best_response(
       for P g and, once no gain improves, the best action for r + P h among
       the actions that keep the gain.
 
-    The first two stack the members' policy matrices into one linear solve.
-    P @ h stays one product per member: one product over the stack would
-    change the low bits of q. A state switches only to an action that beats
-    its current one by more than a relative 1e-12, and then to the
-    lowest-index such action. Ties therefore keep the current action, which
-    makes each member's loop end; a member leaves the stack once no state
-    switches.
+    The first two stack the members' policy matrices into one linear solve
+    and compute every member's q with one broadcast product over the stack.
+    Each round moves a state to its best action (Howard's greedy rule), the
+    lowest-index one of largest q, but only when that action beats the
+    current one by more than a relative 1e-12. Ties therefore keep the
+    current action, which makes each member's loop end; a member leaves the
+    stack once no state switches.
     """
     S, A = mdp.num_states, mdp.num_actions
     if reward.ndim not in (2, 3) or reward.shape[-2:] != (S, A):
@@ -415,12 +420,12 @@ def best_response(
             if not discounted:
                 M[:, :, 0] = 1.0
             x = np.linalg.solve(M, r_pi[:, :, None])[:, :, 0]
-            if discounted:
-                q = r + mdp.discount * np.stack([P @ v for v in x])
-            else:
+            if not discounted:
                 x[:, 0] = 0.0
-                q = r + np.stack([P @ h for h in x])
-            improved = _improve(a, q)
+            q = (P @ x[:, None, :, None])[..., 0]
+            if discounted:
+                q *= mdp.discount
+            improved = _improve(a, r + q)
         else:
             improved = np.stack([_multichain_round(mdp, r_i, a_i) for r_i, a_i in zip(r, a)])
         changed = np.any(improved != a, axis=1)

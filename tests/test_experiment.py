@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import divset.experiment
 from divset import (
     ConfigError,
     StrategyConfig,
@@ -14,8 +15,8 @@ from divset import (
     hash64,
     parse_config,
     policy_set_from_json,
+    run_cell,
     run_experiment,
-    run_single,
 )
 from divset.experiment import (
     QD_COLUMNS,
@@ -60,24 +61,30 @@ def test_enumerate_runs_product_order_and_seeding(tmp_path):
     assert specs[0].c_d == cfg.strategy.c_d
 
 
-def test_run_single_rows_parse_back(tmp_path):
+def test_run_cell_rows_parse_back(tmp_path):
     cfg = parse_config(tiny_config(tmp_path))
-    spec = enumerate_runs(cfg)[1]
-    qd_row, trace_rows, ckpt = run_single(cfg, spec)
-    assert len(qd_row) == len(QD_COLUMNS)
-    assert qd_row[0] == "DominoLagrangian"
-    assert float(qd_row[1]) == spec.alpha
-    assert int(qd_row[2]) == spec.set_size
-    assert int(qd_row[4]) == spec.seed_label
-    per_policy = json.loads(qd_row[6])
-    assert len(per_policy) == spec.set_size
-    assert abs(sum(per_policy) / len(per_policy) - float(qd_row[5])) < 1e-12
-    # one trace row per (iteration, policy) pair, final evaluation included
-    assert len(trace_rows) == (3 + 1) * spec.set_size
-    assert all(len(r) == len(TRACE_COLUMNS) for r in trace_rows)
-    assert [int(r[1]) for r in trace_rows[:2]] == [0, 1]
-    pset = policy_set_from_json(ckpt)
-    assert pset.n == spec.set_size
+    specs = enumerate_runs(cfg)[2:4]  # both seeds of alpha 0.9
+    results = run_cell(cfg, specs)
+    assert len(results) == len(specs)
+    for spec, (qd_row, trace_rows, ckpt) in zip(specs, results):
+        assert len(qd_row) == len(QD_COLUMNS)
+        assert qd_row[0] == "DominoLagrangian"
+        assert float(qd_row[1]) == spec.alpha
+        assert int(qd_row[2]) == spec.set_size
+        assert int(qd_row[4]) == spec.seed_label
+        per_policy = json.loads(qd_row[6])
+        assert len(per_policy) == spec.set_size
+        assert abs(sum(per_policy) / len(per_policy) - float(qd_row[5])) < 1e-12
+        # one trace row per (iteration, policy) pair, final evaluation included
+        assert len(trace_rows) == (3 + 1) * spec.set_size
+        assert all(len(r) == len(TRACE_COLUMNS) for r in trace_rows)
+        assert [int(r[1]) for r in trace_rows[:2]] == [0, 1]
+        pset = policy_set_from_json(ckpt)
+        assert pset.n == spec.set_size
+    # a lockstep cell gives each run the outputs it gets alone
+    assert run_cell(cfg, specs[1:]) == results[1:]
+    with pytest.raises(ValueError, match="cell"):
+        run_cell(cfg, enumerate_runs(cfg)[1:3])
 
 
 def test_run_experiment_writes_all_outputs(tmp_path):
@@ -121,6 +128,49 @@ def test_parallel_workers_match_serial_bytes(tmp_path, monkeypatch):
     par = dataclasses.replace(cfg, output_dir=str(tmp_path / "par"))
     run_experiment(par)
     assert _tree_bytes(Path(cfg.output_dir)) == _tree_bytes(Path(par.output_dir))
+    # one cell of 5 seeds on 3 workers trains in chunks of 2, 2 and 1 seeds
+    five = parse_config(tiny_config(tmp_path, seeds=[0, 1, 2, 3, 4], sweep={}))
+    monkeypatch.delenv("DIVSET_WORKERS", raising=False)
+    run_experiment(five)
+    monkeypatch.setenv("DIVSET_WORKERS", "3")
+    par = dataclasses.replace(five, output_dir=str(tmp_path / "par3"))
+    run_experiment(par)
+    assert _tree_bytes(Path(five.output_dir)) == _tree_bytes(Path(par.output_dir))
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    ("trainer", "tasks"),
+    [
+        # two cells of two seeds, each split in two chunks of one seed
+        ({"mode": "exact", "outer_iterations": 1}, 4),
+        # one task per run
+        ({"mode": "sampled", "total_episodes": 2, "episode_length": 5, "eval_every": 2}, 4),
+    ],
+)
+def test_sweep_pool_has_no_more_processes_than_tasks(tmp_path, monkeypatch, trainer, tasks):
+    monkeypatch.setattr(divset.experiment, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "max_workers", [])
+    monkeypatch.setenv("DIVSET_WORKERS", "8")
+    run_experiment(parse_config(tiny_config(tmp_path, trainer=trainer)))
+    assert _SerialPool.max_workers == [tasks]
 
 
 def test_worker_count_parsing(monkeypatch):

@@ -173,9 +173,15 @@ def test_best_response_is_gain_optimal_from_every_multichain_start():
 
 
 def _scalar_improve(actions, q, allowed=True):
-    current = q[np.arange(len(q)), actions][:, None]
-    better = allowed & (q > current + 1e-12 * np.abs(q).max())
-    return np.where(better.any(axis=1), np.argmax(better, axis=1), actions)
+    """Howard's greedy rule for one member, one state at a time."""
+    slack = 1e-12 * np.abs(q).max()
+    improved = actions.copy()
+    for s, row in enumerate(q):
+        candidates = [a for a in range(len(row)) if np.all(allowed) or allowed[s, a]]
+        best = max(candidates, key=lambda a: (row[a], -a))
+        if row[best] > row[actions[s]] + slack:
+            improved[s] = best
+    return improved
 
 
 def _scalar_best_response(mdp, reward, criterion, start=None):
@@ -331,3 +337,44 @@ def test_occupancy_on_four_rooms_needs_no_class_detection(monkeypatch):
     # the patch is where occupancy looks: the slip-free chain does call it
     with pytest.raises(AssertionError, match="_closed_classes"):
         occupancy(build_chain(5), np.full((5, 3), 1.0 / 3), Criterion.AVERAGE)
+
+
+def _count_solves(monkeypatch) -> list:
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
+def test_howard_moves_a_state_to_its_best_action_in_one_round(monkeypatch):
+    # one state, three self-loops: the lowest improving action (1) would
+    # need a third evaluation, the best action (2) needs two
+    mdp = TabularMdp(np.ones((1, 3, 1)), np.array([[0.0, 1.0, 2.0]]), np.eye(3), 0.9, np.ones(1))
+    start = deterministic_policy(np.zeros(1, dtype=int), 3)
+    calls = _count_solves(monkeypatch)
+    pol = best_response(mdp, mdp.reward, Criterion.AVERAGE, start)
+    assert np.array_equal(pol, deterministic_policy(np.array([2]), 3))
+    assert len(calls) == 2
+
+
+def test_howard_moves_a_state_to_its_best_gain_in_one_round_on_a_multichain_mdp(monkeypatch):
+    # state 0 stays, or moves to absorbing state 1 (gain 1) or 2 (gain 2)
+    P = np.zeros((3, 3, 3))
+    P[0, np.arange(3), np.arange(3)] = 1.0
+    P[1, :, 1] = 1.0
+    P[2, :, 2] = 1.0
+    reward = np.repeat(np.arange(3.0)[:, None], 3, axis=1)
+    mdp = TabularMdp(P, reward, np.eye(9), 0.9, np.full(3, 1.0 / 3))
+    assert not mdp.reach_under_every_policy.all()  # the multichain path
+    start = deterministic_policy(np.zeros(3, dtype=int), 3)
+    calls = _count_solves(monkeypatch)
+    pol = best_response(mdp, mdp.reward, Criterion.AVERAGE, start)
+    assert np.array_equal(np.argmax(pol, axis=1), [2, 0, 0])
+    # one solve with every state recurrent, then three with state 0
+    # transient; moving to action 1 first would cost three more
+    assert len(calls) == 4
