@@ -115,25 +115,27 @@ class TabularMdp:
 
         Each row is a pair of Python lists (cum, outcomes): outcomes holds
         the next states with positive probability in increasing order, and
-        cum the cumulative sums of the dense row at those states. The
-        skipped zero entries add 0.0, which is exact, so cum holds the very
-        values of the dense cumsum. Computed once per MDP and shared by
+        cum the dense row's inf-tailed cumulative sums (_cdf_rows) at those
+        states, so the next state of a uniform draw u is
+        outcomes[bisect_right(cum, u)]. Computed once per MDP and shared by
         every rollout on it: treat the rows as read-only, and do not edit
         the transition tensor in place after first use.
         """
         S, A = self.num_states, self.num_actions
         P = self.transition.reshape(S * A, S)
         rows = []
-        for p, cum in zip(P, np.cumsum(P, axis=1)):
+        for p, cum in zip(P, _cdf_rows(P)):
             outcomes = np.flatnonzero(p)
             rows.append((cum[outcomes].tolist(), outcomes.tolist()))
         return rows
 
     @cached_property
     def initial_cdf(self) -> list[float]:
-        """Cumulative sums of initial_dist as a Python list, computed once per
-        MDP and shared by every rollout on it; treat it as read-only."""
-        return np.cumsum(self.initial_dist).tolist()
+        """The inf-tailed cumulative sums of initial_dist (_cdf_rows) as a
+        Python list: the initial state of a uniform draw u is
+        bisect_right(initial_cdf, u). Computed once per MDP and shared by
+        every rollout on it; treat it as read-only."""
+        return _cdf_rows(self.initial_dist).tolist()
 
     @cached_property
     def reach_under_every_policy(self) -> np.ndarray:
@@ -148,6 +150,18 @@ class TabularMdp:
         reach = _transitive_closure(np.all(self.transition > 0, axis=1))
         reach.flags.writeable = False
         return reach
+
+
+def _cdf_rows(probs: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, with every entry that reaches its
+    row's total set to +inf. bisect_right on such a row maps a uniform draw
+    u to the outcome whose interval holds u. Rounding can leave the total
+    short of 1; a u at or past it lands on the last outcome whose
+    probability survives in the sums, never on a later one that rounding
+    absorbed."""
+    cum = probs.cumsum(axis=-1)
+    np.putmask(cum, cum == cum[..., -1:], np.inf)
+    return cum
 
 
 def validate_mdp(mdp: TabularMdp) -> None:

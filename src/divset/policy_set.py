@@ -44,7 +44,7 @@ _SIGMOID_CLIP = 60.0
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -_SIGMOID_CLIP, _SIGMOID_CLIP)))
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -_SIGMOID_CLIP), _SIGMOID_CLIP)))
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,9 @@ def lagrange_step(pset: PolicySet, alpha: float, lr: float) -> PolicySet:
     reward. After the step mu is projected onto [-MU_BOUND, MU_BOUND].
     The anchor's mu is untouched.
     """
-    pset.mu[1:] -= lr * _lagrange_grads(pset, alpha)
-    np.clip(pset.mu[1:], -MU_BOUND, MU_BOUND, out=pset.mu[1:])
+    mu = pset.mu[1:]
+    mu -= lr * _lagrange_grads(pset, alpha)
+    np.minimum(np.maximum(mu, -MU_BOUND, out=mu), MU_BOUND, out=mu)
     return pset
 
 
@@ -189,8 +190,9 @@ def lagrange_step_adam(
     state.v = beta2 * state.v + (1.0 - beta2) * g**2
     m_hat = state.m / (1.0 - beta1**state.t)
     v_hat = state.v / (1.0 - beta2**state.t)
-    pset.mu[1:] -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    np.clip(pset.mu[1:], -MU_BOUND, MU_BOUND, out=pset.mu[1:])
+    mu = pset.mu[1:]
+    mu -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    np.minimum(np.maximum(mu, -MU_BOUND, out=mu), MU_BOUND, out=mu)
     return pset
 
 

@@ -26,7 +26,7 @@ deterministic given its seed.
 from __future__ import annotations
 
 import dataclasses
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -39,6 +39,7 @@ from .envs import Always, PerturbedMdp, Schedule
 from .mdp import (
     Criterion,
     TabularMdp,
+    _cdf_rows,
     best_response,
     expected_features,
     occupancy,
@@ -121,24 +122,12 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class _Trajectory:
-    states: np.ndarray  # (T,)
+    path: np.ndarray  # (T + 1,) the visited states, then the final next state
+    states: np.ndarray  # (T,) path[:-1]
     actions: np.ndarray  # (T,)
     rewards: np.ndarray  # (T,)
     features: np.ndarray  # (T, d)
-    next_states: np.ndarray  # (T,)
-
-
-def _sample_from_cdf(cum: list[float], u: float) -> int:
-    """Index of the entry of the cumulative row cum whose interval holds u.
-
-    Rounding can leave cum[-1] short of 1. A u at or past it maps to the
-    first index that reaches cum[-1]: the last outcome whose probability
-    survives in the sums, never a later one that rounding absorbed.
-    """
-    k = bisect_right(cum, u)
-    if k < len(cum):
-        return k
-    return bisect_left(cum, cum[-1])
+    next_states: np.ndarray  # (T,) path[1:]
 
 
 @lru_cache(maxsize=16)
@@ -152,14 +141,6 @@ def _active_steps(schedule: Schedule, horizon: int) -> tuple[tuple[bool, ...], n
     return steps, mask
 
 
-def _scheduled_dynamics(mdp: TabularMdp) -> tuple[Schedule, TabularMdp]:
-    """mdp's own dynamics apply at the steps the schedule marks active, the
-    fallback MDP's at every other step."""
-    if isinstance(mdp, PerturbedMdp):
-        return mdp.schedule, mdp.unperturbed
-    return Always(), mdp
-
-
 def rollout(
     mdp: TabularMdp, policy: np.ndarray, horizon: int, rng: np.random.Generator
 ) -> _Trajectory:
@@ -168,28 +149,33 @@ def rollout(
     On a perturbed MDP the perturbed transition and reward apply at step t
     iff its schedule is active at t, and the unperturbed ones otherwise.
     Every perturbation keeps the state indexing, so policies trained on the
-    unperturbed MDP apply unchanged.
+    unperturbed MDP apply unchanged. Each draw is one bisect_right on an
+    inf-tailed cumulative row (_cdf_rows).
     """
     A = mdp.num_actions
-    schedule, fallback = _scheduled_dynamics(mdp)
+    schedule, fallback = Always(), mdp
+    if isinstance(mdp, PerturbedMdp):
+        schedule, fallback = mdp.schedule, mdp.unperturbed
     active, active_mask = _active_steps(schedule, horizon)
     transition_rows = (fallback.transition_cdf, mdp.transition_cdf)  # by active[t]
-    policy_cdf = np.cumsum(policy, axis=1).tolist()
+    policy_cdf = _cdf_rows(policy).tolist()
     draws = rng.random(2 * horizon + 1).tolist()
-    s = _sample_from_cdf(mdp.initial_cdf, draws[0])
-    visited, chosen = [], []
-    for t in range(horizon):
-        a = _sample_from_cdf(policy_cdf[s], draws[2 * t + 1])
-        cum, outcomes = transition_rows[active[t]][s * A + a]
-        visited.append(s)
+    s = bisect_right(mdp.initial_cdf, draws[0])
+    visited, chosen = [s], []
+    for on, u_action, u_next in zip(active, draws[1::2], draws[2::2]):
+        a = bisect_right(policy_cdf[s], u_action)
+        cum, outcomes = transition_rows[on][s * A + a]
         chosen.append(a)
-        s = outcomes[_sample_from_cdf(cum, draws[2 * t + 2])]
-    states = np.array(visited, dtype=int)
+        s = outcomes[bisect_right(cum, u_next)]
+        visited.append(s)
+    path = np.array(visited, dtype=int)
     actions = np.array(chosen, dtype=int)
-    next_states = np.array((visited + [s])[1:], dtype=int)
-    rewards = np.where(active_mask, mdp.reward[states, actions], fallback.reward[states, actions])
-    features = mdp.features[states * A + actions]
-    return _Trajectory(states, actions, rewards, features, next_states)
+    pairs = path[:-1] * A + actions  # row-major (s, a) indices
+    rewards = mdp.reward.take(pairs)
+    if fallback is not mdp:
+        rewards = np.where(active_mask, rewards, fallback.reward.take(pairs))
+    features = mdp.features.take(pairs, axis=0)
+    return _Trajectory(path, path[:-1], actions, rewards, features, path[1:])
 
 
 def _trace_record(
@@ -350,26 +336,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _nstep_returns(
-    rewards: np.ndarray, values: np.ndarray, state_seq: np.ndarray, gamma: float, n: int
-) -> np.ndarray:
-    """G_t = sum_{k<min(n, T-t)} gamma^k r_{t+k} + gamma^{min(n, T-t)} V(s_...).
-
-    state_seq has length T+1 (the visited states plus the final next
-    state), so the truncated tail always bootstraps at an observed state.
-    """
-    T = len(rewards)
-    G = np.zeros(T)
-    gpow = 1.0
-    for k in range(min(n, T)):
-        G[: T - k] += gpow * rewards[k:]
-        gpow *= gamma
-    n_eff = np.minimum(n, T - np.arange(T))
-    boot = np.minimum(np.arange(T) + n, T)
-    G += gamma**n_eff * values[state_seq[boot]]
-    return G
-
-
 def train_sampled(
     mdp: TabularMdp,
     n: int,
@@ -386,14 +352,22 @@ def train_sampled(
     The diversity reward is rebuilt from the psi~ snapshot each episode.
     """
     S, A, d = mdp.num_states, mdp.num_actions, mdp.feature_dim
+    T = cfg.episode_length
     rng = np.random.default_rng(cfg.seed)
     logits = np.zeros((n, S, A))
-    v_e = np.zeros((n, S))
-    v_d = np.zeros((n, S))
+    critics = np.zeros((n, S, 2))  # per member and state: the extrinsic, the diversity critic
     pset = init_set(n, d, S, A, policy_init="uniform")
     adam = AdamState.zeros(max(n - 1, 1))
     features_sa = mdp.features_sa
     gamma = mdp.discount
+    action_cells = np.arange(A)
+    streams = np.arange(2)
+    # the n-step target of step t, sum_{k<min(n, T-t)} gamma^k r_{t+k}, bootstraps
+    # at path[min(t + n, T)], observed even for the truncated tail, with
+    # discount gamma^min(n, T - t)
+    steps = np.arange(T)
+    boot = np.minimum(steps + cfg.n_step, T)
+    boot_discount = (gamma ** np.minimum(cfg.n_step, T - steps))[:, None]
     records: list[TraceRecord] = []
 
     def record(it: int) -> None:
@@ -405,55 +379,58 @@ def train_sampled(
     for ep in range(cfg.total_episodes):
         z = int(rng.integers(n))
         probs = _softmax(logits[z])
-        traj = rollout(mdp, probs, cfg.episode_length, rng)
-        T = cfg.episode_length
+        traj = rollout(mdp, probs, T, rng)
+        states = traj.states
+        pairs = states * A + traj.actions  # row-major (s, a) indices
 
-        if z > 0 and n >= 2:
-            r_d_mat = diversity_reward(features_sa, pset.avg_psi, z, diversity_cfg)
-        else:
-            r_d_mat = np.zeros((S, A))
-        r_d_t = r_d_mat[traj.states, traj.actions]
+        rewards = np.zeros((T, 2))  # per step: the extrinsic, the diversity reward
+        rewards[:, 0] = traj.rewards
+        if z > 0:
+            r_d = diversity_reward(features_sa, pset.avg_psi, z, diversity_cfg)
+            rewards[:, 1] = r_d.take(pairs)
 
-        state_seq = np.append(traj.states, traj.next_states[-1])
-        targ_e = _nstep_returns(traj.rewards, v_e[z], state_seq, gamma, cfg.n_step)
-        targ_d = _nstep_returns(r_d_t, v_d[z], state_seq, gamma, cfg.n_step)
-        adv_e = targ_e - v_e[z][traj.states]
-        adv_d = targ_d - v_d[z][traj.states]
+        critic = critics[z]
+        targets = np.zeros((T, 2))
+        gpow = 1.0
+        for k in range(min(cfg.n_step, T)):
+            targets[: T - k] += gpow * rewards[k:]
+            gpow *= gamma
+        targets += boot_discount * critic.take(traj.path.take(boot), axis=0)
+        advs = targets - critic.take(states, axis=0)
         w_e, w_d = weights(strategy_cfg, pset, z)
-        adv = w_e * adv_e + w_d * adv_d
+        adv = w_e * advs[:, 0] + w_d * advs[:, 1]
 
         # one bincount adds the terms to each cell in the order three
         # np.add.at calls would: action terms, -adv * pi rows, entropy rows
-        pi_visited = probs[traj.states]
-        row_cells = (traj.states[:, None] * A + np.arange(A)).ravel()
-        cells = [traj.states * A + traj.actions, row_cells]
+        pi_visited = probs.take(states, axis=0)
+        row_cells = (states[:, None] * A + action_cells).ravel()
+        cells = [pairs, row_cells]
         terms = [adv, (-adv[:, None] * pi_visited).ravel()]
         if cfg.entropy_weight > 0.0:
-            logp = np.log(np.clip(pi_visited, 1e-30, None))
+            logp = np.log(np.maximum(pi_visited, 1e-30))
             ent = -(pi_visited * logp).sum(axis=1)
             cells.append(row_cells)
             terms.append((-cfg.entropy_weight * pi_visited * (logp + ent[:, None])).ravel())
         grad = np.bincount(np.concatenate(cells), np.concatenate(terms), minlength=S * A)
         logits[z] += cfg.policy_lr * grad.reshape(S, A) / T
 
-        tcnt = np.bincount(traj.states, minlength=S)
-        mask = tcnt > 0
-        for table, targets in ((v_e[z], targ_e), (v_d[z], targ_d)):
-            tsum = np.bincount(traj.states, targets, minlength=S)
-            table[mask] += cfg.value_lr * (tsum[mask] / tcnt[mask] - table[mask])
+        # each visited state's critics move toward their mean targets; one
+        # bincount sums both streams' targets, each bin in step order
+        tcnt = np.bincount(states, minlength=S)
+        stream_cells = (2 * states[:, None] + streams).ravel()
+        tsum = np.bincount(stream_cells, targets.ravel(), minlength=2 * S).reshape(S, 2)
+        mean_targets = tsum / np.maximum(tcnt, 1)[:, None]
+        seen = (tcnt > 0)[:, None]
+        np.copyto(critic, critic + cfg.value_lr * (mean_targets - critic), where=seen)
 
-        update_moving_averages(
-            pset, z, traj.rewards.mean(), traj.features.mean(axis=0), cfg.moving_average
-        )
+        # the episode means, computed as np.mean computes them
+        mean_reward, mean_features = traj.rewards.sum() / T, traj.features.sum(axis=0) / T
+        update_moving_averages(pset, z, mean_reward, mean_features, cfg.moving_average)
         pset.vstar_estimate = float(pset.avg_value[0])
         if strategy_cfg.kind == StrategyKind.DOMINO_LAGRANGIAN and n > 1:
             lagrange_step_adam(pset, strategy_cfg.alpha, cfg.lagrange_lr, adam)
 
-        if not (
-            np.all(np.isfinite(logits[z]))
-            and np.all(np.isfinite(v_e[z]))
-            and np.all(np.isfinite(v_d[z]))
-        ):
+        if not (np.isfinite(logits[z]).all() and np.isfinite(critic).all()):
             raise TrainingDivergedError(f"non-finite learner table after episode {ep}")
 
         if (ep + 1) % cfg.eval_every == 0 or ep + 1 == cfg.total_episodes:

@@ -207,9 +207,9 @@ def test_criterion_4_constraint_satisfaction_on_four_rooms(acceptance_line):
     for n in (5, 10):
         for alpha in (0.5, 0.7, 0.9):
             scfg = dataclasses.replace(cfg.strategy, alpha=alpha)
-            for seed in range(5):
-                tcfg = cfg.trainer.instantiate(seed)
-                pset, _ = train_exact(mdp, n, cfg.diversity, scfg, tcfg)
+            # one cell's five seeds train in lockstep, each as it would alone
+            tcfgs = [cfg.trainer.instantiate(seed) for seed in range(5)]
+            for seed, (pset, _) in enumerate(train_exact(mdp, n, cfg.diversity, scfg, tcfgs)):
                 values = np.array(
                     [policy_value(mdp, occupancy(mdp, p, crit)) for p in pset.policies]
                 )
@@ -354,11 +354,9 @@ def test_criterion_8_diversity_falls_as_the_constraint_tightens(acceptance_line)
     scatter = {}
     for alpha in (0.5, 0.98):
         scfg = dataclasses.replace(cfg.strategy, alpha=alpha)
-        finals = []
-        for seed in range(5):
-            tcfg = cfg.trainer.instantiate(seed)
-            _, trace = train_exact(mdp, 5, cfg.diversity, scfg, tcfg)
-            finals.append(trace[-1].diversity_mean)
+        tcfgs = [cfg.trainer.instantiate(seed) for seed in range(5)]
+        runs = train_exact(mdp, 5, cfg.diversity, scfg, tcfgs)
+        finals = [trace[-1].diversity_mean for _, trace in runs]
         means[alpha] = float(np.mean(finals))
         scatter[alpha] = [round(f, 4) for f in finals]
     trend_holds = means[0.5] >= means[0.98]

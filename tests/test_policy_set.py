@@ -14,7 +14,7 @@ from divset import (
     policy_set_to_json,
     update_moving_averages,
 )
-from divset.policy_set import MU_BOUND
+from divset.policy_set import MU_BOUND, sigmoid
 
 
 def test_init_set_state():
@@ -86,6 +86,20 @@ def test_lagrange_step_projects_onto_the_mu_box():
     pset.avg_value[1] = 100.0
     lagrange_step(pset, alpha=0.0, lr=1e6)
     assert pset.mu[1] == -MU_BOUND
+
+
+def test_sigmoid_and_the_mu_box_clip_as_np_clip_does():
+    x = np.array([-np.inf, -1e3, -60.0, -59.5, -4.5, -4.0, -0.0, 0.0, 3.9, 4.0, 60.0, 1e3, np.inf])
+    want = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    assert sigmoid(x).tobytes() == want.tobytes()
+    assert [sigmoid(v) for v in x] == want.tolist()
+    assert np.isnan(sigmoid(np.nan))
+    # with lr = 0 the step leaves every finite mu as it is, then projects it
+    finite = x[np.isfinite(x)]
+    pset = init_set(len(finite) + 1, 1, 2, 2)
+    pset.mu[1:] = finite
+    lagrange_step(pset, alpha=0.5, lr=0.0)
+    assert pset.mu[1:].tobytes() == np.clip(finite, -MU_BOUND, MU_BOUND).tobytes()
 
 
 def test_adam_step_matches_the_gradient_sign_and_projects():

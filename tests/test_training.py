@@ -1,17 +1,21 @@
 """Exact and sampled training loops."""
 
 import dataclasses
+from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from divset import (
+    AdamState,
     Always,
     Criterion,
     DiversityConfig,
     DiversityKind,
     ExactTrainConfig,
     FtlMode,
+    MovingAverageConfig,
     Periodic,
     PerturbedMdp,
     SampleTrainConfig,
@@ -22,19 +26,27 @@ from divset import (
     build_chain,
     build_gridworld,
     deterministic_policy,
+    diversity_objective,
+    diversity_reward,
     diversity_score,
     expected_features,
     four_rooms_spec,
+    init_set,
+    lagrange_step_adam,
+    load_config,
     occupancy,
     policy_value,
     rollout,
     train_exact,
     train_sampled,
+    update_moving_averages,
+    weights,
 )
 import divset.training
-from divset.training import _sample_from_cdf
 
-from helpers import random_mdp
+from helpers import KERNEL_CASES, random_mdp
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 _REPULSIVE = DiversityConfig(kind=DiversityKind.REPULSIVE)
 _DOMINO = StrategyConfig(kind=StrategyKind.DOMINO_LAGRANGIAN, alpha=0.9)
@@ -334,12 +346,23 @@ class _FixedDraws:
 
 
 def test_draws_past_a_rounded_cdf_land_on_the_last_positive_outcome():
-    # total mass short of 1, last outcome impossible
+    # total mass short of 1, last outcome impossible: the entry that
+    # reaches the total is +inf, so a draw at or past 0.6 lands on outcome 1
     cum, outcomes = _one_row_mdp(np.array([0.3, 0.3, 0.0])).transition_cdf[0]
-    assert (cum, outcomes) == ([0.3, 0.6], [0, 1])
-    assert [outcomes[_sample_from_cdf(cum, u)] for u in (0.0, 0.3, 0.6, 0.99)] == [0, 1, 1, 1]
-    # the same on a dense row, as policy rows are sampled
-    assert [_sample_from_cdf([0.3, 0.6, 0.6], u) for u in (0.0, 0.3, 0.6, 0.99)] == [0, 1, 1, 1]
+    assert (cum, outcomes) == ([0.3, np.inf], [0, 1])
+    assert [outcomes[bisect_right(cum, u)] for u in (0.0, 0.3, 0.6, 0.99)] == [0, 1, 1, 1]
+    # the same on a dense row, as policy rows are sampled: one state, three
+    # actions, and the action draws 0.0, 0.3, 0.6 and 0.99
+    mdp = TabularMdp(
+        transition=np.ones((1, 3, 1)),
+        reward=np.zeros((1, 3)),
+        features=np.zeros((3, 1)),
+        discount=0.9,
+        initial_dist=np.ones(1),
+    )
+    draws = [0.0, 0.0, 0.0, 0.3, 0.0, 0.6, 0.0, 0.99, 0.0]
+    traj = rollout(mdp, np.array([[0.3, 0.3, 0.0]]), 4, _FixedDraws(draws))
+    assert traj.actions.tolist() == [0, 1, 1, 1]
 
 
 def test_a_positive_tail_absorbed_by_rounding_is_never_drawn():
@@ -347,11 +370,145 @@ def test_a_positive_tail_absorbed_by_rounding_is_never_drawn():
     # mass in the sums, so a draw past the sums lands on outcome 1
     mdp = _one_row_mdp(np.array([0.3, 0.3, 1e-18, 0.0]))
     cum, outcomes = mdp.transition_cdf[0]
-    assert (cum, outcomes) == ([0.3, 0.6, 0.6], [0, 1, 2])
-    assert outcomes[_sample_from_cdf(cum, 0.7)] == 1
+    assert (cum, outcomes) == ([0.3, np.inf, np.inf], [0, 1, 2])
+    assert outcomes[bisect_right(cum, 0.7)] == 1
     traj = rollout(mdp, np.ones((4, 1)), 1, _FixedDraws([0.0, 0.5, 0.7]))
     assert traj.states.tolist() == [0]
     assert traj.next_states.tolist() == [1]
+
+
+def _softmax(logits):
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _plain_nstep_returns(rewards, values, state_seq, gamma, n):
+    T = len(rewards)
+    G = np.zeros(T)
+    gpow = 1.0
+    for k in range(min(n, T)):
+        G[: T - k] += gpow * rewards[k:]
+        gpow *= gamma
+    n_eff = np.minimum(n, T - np.arange(T))
+    boot = np.minimum(np.arange(T) + n, T)
+    G += gamma**n_eff * values[state_seq[boot]]
+    return G
+
+
+def _plain_train_sampled(mdp, n, diversity_cfg, strategy_cfg, cfg):
+    """Reference sampled trainer: the dense searchsorted rollout, one
+    critic table, one n-step return and one bincount per reward stream,
+    and the diversity reward gathered from its full (S, A) matrix."""
+    S, A, d = mdp.num_states, mdp.num_actions, mdp.feature_dim
+    T = cfg.episode_length
+    rng = np.random.default_rng(cfg.seed)
+    logits = np.zeros((n, S, A))
+    v_e = np.zeros((n, S))
+    v_d = np.zeros((n, S))
+    pset = init_set(n, d, S, A, policy_init="uniform")
+    adam = AdamState.zeros(max(n - 1, 1))
+    records = []
+
+    def record(it):
+        psis = [expected_features(mdp, occupancy(mdp, p, Criterion.AVERAGE)) for p in pset.policies]
+        records.append(
+            divset.training.TraceRecord(
+                iteration=it,
+                extrinsic_values=pset.avg_value.copy(),
+                sigma_mu=pset.extrinsic_weights(),
+                diversity_mean=diversity_score(pset.avg_psi),
+                diversity_mean_exact=diversity_score(np.stack(psis)),
+                objective_value=diversity_objective(pset.avg_psi, diversity_cfg),
+            )
+        )
+
+    for ep in range(cfg.total_episodes):
+        z = int(rng.integers(n))
+        probs = _softmax(logits[z])
+        states, actions, rewards, features, next_states = _dense_rollout(mdp, probs, T, rng)
+        r_d_mat = np.zeros((S, A))
+        if z > 0:
+            r_d_mat = diversity_reward(mdp.features_sa, pset.avg_psi, z, diversity_cfg)
+        r_d = r_d_mat[states, actions]
+        state_seq = np.append(states, next_states[-1])
+        targ_e = _plain_nstep_returns(rewards, v_e[z], state_seq, mdp.discount, cfg.n_step)
+        targ_d = _plain_nstep_returns(r_d, v_d[z], state_seq, mdp.discount, cfg.n_step)
+        w_e, w_d = weights(strategy_cfg, pset, z)
+        adv = w_e * (targ_e - v_e[z][states]) + w_d * (targ_d - v_d[z][states])
+
+        pi_visited = probs[states]
+        row_cells = (states[:, None] * A + np.arange(A)).ravel()
+        cells = [states * A + actions, row_cells]
+        terms = [adv, (-adv[:, None] * pi_visited).ravel()]
+        if cfg.entropy_weight > 0.0:
+            logp = np.log(np.clip(pi_visited, 1e-30, None))
+            ent = -(pi_visited * logp).sum(axis=1)
+            cells.append(row_cells)
+            terms.append((-cfg.entropy_weight * pi_visited * (logp + ent[:, None])).ravel())
+        grad = np.bincount(np.concatenate(cells), np.concatenate(terms), minlength=S * A)
+        logits[z] += cfg.policy_lr * grad.reshape(S, A) / T
+
+        tcnt = np.bincount(states, minlength=S)
+        mask = tcnt > 0
+        for table, targets in ((v_e[z], targ_e), (v_d[z], targ_d)):
+            tsum = np.bincount(states, targets, minlength=S)
+            table[mask] += cfg.value_lr * (tsum[mask] / tcnt[mask] - table[mask])
+
+        update_moving_averages(pset, z, rewards.mean(), features.mean(axis=0), cfg.moving_average)
+        pset.vstar_estimate = float(pset.avg_value[0])
+        if strategy_cfg.kind == StrategyKind.DOMINO_LAGRANGIAN and n > 1:
+            lagrange_step_adam(pset, strategy_cfg.alpha, cfg.lagrange_lr, adam)
+        if (ep + 1) % cfg.eval_every == 0 or ep + 1 == cfg.total_episodes:
+            pset.policies = _softmax(logits)
+            record(ep + 1)
+    pset.policies = _softmax(logits)
+    return pset, records
+
+
+def _sampled_oracle_cases():
+    four_rooms = load_config(CONFIG_DIR / "four_rooms_qd.json")
+    grid, _ = four_rooms.environment.build()
+    chain = build_chain(5, end_reward=1.0)
+    # dense 12-dimensional features: a per-pair reward from another BLAS
+    # call than the full matrix's would differ in low bits here
+    dense = random_mdp(np.random.default_rng(11), 6, 3, 12)
+    small = random_mdp(np.random.default_rng(12), 5, 4, 3)
+    smerl = StrategyConfig(kind=StrategyKind.SMERL, alpha=0.8, c_d=0.5)
+    no_entropy = SampleTrainConfig(
+        total_episodes=80, episode_length=23, eval_every=30, entropy_weight=0.0, n_step=7,
+        moving_average=MovingAverageConfig(0.8, 0.7), seed=2,
+    )
+    return {
+        "four rooms": (
+            grid, 5, four_rooms.diversity, four_rooms.strategy,
+            SampleTrainConfig(total_episodes=60, episode_length=100, eval_every=25, seed=3),
+        ),
+        "slip-free chain": (
+            chain, 1, _REPULSIVE, _DOMINO,
+            SampleTrainConfig(total_episodes=40, episode_length=30, eval_every=15, seed=1),
+        ),
+        "no entropy": (dense, 3, _REPULSIVE, _DOMINO, no_entropy),
+        "smerl": (
+            small, 3, KERNEL_CASES[1], smerl,
+            SampleTrainConfig(total_episodes=80, episode_length=9, eval_every=40, seed=4),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["four rooms", "slip-free chain", "no entropy", "smerl"])
+def test_sampled_trainer_matches_the_plain_reference_bit_for_bit(case):
+    args = _sampled_oracle_cases()[case]
+    got, got_trace = train_sampled(*args)
+    want, want_trace = _plain_train_sampled(*args)
+    for field in ("policies", "mu", "avg_value", "avg_psi", "vstar_estimate"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field
+    assert len(got_trace) == len(want_trace)
+    for g, w in zip(got_trace, want_trace):
+        for field in dataclasses.fields(divset.training.TraceRecord):
+            a, b = getattr(g, field.name), getattr(w, field.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (g.iteration, field.name)
 
 
 def test_sampled_trainer_is_deterministic_and_records_on_schedule():
