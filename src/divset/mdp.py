@@ -30,16 +30,10 @@ Conventions used throughout:
 
 - Best responses are exact: Howard policy iteration over deterministic
   policies, which evaluates each policy by linear solves (the discounted
-  values, or the gain and bias of every closed class of a multichain P_pi)
-  and moves each state to its best action (Howard's greedy rule) until no
-  state's action improves. There is no tolerance to tune.
-  best_response takes one (S, A) reward or an (n, S, A) stack and runs the
-  n iterations in lockstep: each round gathers the policy matrices of the
-  members still changing and evaluates them with one stacked solve. When
-  every policy of the MDP is irreducible (reach_under_every_policy is all
-  true, as on a grid with slip) the average criterion skips class
-  detection and the gain stage; other MDPs keep the multichain evaluation,
-  member by member.
+  values, or the gain and bias of every closed class of P_pi) and moves
+  each state to its best action (Howard's greedy rule) until no state's
+  action improves; no tolerance to tune. best_response iterates for an
+  (n, S, A) reward stack in lockstep, one stacked evaluation per round.
 """
 
 from __future__ import annotations
@@ -141,11 +135,9 @@ class TabularMdp:
     def reach_under_every_policy(self) -> np.ndarray:
         """reach[s, t]: t can follow s whatever the actions; (S, S), computed once per MDP.
 
-        Every policy reaches at least these pairs, so best_response starts
-        each policy's reachability from them. On a grid with slip they are
-        all pairs: then every policy is irreducible, with one closed class
-        and one gain, and best_response takes its unichain fast path, which
-        needs neither a closure per policy nor the gain stage.
+        Every policy reaches at least these pairs, so class detection starts
+        from them. On a grid with slip they are all pairs: then every policy
+        is irreducible, with one closed class, and none needs detecting.
         """
         reach = _transitive_closure(np.all(self.transition > 0, axis=1))
         reach.flags.writeable = False
@@ -249,8 +241,7 @@ def stationary_distribution(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
     if len(heads) == 1:
         rho = _solve_stationary(P_pi)
     else:
-        identity = np.eye(S)
-        M = np.where((cls >= 0)[:, None], identity, identity - P_pi)
+        M = _identity_rows(np.eye(S) - P_pi, cls >= 0)
         into = np.linalg.solve(M, (cls[:, None] == heads).astype(float))
         rho = np.zeros(S)
         for head, mass in zip(heads, mdp.initial_dist @ into):
@@ -293,52 +284,74 @@ def expected_features(mdp: TabularMdp, occ: np.ndarray) -> np.ndarray:
 
 
 def _transitive_closure(edges: np.ndarray) -> np.ndarray:
-    """reach[s, t]: t can follow s in zero or more steps of a boolean (S, S) relation."""
-    reach = edges | np.eye(len(edges), dtype=bool)
+    """reach[..., s, t]: t can follow s in zero or more steps of each boolean (S, S) relation."""
+    reach = edges | np.eye(edges.shape[-1], dtype=bool)
     while not reach.all():  # repeated squaring; a boolean matmul is an or of ands
         closure = reach @ reach
-        if np.array_equal(closure, reach):
+        if np.array_equal(closure, reach):  # a converged member squares to itself
             break
         reach = closure
     return reach
 
 
 def _closed_classes(P_pi: np.ndarray, reach_floor: np.ndarray) -> np.ndarray:
-    """Each state's closed class under P_pi, named by its lowest state; -1 if transient.
-
-    reach_floor[s, t] marks pairs already known to have t reachable from s.
-    """
+    """Each state's closed class under P_pi, (S, S) or stacked, named by its lowest
+    state; -1 if transient. reach_floor[s, t]: t is known to be reachable from s."""
     reach = _transitive_closure((P_pi > 0) | reach_floor)
     # a state is recurrent iff every state it reaches reaches it back; it
     # then reaches exactly its own class
-    recurrent = ~np.any(reach & ~reach.T, axis=1)
-    return np.where(recurrent, np.argmax(reach, axis=1), -1)
+    recurrent = ~np.any(reach & ~reach.swapaxes(-1, -2), axis=-1)
+    return np.where(recurrent, np.argmax(reach, axis=-1), -1)
 
 
-def _gain_and_bias(
-    P_pi: np.ndarray, r_pi: np.ndarray, cls: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Multichain evaluation (Puterman 1994, ch. 9): g = P_pi g and g + h = r_pi + P_pi h.
+def _identity_rows(M: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """M, (S, S) or (m, S, S), with the identity's rows where rows is true, in
+    place. On the recurrent rows of I - P_pi this gives the transient system."""
+    idx = np.nonzero(rows)
+    M[idx] = 0.0
+    M[idx + idx[-1:]] = 1.0
+    return M
 
-    cls names each state's closed class (_closed_classes). Each class has one
-    gain and a bias that is 0 at its lowest state, whose column of I - P_pi
-    then carries the class gain. The transient states are set aside for
-    that solve, then take their gain and bias from the classes they enter.
+
+def _classes(table: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(table, members, heads, columns, transient, several) for an (m, S) table of closed
+    classes: the (member, state) pairs of the class heads, the states of each head's class, and
+    the members with transient states and with more than one class."""
+    members, heads = np.nonzero(table == np.arange(table.shape[1]))
+    columns = table[members] == heads[:, None]
+    transient = np.flatnonzero((table < 0).any(axis=1))
+    several = np.flatnonzero(np.bincount(members, minlength=len(table)) > 1)
+    return table, members, heads, columns, transient, several
+
+
+def _gain_and_bias(M: np.ndarray, r_pi: np.ndarray, classes: tuple) -> tuple[np.ndarray, ...]:
+    """Multichain evaluation (Puterman 1994, ch. 8-9) of the (m, S, S) stack M = I - P_pi,
+    which this overwrites: g = P_pi g and g + h = r_pi + P_pi h, each member bit for bit as alone.
+    g is (m, S), or (m, 1) when every member has one class and no transient state.
+
+    Each class (classes, from _classes) has one gain and a bias that is 0 at its head, whose column
+    of M carries the gain in one stacked solve without the transient states; two more, over the
+    members that have any, carry gains and biases into them.
     """
-    S = len(r_pi)
-    recurrent = cls >= 0
-    heads = np.flatnonzero(cls == np.arange(S))
-    identity = np.eye(S)
-    M = np.where(recurrent[:, None], identity - P_pi, identity)
-    M[:, heads] = cls[:, None] == heads
-    x = np.linalg.solve(M, np.where(recurrent, r_pi, 0.0))
-    g = np.where(recurrent, x[cls], 0.0)
-    h = np.where(recurrent, x, 0.0)
-    h[heads] = 0.0
-    if not recurrent.all():
-        M = np.where(recurrent[:, None], identity, identity - P_pi)
-        g = np.linalg.solve(M, g)
-        h = np.linalg.solve(M, np.where(recurrent, h, r_pi - g))
+    cls, members, heads, columns, some, several = classes  # some: with transient states
+    rhs = r_pi
+    if some.size:
+        transient = cls < 0
+        into = _identity_rows(M[some], ~transient[some])
+        _identity_rows(M, transient)
+        rhs = np.where(transient, 0.0, r_pi)
+    M[members, :, heads] = columns
+    h = np.linalg.solve(M, rhs[..., None])[..., 0]
+    if some.size or several.size:
+        g = h[np.arange(len(h))[:, None], cls]
+    else:  # one class each and no transient state: one gain per member, (m, 1)
+        g = h[members, heads][:, None]
+    h[members, heads] = 0.0
+    if some.size:
+        g[transient] = h[transient] = 0.0
+        g[some] = np.linalg.solve(into, g[some][..., None])[..., 0]
+        bias_rhs = np.where(transient[some], r_pi[some] - g[some], h[some])
+        h[some] = np.linalg.solve(into, bias_rhs[..., None])[..., 0]
     return g, h
 
 
@@ -357,26 +370,6 @@ def _improve(
     return np.where(q.max(axis=2) > current + slack, np.argmax(q, axis=2), actions)
 
 
-def _multichain_round(mdp: TabularMdp, reward: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """One average-criterion Howard round for one member on any MDP.
-
-    Each state takes the best action for P g and, once no gain improves,
-    the best action for r + P h among the actions that keep the gain.
-    """
-    P = mdp.transition
-    states = np.arange(mdp.num_states)
-    P_pi, r_pi = P[states, actions], reward[states, actions]
-    cls = _closed_classes(P_pi, mdp.reach_under_every_policy)
-    g, h = _gain_and_bias(P_pi, r_pi, cls)
-    gain_q = (P @ g)[None]
-    improved = _improve(actions[None], gain_q)
-    if np.array_equal(improved[0], actions):
-        slack = _IMPROVEMENT_RTOL * np.abs(gain_q).max()
-        keeps_gain = gain_q >= gain_q[:, states, actions][:, :, None] - slack
-        improved = _improve(actions[None], (reward + P @ h)[None], keeps_gain)
-    return improved[0]
-
-
 def best_response(
     mdp: TabularMdp, reward: np.ndarray, criterion: Criterion, start: np.ndarray | None = None
 ) -> np.ndarray:
@@ -388,27 +381,21 @@ def best_response(
 
     Howard policy iteration (Puterman 1994, ch. 6, 8 and 9) from the
     greedy actions of start, or of reward when no start is given. The n
-    iterations run in lockstep, and each round evaluates every member whose
-    policy changed in the previous round exactly, then improves it:
+    iterations run in lockstep: each round evaluates the members whose
+    policy changed in the last round with one stacked solve and improves
+    them with one broadcast q product.
 
-    - discounted: v solves (I - gamma P_pi) v = r_pi, and each state takes
-      the best action for r + gamma P v;
-    - average, when every policy is irreducible (reach_under_every_policy
-      is all true): one class, so the gain is one number and cannot pick
-      an action. The bias h solves g + h = r_pi + P_pi h with h = 0 at
-      state 0, and each state takes the best action for r + P h;
-    - average, on any other MDP: g and h are the multichain gain and bias
-      (_gain_and_bias), member by member; each state takes the best action
-      for P g and, once no gain improves, the best action for r + P h among
-      the actions that keep the gain.
+    - discounted: v solves (I - gamma P_pi) v = r_pi, and q = r + gamma P v;
+    - average: g and h are the multichain gain and bias (_gain_and_bias),
+      and q = r + P h. A member with several closed classes moves by P g
+      while its gain improves, then by q among the actions that keep the
+      gain; with one class P g cannot pick an action. Class detection is
+      skipped when every policy is irreducible (reach_under_every_policy).
 
-    The first two stack the members' policy matrices into one linear solve
-    and compute every member's q with one broadcast product over the stack.
-    Each round moves a state to its best action (Howard's greedy rule), the
-    lowest-index one of largest q, but only when that action beats the
-    current one by more than a relative 1e-12. Ties therefore keep the
-    current action, which makes each member's loop end; a member leaves the
-    stack once no state switches.
+    A state moves to its best action (Howard's greedy rule), the
+    lowest-index one of largest q, only when that beats the current action
+    by more than a relative 1e-12. Ties keep the current action, which ends
+    each member's loop; a member leaves the stack once no state switches.
     """
     S, A = mdp.num_states, mdp.num_actions
     if reward.ndim not in (2, 3) or reward.shape[-2:] != (S, A):
@@ -419,29 +406,41 @@ def best_response(
     actions = np.argmax(rewards if start is None else start.reshape(-1, S, A), axis=2)
     P, states = mdp.transition, np.arange(S)
     discounted = criterion == Criterion.DISCOUNTED
-    stacked = discounted or mdp.reach_under_every_policy.all()
+    # without detection each policy has one class headed by state 0; m members take the first m rows
+    one_class = _classes(np.broadcast_to(0, (len(rewards), S)))
+    detect = not mdp.reach_under_every_policy.all()
     live = np.arange(len(rewards))
     while live.size:
         a, r = actions[live], rewards[live]
-        if stacked:
-            r_pi = r[np.arange(len(a))[:, None], states, a]
-            # the policy matrices, turned in place into I - gamma P_pi, or
-            # into I - P_pi with the column of h(0) = 0 carrying the gain
-            M = P[states, a]
-            if discounted:
-                M *= mdp.discount
+        r_pi = r[np.arange(len(a))[:, None], states, a]
+        # the policy matrices, turned in place into I - gamma P_pi or I - P_pi
+        M = P[states, a]
+        allowed = None
+        if discounted:
+            M *= mdp.discount
             np.subtract(np.eye(S), M, out=M)
-            if not discounted:
-                M[:, :, 0] = 1.0
-            x = np.linalg.solve(M, r_pi[:, :, None])[:, :, 0]
-            if not discounted:
-                x[:, 0] = 0.0
-            q = (P @ x[:, None, :, None])[..., 0]
-            if discounted:
-                q *= mdp.discount
-            improved = _improve(a, r + q)
+            v = np.linalg.solve(M, r_pi[..., None])[..., 0]
+            q = r + mdp.discount * (P @ v[:, None, :, None])[..., 0]
         else:
-            improved = np.stack([_multichain_round(mdp, r_i, a_i) for r_i, a_i in zip(r, a)])
+            if detect:
+                classes = _classes(_closed_classes(M, mdp.reach_under_every_policy))
+            else:
+                classes = [index[: len(a)] for index in one_class]
+            np.subtract(np.eye(S), M, out=M)
+            g, h = _gain_and_bias(M, r_pi, classes)
+            q = r + (P @ h[:, None, :, None])[..., 0]
+            several = classes[-1]
+            if several.size:
+                # a member whose gain improves moves by P g; the others move
+                # by r + P h among the actions that keep the gain
+                gain_q = (P @ g[several][:, None, :, None])[..., 0]
+                current = np.take_along_axis(gain_q, a[several][..., None], axis=2)
+                slack = _IMPROVEMENT_RTOL * np.abs(gain_q).max(axis=(1, 2))[:, None, None]
+                gains = np.any(gain_q > current + slack, axis=(1, 2))[:, None, None]
+                q[several] = np.where(gains, gain_q, q[several])
+                allowed = np.ones(q.shape, dtype=bool)
+                allowed[several] = gains | (gain_q >= current - slack)
+        improved = _improve(a, q, allowed)
         changed = np.any(improved != a, axis=1)
         actions[live] = improved
         live = live[changed]

@@ -79,8 +79,8 @@ class TrainingDivergedError(RuntimeError):
 
 class FtlMode(str, Enum):
     # MovingAverage: exponentially decayed statistics (the online recipe).
-    # FullAverage: uniform running means of the occupancies, the averaged
-    # iterate whose convergence the follow-the-leader argument speaks about.
+    # FullAverage: uniform running means of the exact values and features,
+    # the averaged iterate whose convergence the follow-the-leader argument speaks about.
     MOVING_AVERAGE = "MovingAverage"
     FULL_AVERAGE = "FullAverage"
 
@@ -200,8 +200,6 @@ class _ExactRun:
     """One set's state in the lockstep exact loop."""
 
     pset: PolicySet
-    run_d: np.ndarray  # (n, S * A) running-mean occupancies (FullAverage)
-    run_v: np.ndarray  # (n,) running-mean values (FullAverage)
     measured: np.ndarray  # (n, S, A) each member's policy at its last occupancy solve
     occs: list  # per member, that policy's occupancy
     records: list[TraceRecord]
@@ -266,7 +264,7 @@ def _train_exact_group(
         pset.vstar_estimate = vstar
         # nan policies equal no policy, so the first measure solves every member
         unmeasured = np.full((n, S, A), np.nan)
-        runs.append(_ExactRun(pset, np.zeros((n, S * A)), np.zeros(n), unmeasured, [None] * n, []))
+        runs.append(_ExactRun(pset, unmeasured, [None] * n, []))
 
     features_sa = mdp.features_sa
     zero_reward = np.zeros_like(mdp.reward)
@@ -295,11 +293,10 @@ def _train_exact_group(
             pset = run.pset
             values, psis = measure(run)
             if shared.ftl_mode == FtlMode.FULL_AVERAGE:
-                for i in range(n):
-                    run.run_d[i] += (run.occs[i] - run.run_d[i]) / (k + 1)
-                run.run_v += (values - run.run_v) / (k + 1)
-                pset.avg_psi[:] = run.run_d @ mdp.features
-                pset.avg_value[:] = run.run_v
+                # running means over iterations 0..k, started from the
+                # initial measure, which equals iteration 0's
+                pset.avg_value += (values - pset.avg_value) / (k + 1)
+                pset.avg_psi += (psis - pset.avg_psi) / (k + 1)
             else:
                 update_moving_averages(pset, np.arange(n), values, psis, shared.moving_average)
 

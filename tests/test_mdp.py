@@ -22,7 +22,7 @@ from divset import (
     validate_mdp,
 )
 from divset.envs import FeatureKind, build_gridworld, four_rooms_spec
-from divset.mdp import _closed_classes, _gain_and_bias
+from divset.mdp import _classes, _closed_classes, _gain_and_bias
 
 from helpers import deterministic_action_tables, random_mdp
 
@@ -184,9 +184,15 @@ def _scalar_improve(actions, q, allowed=True):
     return improved
 
 
+def _solve_alone(P_pi, r_pi, cls):
+    """_gain_and_bias for one policy, as a stack of one."""
+    g, h = _gain_and_bias((np.eye(len(cls)) - P_pi)[None], r_pi[None], _classes(cls[None]))
+    return np.broadcast_to(g, h.shape)[0], h[0]
+
+
 def _scalar_best_response(mdp, reward, criterion, start=None):
-    """Oracle: the one-reward Howard iteration that the stacked solver
-    replaced, with its multichain evaluation for every MDP. Returns actions."""
+    """Oracle: the one-reward Howard iteration, with the multichain evaluation
+    on every MDP and the gain stage only with several classes. Returns actions."""
     S = mdp.num_states
     P = mdp.transition
     states = np.arange(S)
@@ -198,12 +204,15 @@ def _scalar_best_response(mdp, reward, criterion, start=None):
             improved = _scalar_improve(actions, reward + mdp.discount * (P @ v))
         else:
             cls = _closed_classes(P_pi, mdp.reach_under_every_policy)
-            g, h = _gain_and_bias(P_pi, r_pi, cls)
-            gain_q = P @ g
-            improved = _scalar_improve(actions, gain_q)
-            if np.array_equal(improved, actions):
+            g, h = _solve_alone(P_pi, r_pi, cls)
+            improved, keeps_gain = actions, True
+            # with one class P g is the gain times a row sum: no gain stage
+            if np.count_nonzero(cls == states) > 1:
+                gain_q = P @ g
+                improved = _scalar_improve(actions, gain_q)
                 slack = 1e-12 * np.abs(gain_q).max()
                 keeps_gain = gain_q >= gain_q[states, actions][:, None] - slack
+            if np.array_equal(improved, actions):
                 improved = _scalar_improve(actions, reward + P @ h, keeps_gain)
         if np.array_equal(improved, actions):
             return actions
@@ -222,7 +231,7 @@ def _assert_matches_the_scalar_oracle(mdp, rewards, criterion, starts=None):
 @pytest.mark.parametrize("n", [1, 5, 10])
 def test_stacked_best_response_matches_the_scalar_oracle_on_four_rooms(n):
     mdp = build_gridworld(four_rooms_spec())
-    assert mdp.reach_under_every_policy.all()  # the unichain fast path
+    assert mdp.reach_under_every_policy.all()  # no class detection
     rng = np.random.default_rng(n)
     shape = (n, mdp.num_states, mdp.num_actions)
     rewards = mdp.reward + rng.normal(0.0, 0.3, size=shape)
@@ -234,14 +243,45 @@ def test_stacked_best_response_matches_the_scalar_oracle_on_four_rooms(n):
     _assert_matches_the_scalar_oracle(mdp, scales * rewards, Criterion.AVERAGE, starts)
 
 
+def _absorbing_mdp(seed: int) -> TabularMdp:
+    """A random 8-state MDP whose rows reach at most two states; state 0
+    absorbs under every action and state 1 under action 0: its deterministic
+    policies have one or several closed classes and often transient states."""
+    rng = np.random.default_rng(seed)
+    S, A = 8, 3
+    P = np.zeros((S, A, S))
+    for s, a in np.ndindex(S, A):
+        P[s, a, rng.choice(S, size=2, replace=False)] = rng.dirichlet(np.ones(2))
+    P[0], P[1, 0] = np.eye(S)[0], np.eye(S)[1]
+    mdp = TabularMdp(P, rng.normal(size=(S, A)), np.eye(S * A), 0.9, np.full(S, 1.0 / S))
+    validate_mdp(mdp)
+    return mdp
+
+
 def test_stacked_best_response_matches_the_scalar_oracle_on_multichain_starts():
-    # all 243 deterministic starts of the slip-free chain in one stack
-    mdp = build_chain(5, end_reward=1.0)
-    assert not mdp.reach_under_every_policy.all()  # the multichain path
-    starts = deterministic_policy(deterministic_action_tables(5, 3), 3)
+    # all 243 deterministic starts of the slip-free chain in one stack, then
+    # stacks that mix members with one class, with several and with
+    # transient states
+    chain = build_chain(5, end_reward=1.0)
+    inputs = [(chain, deterministic_action_tables(5, 3))]
     rng = np.random.default_rng(11)
-    for rewards in (np.tile(mdp.reward, (len(starts), 1, 1)), rng.normal(size=starts.shape)):
-        _assert_matches_the_scalar_oracle(mdp, rewards, Criterion.AVERAGE, starts)
+    inputs += [(_absorbing_mdp(seed), rng.integers(0, 3, size=(60, 8))) for seed in range(3)]
+    for mdp, tables in inputs:
+        assert not mdp.reach_under_every_policy.all()  # class detection runs
+        states = np.arange(mdp.num_states)
+        P_pi, r_pi = mdp.transition[states, tables], mdp.reward[states, tables]
+        classes = _classes(_closed_classes(P_pi, mdp.reach_under_every_policy))
+        table, members, _, _, transient, several = classes
+        assert transient.size and several.size and np.any(np.bincount(members) == 1)
+        # the stacked evaluation gives each member the bytes of its own
+        g, h = _gain_and_bias(np.eye(len(states)) - P_pi, r_pi, classes)
+        for i in range(len(tables)):
+            alone = _solve_alone(P_pi[i], r_pi[i], table[i])
+            assert g[i].tobytes() == alone[0].tobytes() and h[i].tobytes() == alone[1].tobytes()
+        starts = deterministic_policy(tables, mdp.num_actions)
+        for rewards in (np.tile(mdp.reward, (len(starts), 1, 1)), rng.normal(size=starts.shape)):
+            for criterion in Criterion:
+                _assert_matches_the_scalar_oracle(mdp, rewards, criterion, starts)
 
 
 def test_stacked_best_response_matches_the_scalar_oracle_when_discounted():
@@ -285,7 +325,7 @@ def test_average_value_is_the_gain_from_d0_for_every_multichain_policy():
         for row in tables:
             occ = occupancy(mdp, deterministic_policy(row, 3), Criterion.AVERAGE)
             P_pi, r_pi = mdp.transition[states, row], mdp.reward[states, row]
-            g, _ = _gain_and_bias(P_pi, r_pi, _closed_classes(P_pi, mdp.reach_under_every_policy))
+            g, _ = _solve_alone(P_pi, r_pi, _closed_classes(P_pi, mdp.reach_under_every_policy))
             assert abs(policy_value(mdp, occ) - mdp.initial_dist @ g) < 1e-12, row
 
 
@@ -334,9 +374,15 @@ def test_occupancy_on_four_rooms_needs_no_class_detection(monkeypatch):
     for _ in range(5):
         policy = rng.dirichlet(np.ones(mdp.num_actions), size=mdp.num_states)
         assert abs(occupancy(mdp, policy, Criterion.AVERAGE).sum() - 1.0) < 1e-12
-    # the patch is where occupancy looks: the slip-free chain does call it
+    shape = (6, mdp.num_states, mdp.num_actions)
+    for criterion in Criterion:
+        best_response(mdp, mdp.reward + rng.normal(0.0, 0.3, size=shape), criterion)
+    # the patch is where occupancy and best_response look: the slip-free
+    # chain does call it
     with pytest.raises(AssertionError, match="_closed_classes"):
         occupancy(build_chain(5), np.full((5, 3), 1.0 / 3), Criterion.AVERAGE)
+    with pytest.raises(AssertionError, match="_closed_classes"):
+        best_response(build_chain(5), build_chain(5).reward, Criterion.AVERAGE)
 
 
 def _count_solves(monkeypatch) -> list:
@@ -349,6 +395,20 @@ def _count_solves(monkeypatch) -> list:
 
     monkeypatch.setattr(np.linalg, "solve", counting)
     return calls
+
+
+def test_one_class_has_no_gain_stage_to_trip_on_row_sum_rounding():
+    # state 1 absorbs with reward 0.5; from state 0, action 0 moves there
+    # with reward 1 and action 1 with reward 0 and "probability" 1 + 1e-10,
+    # a row sum that validation allows. P g is then larger for action 1 by
+    # the rounding alone, but h(0) is 1.0 larger for action 0.
+    P = np.zeros((2, 2, 2))
+    P[:, :, 1] = [[1.0, 1.0 + 1e-10], [1.0, 1.0]]
+    mdp = TabularMdp(P, np.array([[1.0, 0.0], [0.5, 0.5]]), np.eye(4), 0.9, np.array([1.0, 0.0]))
+    validate_mdp(mdp)
+    start = deterministic_policy(np.zeros(2, dtype=int), 2)
+    pol = best_response(mdp, mdp.reward, Criterion.AVERAGE, start)
+    assert np.array_equal(np.argmax(pol, axis=1), [0, 0])
 
 
 def test_howard_moves_a_state_to_its_best_action_in_one_round(monkeypatch):
@@ -370,7 +430,7 @@ def test_howard_moves_a_state_to_its_best_gain_in_one_round_on_a_multichain_mdp(
     P[2, :, 2] = 1.0
     reward = np.repeat(np.arange(3.0)[:, None], 3, axis=1)
     mdp = TabularMdp(P, reward, np.eye(9), 0.9, np.full(3, 1.0 / 3))
-    assert not mdp.reach_under_every_policy.all()  # the multichain path
+    assert not mdp.reach_under_every_policy.all()  # class detection runs
     start = deterministic_policy(np.zeros(3, dtype=int), 3)
     calls = _count_solves(monkeypatch)
     pol = best_response(mdp, mdp.reward, Criterion.AVERAGE, start)

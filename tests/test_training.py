@@ -125,12 +125,22 @@ def test_anchor_constraint_reference_is_the_exact_optimum():
 
 def test_full_average_mode_tracks_running_means():
     mdp = build_chain(4, end_reward=1.0)
-    cfg = ExactTrainConfig(
-        outer_iterations=3, seed=0, ftl_mode=FtlMode.FULL_AVERAGE, policy_init="uniform"
-    )
-    pset, trace = train_exact(mdp, 1, _REPULSIVE, StrategyConfig(kind=StrategyKind.NO_DIVERSITY), cfg)
-    values = [rec.extrinsic_values[0] for rec in trace[:-1]]
-    assert pset.avg_value[0] == pytest.approx(np.mean(values), abs=1e-12)
+
+    def train(iterations):
+        cfg = ExactTrainConfig(
+            outer_iterations=iterations, seed=0, ftl_mode=FtlMode.FULL_AVERAGE, policy_init="uniform"
+        )
+        return train_exact(mdp, 2, _REPULSIVE, _DOMINO, cfg)
+
+    pset, trace = train(3)
+    values = np.stack([rec.extrinsic_values for rec in trace[:-1]])
+    assert np.allclose(pset.avg_value, values.mean(axis=0), rtol=0.0, atol=1e-12)
+    # iteration k measures the policies that k outer iterations return
+    psis = [
+        [expected_features(mdp, occupancy(mdp, policy, Criterion.AVERAGE)) for policy in policies]
+        for policies in (train(k)[0].policies for k in range(3))
+    ]
+    assert np.allclose(pset.avg_psi, np.mean(psis, axis=0), rtol=0.0, atol=1e-12)
 
 
 def test_trace_records_expose_weights_and_objective():
@@ -190,7 +200,7 @@ def test_lockstep_training_equals_one_set_at_a_time(case, unichain):
         mdp = build_gridworld(four_rooms_spec())
     else:
         mdp = build_chain(5, end_reward=1.0)
-    # the unichain fast path, or the multichain path member by member
+    # best responses with class detection skipped, or run every round
     assert bool(mdp.reach_under_every_policy.all()) == unichain
     cfg = ExactTrainConfig(outer_iterations=5)
     if case == "chain_full_average":
