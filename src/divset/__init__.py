@@ -97,6 +97,7 @@ from .training import (
     rollout,
     train_exact,
     train_sampled,
+    train_sampled_lockstep,
 )
 
 __version__ = "0.1.0"

@@ -13,10 +13,10 @@ Outputs under output_dir:
     kshot.csv              few-shot evaluation rows (per-seed + aggregate)
 
 A cell is one (alpha, set size, contact distance, c_e, c_d) combination;
-its runs differ only in seed and are consecutive. Under the exact trainer
-a cell's runs train in lockstep, split into at most DIVSET_WORKERS chunks
-of consecutive seeds, one train_exact call and one pool task per chunk;
-sampled runs are one task each. The worker count comes from the
+its runs differ only in seed and are consecutive. Under either trainer a
+cell's runs train in lockstep, split into at most DIVSET_WORKERS chunks of
+consecutive seeds, one lockstep training call and one pool task per chunk.
+The worker count comes from the
 DIVSET_WORKERS environment variable (default 1), and the pool never has
 more processes than tasks. Results are assembled in run order regardless,
 and lockstep training changes no set's arithmetic, so the output bytes do
@@ -43,7 +43,7 @@ from .mdp import TabularMdp
 from .policy_set import PolicySet, policy_set_to_json
 from .seeding import hash64
 from .strategies import StrategyConfig, StrategyKind
-from .training import TraceRecord, train_exact, train_sampled
+from .training import TraceRecord, train_exact, train_sampled_lockstep
 
 __all__ = [
     "WORKERS_ENV",
@@ -150,12 +150,12 @@ def _train(
     strategy: StrategyConfig,
     seeds: Sequence[int],
 ) -> list[tuple[PolicySet, list[TraceRecord]]]:
-    """Train one set per seed with the configured trainer: the exact trainer
-    trains them in one lockstep call, the sampled trainer one at a time."""
+    """Train one set per seed with the configured trainer, in one lockstep
+    call: train_exact or train_sampled_lockstep."""
     cfgs = [config.trainer.instantiate(seed) for seed in seeds]
     if config.trainer.mode == "exact":
         return train_exact(mdp, n, diversity, strategy, cfgs)
-    return [train_sampled(mdp, n, diversity, strategy, cfg) for cfg in cfgs]
+    return train_sampled_lockstep(mdp, n, diversity, strategy, cfgs)
 
 
 def _cell(spec: RunSpec) -> tuple:
@@ -165,9 +165,8 @@ def _cell(spec: RunSpec) -> tuple:
 def run_cell(
     config: ExperimentConfig, specs: Sequence[RunSpec]
 ) -> list[tuple[list[str], list[list[str]], str]]:
-    """Sweep runs of one cell, trained in lockstep under the exact trainer
-    and one at a time under the sampled one: returns one (qd row, trace
-    rows, checkpoint JSON) per spec, in order."""
+    """Sweep runs of one cell, trained in lockstep: returns one (qd row,
+    trace rows, checkpoint JSON) per spec, in order."""
     spec0 = specs[0]
     if any(_cell(spec) != _cell(spec0) for spec in specs):
         raise ValueError("run_cell needs runs of one (alpha, n, l0, c_e, c_d) cell")
@@ -207,11 +206,9 @@ def run_cell(
     return results
 
 
-def _chunks(config: ExperimentConfig, specs: list[RunSpec], workers: int) -> list[list[RunSpec]]:
-    """Exact runs: each cell split into at most `workers` consecutive chunks
-    of ceil(seeds / workers) runs. Sampled runs: one chunk per run."""
-    if config.trainer.mode != "exact":
-        return [[spec] for spec in specs]
+def _chunks(specs: list[RunSpec], workers: int) -> list[list[RunSpec]]:
+    """Each cell split into at most `workers` consecutive chunks of
+    ceil(seeds / workers) runs."""
     chunks = []
     for _, group in itertools.groupby(specs, key=_cell):
         cell = list(group)
@@ -244,7 +241,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     specs = enumerate_runs(config)
     workers = _worker_count()
-    chunks = _chunks(config, specs, workers)
+    chunks = _chunks(specs, workers)
     if workers > 1 and len(chunks) > 1:
         # a fork pool starts all its processes at the first submit
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
@@ -324,8 +321,8 @@ def _kshot_rows(
 def run_kshot(config: ExperimentConfig) -> Path:
     """Train per-method and baseline sets, evaluate under perturbations.
 
-    Each method's sets, and the baseline's, are trained with one _train
-    call over the training seeds: in lockstep under the exact trainer.
+    Each method's sets, and the baseline's, are trained in lockstep with
+    one _train call over the training seeds.
     Evaluation episode streams are derived without the method name, so
     every method (and the baseline against itself) sees identical
     environment randomness for a given perturbation. Each set is rolled

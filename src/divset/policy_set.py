@@ -17,6 +17,12 @@ v~_1), whose plain-gradient update moves mu_i by
 [-MU_BOUND, MU_BOUND]. The sign is the whole point: mu_i rises (more
 extrinsic) exactly when the policy is below the constraint alpha v~_1 and
 falls when it is above it.
+
+The moving averages and both Lagrange steps also take a PolicySet whose
+arrays carry leading set axes, members last: mu and avg_value (..., n),
+avg_psi (..., n, d), and vstar_estimate an array that broadcasts against
+them, such as (sets, 1). One call then steps every set, and each set's
+entries get the bits they would get alone.
 """
 
 from __future__ import annotations
@@ -122,8 +128,9 @@ def update_moving_averages(
 ) -> PolicySet:
     """x~ <- decay * x~ + (1 - decay) * x for the given members, per statistic.
 
-    members indexes pset's rows (one index or an index array); values and
-    psis are the matching measured values and feature rows. An exact
+    members indexes pset's rows (one index or an index array), or, for a
+    stacked set, its (set, member) pairs as a tuple of index arrays; values
+    and psis are the matching measured values and feature rows. An exact
     trainer passes its members' exact values and expected features, a
     sampled one the mean reward and mean feature row of an episode.
     Mutates and returns pset.
@@ -144,8 +151,8 @@ MU_BOUND = 4.0
 
 def _lagrange_grads(pset: PolicySet, alpha: float) -> np.ndarray:
     """d/dmu_i of sigma(mu_i) (v~_i - alpha vstar), for i >= 1."""
-    w = sigmoid(pset.mu[1:])
-    return w * (1.0 - w) * (pset.avg_value[1:] - alpha * pset.vstar_estimate)
+    w = sigmoid(pset.mu[..., 1:])
+    return w * (1.0 - w) * (pset.avg_value[..., 1:] - alpha * pset.vstar_estimate)
 
 
 def lagrange_step(pset: PolicySet, alpha: float, lr: float) -> PolicySet:
@@ -156,7 +163,7 @@ def lagrange_step(pset: PolicySet, alpha: float, lr: float) -> PolicySet:
     reward. After the step mu is projected onto [-MU_BOUND, MU_BOUND].
     The anchor's mu is untouched.
     """
-    mu = pset.mu[1:]
+    mu = pset.mu[..., 1:]
     mu -= lr * _lagrange_grads(pset, alpha)
     np.minimum(np.maximum(mu, -MU_BOUND, out=mu), MU_BOUND, out=mu)
     return pset
@@ -169,8 +176,8 @@ class AdamState:
     t: int = 0
 
     @classmethod
-    def zeros(cls, n: int) -> "AdamState":
-        return cls(m=np.zeros(n), v=np.zeros(n))
+    def zeros(cls, shape: int | tuple[int, ...]) -> "AdamState":
+        return cls(m=np.zeros(shape), v=np.zeros(shape))
 
 
 def lagrange_step_adam(
@@ -190,7 +197,7 @@ def lagrange_step_adam(
     state.v = beta2 * state.v + (1.0 - beta2) * g**2
     m_hat = state.m / (1.0 - beta1**state.t)
     v_hat = state.v / (1.0 - beta2**state.t)
-    mu = pset.mu[1:]
+    mu = pset.mu[..., 1:]
     mu -= lr * m_hat / (np.sqrt(v_hat) + eps)
     np.minimum(np.maximum(mu, -MU_BOUND, out=mu), MU_BOUND, out=mu)
     return pset

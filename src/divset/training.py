@@ -14,13 +14,18 @@ Both trainers implement the same game. Each outer step,
      an exact best response, or a policy-gradient step.
 
 The exact trainer is deterministic given its seed (randomness only enters
-through the initial policies). It trains one set, or several sets that
-differ only in seed in lockstep: each outer step's best responses of every
-set's members are one stacked solve, and each set's arithmetic is what it
-would be alone. A member's occupancy is solved again only when its policy
-changed. The sampled trainer is a tabular softmax
+through the initial policies). A member's occupancy is solved again only
+when its policy changed. The sampled trainer is a tabular softmax
 actor-critic with one critic per reward stream and n-step advantages,
 deterministic given its seed.
+
+Both trainers train one set, or several sets that differ only in seed in
+lockstep, at most _LOCKSTEP_MEMBERS members at a time. Exact: each outer
+step's best responses of every set's members are one stacked solve.
+Sampled: each episode every set walks its own episode from its own
+generator, and the updates run once over the sets' stacked tables. Either
+way each set's arithmetic is what it would be alone, so lockstep training
+changes no output.
 """
 
 from __future__ import annotations
@@ -65,11 +70,13 @@ __all__ = [
     "rollout",
     "train_exact",
     "train_sampled",
+    "train_sampled_lockstep",
 ]
 
 
-# most members in one best_response stack when train_exact trains several
-# sets in lockstep; it bounds the stack's memory whatever the number of sets
+# most members trained in one lockstep group (train_exact's best_response
+# stack, train_sampled_lockstep's tables); it bounds their memory whatever
+# the number of sets
 _LOCKSTEP_MEMBERS = 64
 
 
@@ -141,6 +148,51 @@ def _active_steps(schedule: Schedule, horizon: int) -> tuple[tuple[bool, ...], n
     return steps, mask
 
 
+def _schedule(mdp: TabularMdp, horizon: int) -> tuple[TabularMdp, tuple[bool, ...], np.ndarray]:
+    """(fallback, active, active_mask) of an episode of `horizon` steps on mdp:
+    on a perturbed MDP, the unperturbed MDP, which applies at the steps its
+    schedule leaves inactive; otherwise mdp itself, active at every step."""
+    if isinstance(mdp, PerturbedMdp):
+        return (mdp.unperturbed, *_active_steps(mdp.schedule, horizon))
+    return (mdp, *_active_steps(Always(), horizon))
+
+
+def _walk(
+    mdp: TabularMdp, fallback: TabularMdp, active: tuple[bool, ...], policy_cdf: list, draws: list
+) -> tuple[list[int], list[int]]:
+    """The step loop of one episode: its visited states (the start, then
+    each step's next state) and its chosen actions.
+
+    policy_cdf holds the policy's inf-tailed cumulative rows (_cdf_rows) as
+    lists and draws the episode's 2 * len(active) + 1 uniform draws: the
+    start, then per step the action and the next state. Each draw is one
+    bisect_right, on mdp's transition rows where active[t] holds and on
+    fallback's elsewhere.
+    """
+    A = mdp.num_actions
+    transition_rows = (fallback.transition_cdf, mdp.transition_cdf)  # by active[t]
+    s = bisect_right(mdp.initial_cdf, draws[0])
+    visited, chosen = [s], []
+    for on, u_action, u_next in zip(active, draws[1::2], draws[2::2]):
+        a = bisect_right(policy_cdf[s], u_action)
+        cum, outcomes = transition_rows[on][s * A + a]
+        chosen.append(a)
+        s = outcomes[bisect_right(cum, u_next)]
+        visited.append(s)
+    return visited, chosen
+
+
+def _step_rewards(
+    mdp: TabularMdp, fallback: TabularMdp, active_mask: np.ndarray, pairs: np.ndarray
+) -> np.ndarray:
+    """Per step, the reward of the row-major (s, a) pairs of one or more
+    episodes: mdp's where the schedule is active, fallback's elsewhere."""
+    rewards = mdp.reward.take(pairs)
+    if fallback is not mdp:
+        rewards = np.where(active_mask, rewards, fallback.reward.take(pairs))
+    return rewards
+
+
 def rollout(
     mdp: TabularMdp, policy: np.ndarray, horizon: int, rng: np.random.Generator
 ) -> _Trajectory:
@@ -150,30 +202,15 @@ def rollout(
     iff its schedule is active at t, and the unperturbed ones otherwise.
     Every perturbation keeps the state indexing, so policies trained on the
     unperturbed MDP apply unchanged. Each draw is one bisect_right on an
-    inf-tailed cumulative row (_cdf_rows).
+    inf-tailed cumulative row (_walk).
     """
-    A = mdp.num_actions
-    schedule, fallback = Always(), mdp
-    if isinstance(mdp, PerturbedMdp):
-        schedule, fallback = mdp.schedule, mdp.unperturbed
-    active, active_mask = _active_steps(schedule, horizon)
-    transition_rows = (fallback.transition_cdf, mdp.transition_cdf)  # by active[t]
-    policy_cdf = _cdf_rows(policy).tolist()
+    fallback, active, active_mask = _schedule(mdp, horizon)
     draws = rng.random(2 * horizon + 1).tolist()
-    s = bisect_right(mdp.initial_cdf, draws[0])
-    visited, chosen = [s], []
-    for on, u_action, u_next in zip(active, draws[1::2], draws[2::2]):
-        a = bisect_right(policy_cdf[s], u_action)
-        cum, outcomes = transition_rows[on][s * A + a]
-        chosen.append(a)
-        s = outcomes[bisect_right(cum, u_next)]
-        visited.append(s)
+    visited, chosen = _walk(mdp, fallback, active, _cdf_rows(policy).tolist(), draws)
     path = np.array(visited, dtype=int)
     actions = np.array(chosen, dtype=int)
-    pairs = path[:-1] * A + actions  # row-major (s, a) indices
-    rewards = mdp.reward.take(pairs)
-    if fallback is not mdp:
-        rewards = np.where(active_mask, rewards, fallback.reward.take(pairs))
+    pairs = path[:-1] * mdp.num_actions + actions  # row-major (s, a) indices
+    rewards = _step_rewards(mdp, fallback, active_mask, pairs)
     features = mdp.features.take(pairs, axis=0)
     return _Trajectory(path, path[:-1], actions, rewards, features, path[1:])
 
@@ -230,18 +267,25 @@ def train_exact(
     iteration plus a final evaluation record for the policies as returned.
     """
     single = isinstance(cfg, ExactTrainConfig)
-    cfgs = [cfg] if single else list(cfg)
+    results = _lockstep(
+        _train_exact_group, mdp, n, diversity_cfg, strategy_cfg, [cfg] if single else list(cfg)
+    )
+    return results[0] if single else results
+
+
+def _lockstep(train_group, mdp, n, diversity_cfg, strategy_cfg, cfgs: list) -> list:
+    """One (pset, trace) per config, in order: train_group trains runs of
+    consecutive configs in lockstep, at most _LOCKSTEP_MEMBERS members in
+    all (a set larger than that alone). The configs may differ only in seed."""
     if any(dataclasses.replace(c, seed=0) != dataclasses.replace(cfgs[0], seed=0) for c in cfgs):
-        raise ValueError("lockstep exact training needs configs that differ only in seed")
+        raise ValueError("lockstep training needs configs that differ only in seed")
     if n < 1:
         raise ValueError(f"need at least one policy, got n={n}")
     per_group = max(1, _LOCKSTEP_MEMBERS // n)
     results = []
     for first in range(0, len(cfgs), per_group):
-        results += _train_exact_group(
-            mdp, n, diversity_cfg, strategy_cfg, cfgs[first : first + per_group]
-        )
-    return results[0] if single else results
+        results += train_group(mdp, n, diversity_cfg, strategy_cfg, cfgs[first : first + per_group])
+    return results
 
 
 def _train_exact_group(
@@ -347,92 +391,162 @@ def train_sampled(
     advantages per reward stream (extrinsic critic and diversity critic),
     combined with the strategy's mixing weights, plus an entropy bonus.
     The diversity reward is rebuilt from the psi~ snapshot each episode.
+    One set is a lockstep group of one (train_sampled_lockstep).
     """
+    return train_sampled_lockstep(mdp, n, diversity_cfg, strategy_cfg, [cfg])[0]
+
+
+def train_sampled_lockstep(
+    mdp: TabularMdp,
+    n: int,
+    diversity_cfg: DiversityConfig,
+    strategy_cfg: StrategyConfig,
+    cfgs: Sequence[SampleTrainConfig],
+) -> list[tuple[PolicySet, list[TraceRecord]]]:
+    """train_sampled for each of cfgs, configs that differ only in seed,
+    trained in lockstep: one (pset, trace) per config, in order.
+
+    The sets are trained in groups of at most _LOCKSTEP_MEMBERS members, as
+    in train_exact. Each episode every set of a group draws its latent and
+    its episode from its own generator and walks its own episode; the
+    updates then run once over the group's (sets, ...) stacks. Each set's
+    arithmetic is what it would be alone, so each set gets the bytes it
+    gets from train_sampled. A group raises TrainingDivergedError when any
+    of its sets diverges.
+    """
+    return _lockstep(_train_sampled_group, mdp, n, diversity_cfg, strategy_cfg, list(cfgs))
+
+
+def _train_sampled_group(
+    mdp: TabularMdp,
+    n: int,
+    diversity_cfg: DiversityConfig,
+    strategy_cfg: StrategyConfig,
+    cfgs: list[SampleTrainConfig],
+) -> list[tuple[PolicySet, list[TraceRecord]]]:
     S, A, d = mdp.num_states, mdp.num_actions, mdp.feature_dim
-    T = cfg.episode_length
-    rng = np.random.default_rng(cfg.seed)
-    logits = np.zeros((n, S, A))
-    critics = np.zeros((n, S, 2))  # per member and state: the extrinsic, the diversity critic
-    pset = init_set(n, d, S, A, policy_init="uniform")
-    adam = AdamState.zeros(max(n - 1, 1))
+    G, shared = len(cfgs), cfgs[0]  # every field but the seed
+    T = shared.episode_length
+    rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
+    psets = [init_set(n, d, S, A, policy_init="uniform") for _ in cfgs]
+    # every set's statistics as one (sets, members, ...) stack, which each
+    # set's fields view; the stack's vstar is each set's anchor v~
+    stack = PolicySet(
+        policies=np.stack([p.policies for p in psets]),
+        mu=np.stack([p.mu for p in psets]),
+        avg_value=np.stack([p.avg_value for p in psets]),
+        avg_psi=np.stack([p.avg_psi for p in psets]),
+    )
+    stack.vstar_estimate = stack.avg_value[:, :1]
+    for pset, mu, values, psis in zip(psets, stack.mu, stack.avg_value, stack.avg_psi):
+        pset.mu, pset.avg_value, pset.avg_psi = mu, values, psis
+    adam = AdamState.zeros((G, max(n - 1, 1)))
+    # row g * n + z is set g's member z; the critics per state are the
+    # extrinsic, then the diversity critic
+    logits = np.zeros((G * n, S, A))
+    critics = np.zeros((G * n, S, 2))
+    critic_rows = critics.reshape(G * n * S, 2)  # row (g * n + z) * S + s
+    fallback, active, active_mask = _schedule(mdp, T)
     features_sa = mdp.features_sa
     gamma = mdp.discount
+    sets = np.arange(G)
     action_cells = np.arange(A)
     streams = np.arange(2)
     # the n-step target of step t, sum_{k<min(n, T-t)} gamma^k r_{t+k}, bootstraps
     # at path[min(t + n, T)], observed even for the truncated tail, with
     # discount gamma^min(n, T - t)
     steps = np.arange(T)
-    boot = np.minimum(steps + cfg.n_step, T)
-    boot_discount = (gamma ** np.minimum(cfg.n_step, T - steps))[:, None]
-    records: list[TraceRecord] = []
+    boot = np.minimum(steps + shared.n_step, T)
+    boot_discount = (gamma ** np.minimum(shared.n_step, T - steps))[:, None]
+    records: list[list[TraceRecord]] = [[] for _ in cfgs]
+
+    def set_policies() -> None:
+        stack.policies = _softmax(logits).reshape(G, n, S, A)
+        for pset, policies in zip(psets, stack.policies):
+            pset.policies = policies
 
     def record(it: int) -> None:
-        exact_psis = np.stack(
-            [expected_features(mdp, occupancy(mdp, p, Criterion.AVERAGE)) for p in pset.policies]
-        )
-        records.append(_trace_record(it, pset.avg_value.copy(), pset, exact_psis, diversity_cfg))
+        set_policies()
+        for pset, recs in zip(psets, records):
+            exact_psis = np.stack(
+                [expected_features(mdp, occupancy(mdp, p, Criterion.AVERAGE)) for p in pset.policies]
+            )
+            recs.append(_trace_record(it, pset.avg_value.copy(), pset, exact_psis, diversity_cfg))
 
-    for ep in range(cfg.total_episodes):
-        z = int(rng.integers(n))
-        probs = _softmax(logits[z])
-        traj = rollout(mdp, probs, T, rng)
-        states = traj.states
-        pairs = states * A + traj.actions  # row-major (s, a) indices
+    for ep in range(shared.total_episodes):
+        zs = [int(rng.integers(n)) for rng in rngs]
+        rows = sets * n + zs
+        probs = _softmax(logits[rows])
+        walks = [
+            _walk(mdp, fallback, active, policy_cdf, rng.random(2 * T + 1).tolist())
+            for rng, policy_cdf in zip(rngs, _cdf_rows(probs).tolist())
+        ]
+        path = np.array([visited for visited, _ in walks])
+        actions = np.array([chosen for _, chosen in walks])
+        states = path[:, :-1]
+        pairs = states * A + actions  # row-major (s, a) indices
+        set_states = sets[:, None] * S + states  # g * S + s
+        ext_rewards = _step_rewards(mdp, fallback, active_mask, pairs)
 
-        rewards = np.zeros((T, 2))  # per step: the extrinsic, the diversity reward
-        rewards[:, 0] = traj.rewards
-        if z > 0:
-            r_d = diversity_reward(features_sa, pset.avg_psi, z, diversity_cfg)
-            rewards[:, 1] = r_d.take(pairs)
+        rewards = np.zeros((G, T, 2))  # per step: the extrinsic, the diversity reward
+        rewards[:, :, 0] = ext_rewards
+        for g, z in enumerate(zs):
+            if z > 0:
+                # each set's own (S, A) product: a stacked or per-pair one
+                # changes low bits for dense features of 8 or more dimensions
+                r_d = diversity_reward(features_sa, psets[g].avg_psi, z, diversity_cfg)
+                rewards[g, :, 1] = r_d.take(pairs[g])
 
-        critic = critics[z]
-        targets = np.zeros((T, 2))
+        member_states = rows[:, None] * S
+        targets = np.zeros((G, T, 2))
         gpow = 1.0
-        for k in range(min(cfg.n_step, T)):
-            targets[: T - k] += gpow * rewards[k:]
+        for k in range(min(shared.n_step, T)):
+            targets[:, : T - k] += gpow * rewards[:, k:]
             gpow *= gamma
-        targets += boot_discount * critic.take(traj.path.take(boot), axis=0)
-        advs = targets - critic.take(states, axis=0)
-        w_e, w_d = weights(strategy_cfg, pset, z)
-        adv = w_e * advs[:, 0] + w_d * advs[:, 1]
+        targets += boot_discount * critic_rows.take(member_states + path[:, boot], axis=0)
+        advs = targets - critic_rows.take(member_states + states, axis=0)
+        w = np.array([weights(strategy_cfg, pset, z) for pset, z in zip(psets, zs)])
+        adv = w[:, :1] * advs[..., 0] + w[:, 1:] * advs[..., 1]
 
         # one bincount adds the terms to each cell in the order three
-        # np.add.at calls would: action terms, -adv * pi rows, entropy rows
-        pi_visited = probs.take(states, axis=0)
-        row_cells = (states[:, None] * A + action_cells).ravel()
-        cells = [pairs, row_cells]
-        terms = [adv, (-adv[:, None] * pi_visited).ravel()]
-        if cfg.entropy_weight > 0.0:
+        # np.add.at calls would: action terms, -adv * pi rows, entropy rows;
+        # each set's cells are its own
+        pi_visited = probs.reshape(G * S, A).take(set_states, axis=0)
+        row_cells = (set_states[..., None] * A + action_cells).ravel()
+        cells = [(set_states * A + actions).ravel(), row_cells]
+        terms = [adv.ravel(), (-adv[..., None] * pi_visited).ravel()]
+        if shared.entropy_weight > 0.0:
             logp = np.log(np.maximum(pi_visited, 1e-30))
-            ent = -(pi_visited * logp).sum(axis=1)
+            ent = -(pi_visited * logp).sum(axis=-1)
             cells.append(row_cells)
-            terms.append((-cfg.entropy_weight * pi_visited * (logp + ent[:, None])).ravel())
-        grad = np.bincount(np.concatenate(cells), np.concatenate(terms), minlength=S * A)
-        logits[z] += cfg.policy_lr * grad.reshape(S, A) / T
+            terms.append((-shared.entropy_weight * pi_visited * (logp + ent[..., None])).ravel())
+        grad = np.bincount(np.concatenate(cells), np.concatenate(terms), minlength=G * S * A)
+        logits[rows] += shared.policy_lr * grad.reshape(G, S, A) / T
 
         # each visited state's critics move toward their mean targets; one
         # bincount sums both streams' targets, each bin in step order
-        tcnt = np.bincount(states, minlength=S)
-        stream_cells = (2 * states[:, None] + streams).ravel()
-        tsum = np.bincount(stream_cells, targets.ravel(), minlength=2 * S).reshape(S, 2)
-        mean_targets = tsum / np.maximum(tcnt, 1)[:, None]
-        seen = (tcnt > 0)[:, None]
-        np.copyto(critic, critic + cfg.value_lr * (mean_targets - critic), where=seen)
+        tcnt = np.bincount(set_states.ravel(), minlength=G * S).reshape(G, S, 1)
+        stream_cells = (2 * set_states[..., None] + streams).ravel()
+        tsum = np.bincount(stream_cells, targets.ravel(), minlength=2 * G * S).reshape(G, S, 2)
+        mean_targets = tsum / np.maximum(tcnt, 1)
+        critic = critics[rows]
+        np.copyto(critic, critic + shared.value_lr * (mean_targets - critic), where=tcnt > 0)
+        critics[rows] = critic
 
         # the episode means, computed as np.mean computes them
-        mean_reward, mean_features = traj.rewards.sum() / T, traj.features.sum(axis=0) / T
-        update_moving_averages(pset, z, mean_reward, mean_features, cfg.moving_average)
-        pset.vstar_estimate = float(pset.avg_value[0])
+        mean_rewards = ext_rewards.sum(axis=1) / T
+        mean_features = mdp.features.take(pairs, axis=0).sum(axis=1) / T
+        update_moving_averages(stack, (sets, zs), mean_rewards, mean_features, shared.moving_average)
+        for pset, vstar in zip(psets, stack.avg_value[:, 0].tolist()):
+            pset.vstar_estimate = vstar
         if strategy_cfg.kind == StrategyKind.DOMINO_LAGRANGIAN and n > 1:
-            lagrange_step_adam(pset, strategy_cfg.alpha, cfg.lagrange_lr, adam)
+            lagrange_step_adam(stack, strategy_cfg.alpha, shared.lagrange_lr, adam)
 
-        if not (np.isfinite(logits[z]).all() and np.isfinite(critic).all()):
+        if not (np.isfinite(logits[rows]).all() and np.isfinite(critic).all()):
             raise TrainingDivergedError(f"non-finite learner table after episode {ep}")
 
-        if (ep + 1) % cfg.eval_every == 0 or ep + 1 == cfg.total_episodes:
-            pset.policies = _softmax(logits)
+        if (ep + 1) % shared.eval_every == 0 or ep + 1 == shared.total_episodes:
             record(ep + 1)
 
-    pset.policies = _softmax(logits)
-    return pset, records
+    set_policies()
+    return list(zip(psets, records))

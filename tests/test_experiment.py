@@ -128,20 +128,26 @@ def test_parallel_workers_match_serial_bytes(tmp_path, monkeypatch):
     par = dataclasses.replace(cfg, output_dir=str(tmp_path / "par"))
     run_experiment(par)
     assert _tree_bytes(Path(cfg.output_dir)) == _tree_bytes(Path(par.output_dir))
-    # one cell of 5 seeds on 3 workers trains in chunks of 2, 2 and 1 seeds
-    five = parse_config(tiny_config(tmp_path, seeds=[0, 1, 2, 3, 4], sweep={}))
-    monkeypatch.delenv("DIVSET_WORKERS", raising=False)
-    run_experiment(five)
-    monkeypatch.setenv("DIVSET_WORKERS", "3")
-    par = dataclasses.replace(five, output_dir=str(tmp_path / "par3"))
-    run_experiment(par)
-    assert _tree_bytes(Path(five.output_dir)) == _tree_bytes(Path(par.output_dir))
+    # one cell of 5 seeds on 3 workers trains in chunks of 2, 2 and 1 seeds,
+    # under either trainer
+    sampled = {"mode": "sampled", "total_episodes": 30, "episode_length": 12, "eval_every": 10}
+    for name, trainer in (("exact", None), ("sampled", sampled)):
+        five = tiny_config(tmp_path / name, seeds=[0, 1, 2, 3, 4], sweep={})
+        five = parse_config(five if trainer is None else dict(five, trainer=trainer))
+        monkeypatch.delenv("DIVSET_WORKERS", raising=False)
+        run_experiment(five)
+        monkeypatch.setenv("DIVSET_WORKERS", "3")
+        par = dataclasses.replace(five, output_dir=str(tmp_path / name / "par3"))
+        run_experiment(par)
+        assert _tree_bytes(Path(five.output_dir)) == _tree_bytes(Path(par.output_dir))
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the size of
+    each mapped chunk, maps in process."""
 
     max_workers: list[int] = []
+    chunks: list[int] = []
 
     def __init__(self, max_workers):
         self.max_workers.append(max_workers)
@@ -152,24 +158,29 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def map(self, fn, config, chunks):
+        chunks = list(chunks)
+        self.chunks.extend(len(chunk) for chunk in chunks)
+        return map(fn, config, chunks)
 
 
 @pytest.mark.parametrize(
     ("trainer", "tasks"),
     [
-        # two cells of two seeds, each split in two chunks of one seed
         ({"mode": "exact", "outer_iterations": 1}, 4),
-        # one task per run
         ({"mode": "sampled", "total_episodes": 2, "episode_length": 5, "eval_every": 2}, 4),
     ],
 )
 def test_sweep_pool_has_no_more_processes_than_tasks(tmp_path, monkeypatch, trainer, tasks):
     monkeypatch.setattr(divset.experiment, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "max_workers", [])
-    monkeypatch.setenv("DIVSET_WORKERS", "8")
-    run_experiment(parse_config(tiny_config(tmp_path, trainer=trainer)))
+    monkeypatch.setattr(_SerialPool, "chunks", [])
+    monkeypatch.setenv("DIVSET_WORKERS", "5")
+    # one cell of seven seeds on 5 workers: chunks of ceil(7 / 5) seeds, under
+    # either trainer, so 4 tasks and a pool of 4
+    seeds = list(range(7))
+    run_experiment(parse_config(tiny_config(tmp_path, trainer=trainer, seeds=seeds, sweep={})))
+    assert _SerialPool.chunks == [2, 2, 2, 1]
     assert _SerialPool.max_workers == [tasks]
 
 

@@ -117,6 +117,46 @@ def test_adam_step_matches_the_gradient_sign_and_projects():
     assert abs(pset.mu[1]) <= MU_BOUND and abs(pset.mu[2]) <= MU_BOUND
 
 
+def test_one_stacked_step_equals_the_per_set_steps_bit_for_bit():
+    rng = np.random.default_rng(8)
+    sets, n, d = 4, 5, 3
+    psets = [init_set(n, d, 2, 2) for _ in range(sets)]
+    for pset in psets:
+        pset.mu[:] = rng.normal(scale=3.0, size=n)
+        pset.avg_value[:] = rng.uniform(size=n)
+        pset.avg_psi[:] = rng.uniform(size=(n, d))
+        pset.vstar_estimate = float(pset.avg_value[0])
+    stack = init_set(n, d, 2, 2)
+    stack.mu, stack.avg_value, stack.avg_psi = (
+        np.stack([getattr(p, f) for p in psets]) for f in ("mu", "avg_value", "avg_psi")
+    )
+    stack.vstar_estimate = stack.avg_value[:, :1]  # a view: each set's anchor v~
+    states = [AdamState.zeros(n - 1) for _ in range(sets)]
+    stacked_state = AdamState.zeros((sets, n - 1))
+    cfg = MovingAverageConfig(value_decay=0.7, feature_decay=0.9)
+    for _ in range(30):
+        members = rng.integers(n, size=sets)
+        values, psis = rng.uniform(size=sets), rng.uniform(size=(sets, d))
+        update_moving_averages(stack, (np.arange(sets), members), values, psis, cfg)
+        lagrange_step_adam(stack, 0.9, 0.3, stacked_state)
+        lagrange_step(stack, 0.8, 0.7)
+        for g, pset in enumerate(psets):
+            update_moving_averages(pset, int(members[g]), values[g], psis[g], cfg)
+            pset.vstar_estimate = float(pset.avg_value[0])
+            lagrange_step_adam(pset, 0.9, 0.3, states[g])
+            lagrange_step(pset, 0.8, 0.7)
+    assert stacked_state.t == 30
+    for g, pset in enumerate(psets):
+        assert stack.mu[g].tobytes() == pset.mu.tobytes()
+        assert stack.avg_value[g].tobytes() == pset.avg_value.tobytes()
+        assert stack.avg_psi[g].tobytes() == pset.avg_psi.tobytes()
+        assert stacked_state.m[g].tobytes() == states[g].m.tobytes()
+        assert stacked_state.v[g].tobytes() == states[g].v.tobytes()
+    # the projection was exercised, and the anchors' mu never moved
+    assert np.all(np.abs(stack.mu[:, 1:]) <= MU_BOUND) and np.any(np.abs(stack.mu) == MU_BOUND)
+    assert np.any(np.abs(stack.mu[:, 0]) > MU_BOUND)
+
+
 def test_constraint_indicator_is_strict():
     pset = init_set(2, 1, 2, 2)
     pset.vstar_estimate = 1.0

@@ -39,6 +39,7 @@ from divset import (
     rollout,
     train_exact,
     train_sampled,
+    train_sampled_lockstep,
     update_moving_averages,
     weights,
 )
@@ -219,6 +220,9 @@ def test_lockstep_training_needs_configs_that_differ_only_in_seed():
     cfgs = [ExactTrainConfig(outer_iterations=2), ExactTrainConfig(outer_iterations=3, seed=1)]
     with pytest.raises(ValueError, match="only in seed"):
         train_exact(mdp, 2, _REPULSIVE, _DOMINO, cfgs)
+    cfgs = [SampleTrainConfig(total_episodes=2), SampleTrainConfig(total_episodes=3, seed=1)]
+    with pytest.raises(ValueError, match="only in seed"):
+        train_sampled_lockstep(mdp, 2, _REPULSIVE, _DOMINO, cfgs)
 
 
 def test_exact_trainer_solves_an_occupancy_only_for_a_changed_policy(monkeypatch):
@@ -519,6 +523,30 @@ def test_sampled_trainer_matches_the_plain_reference_bit_for_bit(case):
         for field in dataclasses.fields(divset.training.TraceRecord):
             a, b = getattr(g, field.name), getattr(w, field.name)
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (g.iteration, field.name)
+
+
+@pytest.mark.parametrize("case", ["four rooms", "slip-free chain", "no entropy", "smerl"])
+def test_sampled_lockstep_group_equals_each_seed_alone(case, monkeypatch):
+    mdp, n, dcfg, scfg, cfg = _sampled_oracle_cases()[case]
+    cfgs = [dataclasses.replace(cfg, seed=seed) for seed in (cfg.seed, 0, 17)]
+    together = train_sampled_lockstep(mdp, n, dcfg, scfg, cfgs)
+    assert len(together) == len(cfgs)
+    for got, one in zip(together, cfgs):
+        _assert_same_training(got, train_sampled(mdp, n, dcfg, scfg, one))
+        _assert_same_training(got, _plain_train_sampled(mdp, n, dcfg, scfg, one))
+    # past the member cap the sets train in groups of 2 and 1, with the same bytes
+    groups = []
+    real_group = divset.training._train_sampled_group
+
+    def recording_group(mdp, n, dcfg, scfg, group):
+        groups.append(len(group))
+        return real_group(mdp, n, dcfg, scfg, group)
+
+    monkeypatch.setattr(divset.training, "_LOCKSTEP_MEMBERS", 2 * n)
+    monkeypatch.setattr(divset.training, "_train_sampled_group", recording_group)
+    for got, want in zip(train_sampled_lockstep(mdp, n, dcfg, scfg, cfgs), together):
+        _assert_same_training(got, want)
+    assert groups == [2, 1]
 
 
 def test_sampled_trainer_is_deterministic_and_records_on_schedule():
