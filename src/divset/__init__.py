@@ -78,7 +78,6 @@ from .policy_set import (
     AdamState,
     MovingAverageConfig,
     PolicySet,
-    constraint_indicator,
     init_set,
     lagrange_step,
     lagrange_step_adam,
@@ -87,7 +86,7 @@ from .policy_set import (
     update_moving_averages,
 )
 from .seeding import child_rng, hash64
-from .strategies import StrategyConfig, StrategyKind, mix, weights
+from .strategies import StrategyConfig, StrategyKind, weights
 from .training import (
     ExactTrainConfig,
     FtlMode,

@@ -115,11 +115,13 @@ def _number(path: str, value, lo=None, hi=None) -> float:
     return x
 
 
-def _integer(path: str, value, lo=None) -> int:
+def _integer(path: str, value, lo=None, hi=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     if lo is not None and value < lo:
         raise ConfigError(f"{path}: {value} is below the minimum {lo}")
+    if hi is not None and value > hi:
+        raise ConfigError(f"{path}: {value} is above the maximum {hi}")
     return value
 
 
@@ -243,6 +245,11 @@ class ExperimentConfig:
     kshot: KShotSettings | None = None
 
 
+# Most states an environment may have. The transition tensor holds S^2 A
+# floats, and a lockstep best response gathers a (64, S, S) float64 stack:
+# 134 MB at 512 states.
+_MAX_STATES = 512
+
 # optional keys of both environment types
 _ENVIRONMENT = {
     "feature_kind": _enum_of(FeatureKind),
@@ -257,6 +264,9 @@ def _goal(path: str, entry) -> tuple[tuple[int, int], float]:
 
 
 def _grid_spec(goals: dict, **fields) -> GridSpec:
+    cells = fields["width"] * fields["height"]
+    if cells > _MAX_STATES:
+        raise ValueError(f"width * height = {cells} cells is above the maximum {_MAX_STATES}")
     return GridSpec(goal_cells=goals, **fields)
 
 
@@ -266,7 +276,7 @@ def _parse_environment(path: str, d: dict) -> EnvironmentSettings:
         chain = _section(
             path,
             rest,
-            {"length": partial(_integer, lo=2)},
+            {"length": partial(_integer, lo=2, hi=_MAX_STATES)},
             {"end_reward": _number, **_ENVIRONMENT},
             dict,
         )

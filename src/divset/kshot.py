@@ -174,7 +174,7 @@ def _paired_ratio_ci(
     split across calls give the values of one call, so the interval does not
     depend on the chunk size either. A resample whose baseline mean is not
     positive for some drawn seed has a nan statistic and is left out of the
-    percentiles.
+    percentiles; when no resample is left the interval is (nan, nan).
     """
     seed_rng, episode_rng = child_rng(seed, "seeds"), child_rng(seed, "episodes")
     n_seeds, n_eval = returns.shape
@@ -188,6 +188,9 @@ def _paired_ratio_ci(
         ratios = np.full((size, n_seeds), np.nan)
         np.divide(m, base, out=ratios, where=base > 0.0)
         stats[first : first + size] = ratios.mean(axis=1)
+    finite = stats[np.isfinite(stats)]
+    if not finite.size:
+        return float("nan"), float("nan")
     lo = (1.0 - level) / 2.0 * 100.0
-    low, high = np.percentile(stats[np.isfinite(stats)], [lo, 100.0 - lo])
+    low, high = np.percentile(finite, [lo, 100.0 - lo])
     return float(low), float(high)

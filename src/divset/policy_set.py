@@ -18,11 +18,13 @@ v~_1), whose plain-gradient update moves mu_i by
 extrinsic) exactly when the policy is below the constraint alpha v~_1 and
 falls when it is above it.
 
-The moving averages and both Lagrange steps also take a PolicySet whose
-arrays carry leading set axes, members last: mu and avg_value (..., n),
-avg_psi (..., n, d), and vstar_estimate an array that broadcasts against
-them, such as (sets, 1). One call then steps every set, and each set's
-entries get the bits they would get alone.
+A PolicySet may also stack several sets: its arrays then carry leading
+set axes before the member axis, policies (..., n, S, A), mu and avg_value
+(..., n), avg_psi (..., n, d), and vstar_estimate is a scalar or an array
+that broadcasts against them, such as (sets, 1). extrinsic_weights, the
+moving averages, both Lagrange steps and strategies.weights then act on
+every set in one call, and each set's entries get the bits they would get
+alone.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
     "update_moving_averages",
     "lagrange_step",
     "lagrange_step_adam",
-    "constraint_indicator",
     "policy_set_to_json",
     "policy_set_from_json",
 ]
@@ -69,22 +70,13 @@ class PolicySet:
 
     @property
     def n(self) -> int:
-        return len(self.policies)
+        return self.mu.shape[-1]
 
     def extrinsic_weights(self) -> np.ndarray:
-        """sigma(mu_i) per member, with the anchor pinned to exactly 1."""
+        """sigma(mu_i) per member, with each set's anchor pinned to exactly 1."""
         w = np.asarray(sigmoid(self.mu), dtype=float)
-        w[0] = 1.0
+        w[..., 0] = 1.0
         return w
-
-    def copy(self) -> "PolicySet":
-        return PolicySet(
-            policies=self.policies.copy(),
-            mu=self.mu.copy(),
-            avg_value=self.avg_value.copy(),
-            avg_psi=self.avg_psi.copy(),
-            vstar_estimate=self.vstar_estimate,
-        )
 
 
 def init_set(
@@ -128,11 +120,12 @@ def update_moving_averages(
 ) -> PolicySet:
     """x~ <- decay * x~ + (1 - decay) * x for the given members, per statistic.
 
-    members indexes pset's rows (one index or an index array), or, for a
-    stacked set, its (set, member) pairs as a tuple of index arrays; values
-    and psis are the matching measured values and feature rows. An exact
-    trainer passes its members' exact values and expected features, a
-    sampled one the mean reward and mean feature row of an episode.
+    members indexes pset's rows (one index, an index array, or ... for
+    every member of every set), or, for a stacked set, its (set, member)
+    pairs as a tuple of index arrays; values and psis are the matching
+    measured values and feature rows. An exact trainer passes its members'
+    exact values and expected features, a sampled one the mean reward and
+    mean feature row of an episode.
     Mutates and returns pset.
     """
     a_v, a_f = cfg.value_decay, cfg.feature_decay
@@ -201,11 +194,6 @@ def lagrange_step_adam(
     mu -= lr * m_hat / (np.sqrt(v_hat) + eps)
     np.minimum(np.maximum(mu, -MU_BOUND, out=mu), MU_BOUND, out=mu)
     return pset
-
-
-def constraint_indicator(pset: PolicySet, i: int, alpha: float) -> bool:
-    """True iff policy i currently violates v~_i >= alpha * v~_1 (strict <)."""
-    return bool(pset.avg_value[i] < alpha * pset.vstar_estimate)
 
 
 def policy_set_to_json(pset: PolicySet) -> str:

@@ -19,9 +19,9 @@ from enum import Enum
 
 import numpy as np
 
-from .policy_set import PolicySet, constraint_indicator
+from .policy_set import PolicySet
 
-__all__ = ["StrategyKind", "StrategyConfig", "weights", "mix"]
+__all__ = ["StrategyKind", "StrategyConfig", "weights"]
 
 
 class StrategyKind(str, Enum):
@@ -48,32 +48,27 @@ class StrategyConfig:
             raise ValueError(f"c_e must be in [0, 1], got {self.c_e}")
 
 
-def weights(strategy: StrategyConfig, pset: PolicySet, i: int) -> tuple[float, float]:
-    """(w_e, w_d): the weights policy i puts on the extrinsic and the
-    diversity reward stream."""
-    if i == 0 or strategy.kind == StrategyKind.NO_DIVERSITY:
-        return 1.0, 0.0
-    if strategy.kind == StrategyKind.DOMINO_LAGRANGIAN:
-        w = float(pset.extrinsic_weights()[i])
-        return w, 1.0 - w
-    if strategy.kind == StrategyKind.SMERL:
-        violated = constraint_indicator(pset, i, strategy.alpha)
-        return 1.0, 0.0 if violated else strategy.c_d
-    if strategy.kind == StrategyKind.REVERSE_SMERL:
-        violated = constraint_indicator(pset, i, strategy.alpha)
-        return (1.0 if violated else 0.0), strategy.c_d
-    if strategy.kind == StrategyKind.MULTI_OBJECTIVE:
-        return strategy.c_e, 1.0 - strategy.c_e
-    raise ValueError(f"unknown strategy kind {strategy.kind!r}")
-
-
-def mix(
-    strategy: StrategyConfig,
-    r_e: np.ndarray,
-    r_d: np.ndarray,
-    pset: PolicySet,
-    i: int,
-) -> np.ndarray:
-    """The reward matrix policy i's best response / learner should see."""
-    w_e, w_d = weights(strategy, pset, i)
-    return w_e * r_e + w_d * r_d
+def weights(strategy: StrategyConfig, pset: PolicySet) -> np.ndarray:
+    """The (..., n, 2) table of (w_e, w_d): the weights each member puts on
+    the extrinsic and the diversity reward stream, for one set or a stacked
+    set. The anchor's row is (1, 0); the Smerl gates read the strict
+    violation test v~_i < alpha v~_1."""
+    kind = strategy.kind
+    violated = pset.avg_value < strategy.alpha * pset.vstar_estimate
+    if kind == StrategyKind.DOMINO_LAGRANGIAN:
+        w_e = pset.extrinsic_weights()
+        w_d = 1.0 - w_e
+    elif kind == StrategyKind.SMERL:
+        w_e, w_d = 1.0, np.where(violated, 0.0, strategy.c_d)
+    elif kind == StrategyKind.REVERSE_SMERL:
+        w_e, w_d = np.where(violated, 1.0, 0.0), strategy.c_d
+    elif kind == StrategyKind.MULTI_OBJECTIVE:
+        w_e, w_d = strategy.c_e, 1.0 - strategy.c_e
+    elif kind == StrategyKind.NO_DIVERSITY:
+        w_e, w_d = 1.0, 0.0
+    else:
+        raise ValueError(f"unknown strategy kind {kind!r}")
+    table = np.empty(pset.avg_value.shape + (2,))
+    table[..., 0], table[..., 1] = w_e, w_d
+    table[..., 0, :] = (1.0, 0.0)
+    return table

@@ -20,8 +20,10 @@ actor-critic with one critic per reward stream and n-step advantages,
 deterministic given its seed.
 
 Both trainers train one set, or several sets that differ only in seed in
-lockstep, at most _LOCKSTEP_MEMBERS members at a time. Exact: each outer
-step's best responses of every set's members are one stacked solve.
+lockstep, at most _LOCKSTEP_MEMBERS members at a time. A group is one
+stacked PolicySet, so each moving-average, Lagrange and weights step is one
+call over every set. Exact: each outer step's best responses of every
+set's members are one stacked solve.
 Sampled: each episode every set walks its own episode from its own
 generator, and the updates run once over the sets' stacked tables. Either
 way each set's arithmetic is what it would be alone, so lockstep training
@@ -59,7 +61,7 @@ from .policy_set import (
     lagrange_step_adam,
     update_moving_averages,
 )
-from .strategies import StrategyConfig, StrategyKind, mix, weights
+from .strategies import StrategyConfig, StrategyKind, weights
 
 __all__ = [
     "FtlMode",
@@ -218,28 +220,42 @@ def rollout(
 def _trace_record(
     iteration: int,
     extrinsic_values: np.ndarray,
-    pset: PolicySet,
+    sigma_mu: np.ndarray,
+    avg_psi: np.ndarray,
     exact_psis: np.ndarray,
     diversity_cfg: DiversityConfig,
 ) -> TraceRecord:
+    """One set's record from its (n,) values and sigma row and its (n, d)
+    psi~ and exact psi rows."""
     return TraceRecord(
         iteration=iteration,
         extrinsic_values=extrinsic_values,
-        sigma_mu=pset.extrinsic_weights(),
-        diversity_mean=diversity_score(pset.avg_psi),
+        sigma_mu=sigma_mu,
+        diversity_mean=diversity_score(avg_psi),
         diversity_mean_exact=diversity_score(exact_psis),
-        objective_value=diversity_objective(pset.avg_psi, diversity_cfg),
+        objective_value=diversity_objective(avg_psi, diversity_cfg),
     )
 
 
-@dataclass
-class _ExactRun:
-    """One set's state in the lockstep exact loop."""
+# the array fields of a PolicySet, which a stacked set stacks
+_FIELDS = ("policies", "mu", "avg_value", "avg_psi")
 
-    pset: PolicySet
-    measured: np.ndarray  # (n, S, A) each member's policy at its last occupancy solve
-    occs: list  # per member, that policy's occupancy
-    records: list[TraceRecord]
+
+def _stack(psets: list[PolicySet]) -> PolicySet:
+    """The sets as one stacked PolicySet, set axis first in every field."""
+    return PolicySet(*(np.stack([getattr(p, f) for p in psets]) for f in _FIELDS))
+
+
+def _split(
+    stack: PolicySet, records: list[list[TraceRecord]]
+) -> list[tuple[PolicySet, list[TraceRecord]]]:
+    """One (pset, trace) per set of the stack, in order; each pset's arrays
+    view the stack's rows, and its vstar_estimate is its own float."""
+    vstars = np.broadcast_to(stack.vstar_estimate, (len(records), 1))[:, 0].tolist()
+    return [
+        (PolicySet(*(getattr(stack, f)[g] for f in _FIELDS), vstar), trace)
+        for g, (vstar, trace) in enumerate(zip(vstars, records))
+    ]
 
 
 def train_exact(
@@ -296,31 +312,37 @@ def _train_exact_group(
     cfgs: list[ExactTrainConfig],
 ) -> list[tuple[PolicySet, list[TraceRecord]]]:
     S, A, d = mdp.num_states, mdp.num_actions, mdp.feature_dim
-    shared = cfgs[0]  # every field but the seed
+    G, shared = len(cfgs), cfgs[0]  # every field but the seed
     criterion = shared.criterion
     pi_star = best_response(mdp, mdp.reward, criterion)
-    vstar = policy_value(mdp, occupancy(mdp, pi_star, criterion))
-
-    runs = []
-    for cfg in cfgs:
-        rng = np.random.default_rng(cfg.seed)
-        pset = init_set(n, d, S, A, policy_init=cfg.policy_init, rng=rng)
-        pset.vstar_estimate = vstar
-        # nan policies equal no policy, so the first measure solves every member
-        unmeasured = np.full((n, S, A), np.nan)
-        runs.append(_ExactRun(pset, unmeasured, [None] * n, []))
-
+    stack = _stack(
+        [
+            init_set(n, d, S, A, policy_init=cfg.policy_init, rng=np.random.default_rng(cfg.seed))
+            for cfg in cfgs
+        ]
+    )
+    stack.vstar_estimate = policy_value(mdp, occupancy(mdp, pi_star, criterion))
+    members = stack.policies.reshape(G * n, S, A)  # row g * n + i is set g's member i
+    # nan policies equal no policy, so the first measure solves every member
+    measured = np.full((G * n, S, A), np.nan)  # each member's policy at its last solve
+    occs: list = [None] * (G * n)  # that policy's occupancy
+    records: list[list[TraceRecord]] = [[] for _ in cfgs]
     features_sa = mdp.features_sa
     zero_reward = np.zeros_like(mdp.reward)
 
-    def measure(run: _ExactRun) -> tuple[np.ndarray, np.ndarray]:
-        for i, policy in enumerate(run.pset.policies):
-            if not np.array_equal(policy, run.measured[i]):
-                run.occs[i] = occupancy(mdp, policy, criterion)
-                run.measured[i] = policy
-        values = np.array([policy_value(mdp, o) for o in run.occs])
-        psis = np.stack([expected_features(mdp, o) for o in run.occs])
-        return values, psis
+    def measure() -> tuple[np.ndarray, np.ndarray]:
+        """Every member's exact value (G, n) and expected features (G, n, d)."""
+        for i, policy in enumerate(members):
+            if not np.array_equal(policy, measured[i]):
+                occs[i] = occupancy(mdp, policy, criterion)
+                measured[i] = policy
+        values = np.array([policy_value(mdp, o) for o in occs])
+        psis = np.stack([expected_features(mdp, o) for o in occs])
+        return values.reshape(G, n), psis.reshape(G, n, d)
+
+    def record(iteration: int, values: np.ndarray, psis: np.ndarray) -> None:
+        for trace, *arrays in zip(records, values, stack.extrinsic_weights(), stack.avg_psi, psis):
+            trace.append(_trace_record(iteration, *arrays, diversity_cfg))
 
     # Seed the follow-the-leader state with the initial policies' true
     # statistics. Exact mode has no estimation phase, and starting every
@@ -328,47 +350,36 @@ def _train_exact_group(
     # distances (hence the diversity rewards) vanishingly small, which can
     # lock members onto identical best responses before the multipliers
     # react.
-    for run in runs:
-        run.pset.avg_value[:], run.pset.avg_psi[:] = measure(run)
+    stack.avg_value[:], stack.avg_psi[:] = measure()
 
     for k in range(shared.outer_iterations):
+        values, psis = measure()
+        if shared.ftl_mode == FtlMode.FULL_AVERAGE:
+            # running means over iterations 0..k, started from the initial
+            # measure, which equals iteration 0's
+            stack.avg_value += (values - stack.avg_value) / (k + 1)
+            stack.avg_psi += (psis - stack.avg_psi) / (k + 1)
+        else:
+            update_moving_averages(stack, ..., values, psis, shared.moving_average)
+        record(k, values, psis)
+
+        if strategy_cfg.kind == StrategyKind.DOMINO_LAGRANGIAN:
+            lagrange_step(stack, strategy_cfg.alpha, shared.lagrange_lr)
+        w = weights(strategy_cfg, stack)
         mixed = []
-        for run in runs:
-            pset = run.pset
-            values, psis = measure(run)
-            if shared.ftl_mode == FtlMode.FULL_AVERAGE:
-                # running means over iterations 0..k, started from the
-                # initial measure, which equals iteration 0's
-                pset.avg_value += (values - pset.avg_value) / (k + 1)
-                pset.avg_psi += (psis - pset.avg_psi) / (k + 1)
-            else:
-                update_moving_averages(pset, np.arange(n), values, psis, shared.moving_average)
-
-            run.records.append(_trace_record(k, values, pset, psis, diversity_cfg))
-
+        for g, avg_psi in enumerate(stack.avg_psi):
+            # each member's own (S, A) product, as in the sampled trainer
             rewards_d = [zero_reward]
             rewards_d += [
-                diversity_reward(features_sa, pset.avg_psi, i, diversity_cfg) for i in range(1, n)
+                diversity_reward(features_sa, avg_psi, i, diversity_cfg) for i in range(1, n)
             ]
-
-            if strategy_cfg.kind == StrategyKind.DOMINO_LAGRANGIAN:
-                lagrange_step(pset, strategy_cfg.alpha, shared.lagrange_lr)
-
-            mixed += [mix(strategy_cfg, mdp.reward, rewards_d[i], pset, i) for i in range(n)]
-
+            mixed += [w_e * mdp.reward + w_d * r_d for (w_e, w_d), r_d in zip(w[g], rewards_d)]
         # every mixed reward is fixed before any member moves, so the best
         # responses of every set's members are one stacked solve
-        start = np.concatenate([run.pset.policies for run in runs])
-        policies = best_response(mdp, np.stack(mixed), criterion, start)
-        for j, run in enumerate(runs):
-            run.pset.policies[:] = policies[j * n : (j + 1) * n]
+        members[:] = best_response(mdp, np.stack(mixed), criterion, members)
 
-    for run in runs:
-        values, psis = measure(run)
-        run.records.append(
-            _trace_record(shared.outer_iterations, values, run.pset, psis, diversity_cfg)
-        )
-    return [(run.pset, run.records) for run in runs]
+    record(shared.outer_iterations, *measure())
+    return _split(stack, records)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -428,18 +439,8 @@ def _train_sampled_group(
     G, shared = len(cfgs), cfgs[0]  # every field but the seed
     T = shared.episode_length
     rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
-    psets = [init_set(n, d, S, A, policy_init="uniform") for _ in cfgs]
-    # every set's statistics as one (sets, members, ...) stack, which each
-    # set's fields view; the stack's vstar is each set's anchor v~
-    stack = PolicySet(
-        policies=np.stack([p.policies for p in psets]),
-        mu=np.stack([p.mu for p in psets]),
-        avg_value=np.stack([p.avg_value for p in psets]),
-        avg_psi=np.stack([p.avg_psi for p in psets]),
-    )
-    stack.vstar_estimate = stack.avg_value[:, :1]
-    for pset, mu, values, psis in zip(psets, stack.mu, stack.avg_value, stack.avg_psi):
-        pset.mu, pset.avg_value, pset.avg_psi = mu, values, psis
+    stack = _stack([init_set(n, d, S, A, policy_init="uniform") for _ in cfgs])
+    stack.vstar_estimate = stack.avg_value[:, :1]  # a view: each set's anchor v~
     adam = AdamState.zeros((G, max(n - 1, 1)))
     # row g * n + z is set g's member z; the critics per state are the
     # extrinsic, then the diversity critic
@@ -460,18 +461,17 @@ def _train_sampled_group(
     boot_discount = (gamma ** np.minimum(shared.n_step, T - steps))[:, None]
     records: list[list[TraceRecord]] = [[] for _ in cfgs]
 
-    def set_policies() -> None:
-        stack.policies = _softmax(logits).reshape(G, n, S, A)
-        for pset, policies in zip(psets, stack.policies):
-            pset.policies = policies
-
     def record(it: int) -> None:
-        set_policies()
-        for pset, recs in zip(psets, records):
-            exact_psis = np.stack(
-                [expected_features(mdp, occupancy(mdp, p, Criterion.AVERAGE)) for p in pset.policies]
-            )
-            recs.append(_trace_record(it, pset.avg_value.copy(), pset, exact_psis, diversity_cfg))
+        stack.policies = _softmax(logits).reshape(G, n, S, A)
+        exact_psis = np.stack(
+            [
+                expected_features(mdp, occupancy(mdp, p, Criterion.AVERAGE))
+                for p in stack.policies.reshape(G * n, S, A)
+            ]
+        ).reshape(G, n, d)
+        values, sigma = stack.avg_value.copy(), stack.extrinsic_weights()
+        for trace, *arrays in zip(records, values, sigma, stack.avg_psi, exact_psis):
+            trace.append(_trace_record(it, *arrays, diversity_cfg))
 
     for ep in range(shared.total_episodes):
         zs = [int(rng.integers(n)) for rng in rngs]
@@ -494,7 +494,7 @@ def _train_sampled_group(
             if z > 0:
                 # each set's own (S, A) product: a stacked or per-pair one
                 # changes low bits for dense features of 8 or more dimensions
-                r_d = diversity_reward(features_sa, psets[g].avg_psi, z, diversity_cfg)
+                r_d = diversity_reward(features_sa, stack.avg_psi[g], z, diversity_cfg)
                 rewards[g, :, 1] = r_d.take(pairs[g])
 
         member_states = rows[:, None] * S
@@ -505,7 +505,7 @@ def _train_sampled_group(
             gpow *= gamma
         targets += boot_discount * critic_rows.take(member_states + path[:, boot], axis=0)
         advs = targets - critic_rows.take(member_states + states, axis=0)
-        w = np.array([weights(strategy_cfg, pset, z) for pset, z in zip(psets, zs)])
+        w = weights(strategy_cfg, stack)[sets, zs]
         adv = w[:, :1] * advs[..., 0] + w[:, 1:] * advs[..., 1]
 
         # one bincount adds the terms to each cell in the order three
@@ -537,8 +537,6 @@ def _train_sampled_group(
         mean_rewards = ext_rewards.sum(axis=1) / T
         mean_features = mdp.features.take(pairs, axis=0).sum(axis=1) / T
         update_moving_averages(stack, (sets, zs), mean_rewards, mean_features, shared.moving_average)
-        for pset, vstar in zip(psets, stack.avg_value[:, 0].tolist()):
-            pset.vstar_estimate = vstar
         if strategy_cfg.kind == StrategyKind.DOMINO_LAGRANGIAN and n > 1:
             lagrange_step_adam(stack, strategy_cfg.alpha, shared.lagrange_lr, adam)
 
@@ -548,5 +546,5 @@ def _train_sampled_group(
         if (ep + 1) % shared.eval_every == 0 or ep + 1 == shared.total_episodes:
             record(ep + 1)
 
-    set_policies()
-    return list(zip(psets, records))
+    stack.policies = _softmax(logits).reshape(G, n, S, A)
+    return _split(stack, records)

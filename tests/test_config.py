@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import divset.config
 from divset import (
     Always,
     ConfigError,
@@ -246,6 +247,27 @@ def test_omitted_keys_take_the_dataclass_defaults():
         perturbations=(PerturbationSettings(PerturbationKind.ACTION_FAILURE, (0.1,), Periodic()),),
     )
     assert cfg.kshot.protocol == KShotConfig()
+
+
+def test_environment_state_count_is_bounded_before_anything_is_built(monkeypatch):
+    def grid(width, height):
+        return {"type": "gridworld", "width": width, "height": height, "goals": [[0, 0, 1.0]]}
+
+    for environment in ({"type": "chain", "length": 512}, grid(32, 16)):
+        mdp, _ = parse_config(minimal_chain_config(environment=environment)).environment.build()
+        assert mdp.num_states == 512
+
+    def no_build(self):
+        raise AssertionError("built an environment past the bound")
+
+    monkeypatch.setattr(divset.config.EnvironmentSettings, "build", no_build)
+    for environment, message in [
+        ({"type": "chain", "length": 513}, "environment.length: 513 is above the maximum 512"),
+        (grid(23, 23), "environment: width * height = 529 cells is above the maximum 512"),
+    ]:
+        with pytest.raises(ConfigError) as info:
+            parse_config(minimal_chain_config(environment=environment))
+        assert str(info.value) == message
 
 
 def test_unbuildable_environment_is_a_config_error():

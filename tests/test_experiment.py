@@ -9,8 +9,12 @@ import pytest
 import divset.experiment
 from divset import (
     ConfigError,
+    GridSpec,
+    Perturbation,
+    PerturbationKind,
     StrategyConfig,
     StrategyKind,
+    build_gridworld,
     enumerate_runs,
     hash64,
     parse_config,
@@ -21,6 +25,7 @@ from divset import (
 from divset.experiment import (
     QD_COLUMNS,
     TRACE_COLUMNS,
+    _perturb_with_retries,
     _worker_count,
     strategy_descriptor,
 )
@@ -211,3 +216,12 @@ def test_strategy_descriptor_formats():
         == "MultiObjective(c_e=0.1)"
     )
     assert strategy_descriptor(StrategyConfig(kind=StrategyKind.NO_DIVERSITY)) == "NoDiversity"
+
+
+def test_perturbation_retries_give_up_after_the_last_attempt():
+    # a 3x1 corridor: every attempt blocks the only free cell, between the
+    # start and the goal, so no seed leaves the goal reachable
+    spec = GridSpec(width=3, height=1, goal_cells={(0, 2): 1.0}, start=(0, 0))
+    block_all = Perturbation(kind=PerturbationKind.BLOCK_CELLS, magnitude=1.0)
+    with pytest.raises(RuntimeError, match="in 8 attempts"):
+        _perturb_with_retries(build_gridworld(spec), block_all, 5, (0, 0), spec)

@@ -1,6 +1,7 @@
 """Source hygiene: no unused imports in src/divset or tests, no
-unreferenced private names in src/divset, and every committed BENCH_*.json
-trajectory readable with the keys they all share.
+unreferenced private names in src/divset, every name in a src/divset
+module's __all__ defined there, and every committed BENCH_*.json trajectory
+readable with the keys they all share.
 
 The source checks read the modules with the standard library's ast, so they
 run without importing the package.
@@ -51,7 +52,8 @@ def _imported_names(tree: ast.Module) -> list[str]:
     return names
 
 
-def _private_definitions(tree: ast.Module) -> list[str]:
+def _definitions(tree: ast.Module) -> list[str]:
+    """The names the module's own top-level statements define."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -60,7 +62,11 @@ def _private_definitions(tree: ast.Module) -> list[str]:
             names += [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    return [n for n in _definitions(tree) if n.startswith("_") and not n.startswith("__")]
 
 
 def test_every_import_is_used():
@@ -87,6 +93,15 @@ def test_every_private_name_is_referenced():
         if not any(name in names for names in read.values())
     ]
     assert not unreferenced, f"private names referenced nowhere in src/: {unreferenced}"
+
+
+def test_every_exported_name_is_defined_in_its_module():
+    undefined = [
+        f"{module}.{name}"
+        for module, tree in TREES.items()
+        for name in sorted(_exports(tree) - set(_definitions(tree)))
+    ]
+    assert not undefined, f"names in __all__ that the module does not define: {undefined}"
 
 
 # the keys every BENCH_*.json trajectory carries: what was compared, how,

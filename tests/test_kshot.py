@@ -146,6 +146,17 @@ def test_nonpositive_baseline_flags_and_nans():
     assert np.all(np.isnan(result.per_seed_ratios))
 
 
+def test_no_finite_bootstrap_resample_gives_a_nan_ci():
+    # the baseline's mean is positive, but its one resample drew only the
+    # zero-return episodes, so no resample has a finite ratio
+    cfg = KShotConfig(n_eval=4, bootstrap_resamples=1)
+    base_returns = np.array([[0.0, 0.0, 0.0, 1.0]])
+    result = kshot_evaluate(np.ones((1, 4)), base_returns, np.zeros(1, int), cfg, seed=1)
+    assert not result.baseline_nonpositive
+    assert result.ratio_mean == 4.0
+    assert np.isnan(result.ci_low) and np.isnan(result.ci_high)
+
+
 def _loop_paired_ratio_ci(returns, base_returns, level, resamples, seed):
     """Reference nested bootstrap, drawn one resample and one seed at a time.
 

@@ -1,18 +1,22 @@
 """Policy-set state, moving averages, and the Lagrange player."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from divset import (
     AdamState,
     MovingAverageConfig,
-    constraint_indicator,
+    StrategyConfig,
+    StrategyKind,
     init_set,
     lagrange_step,
     lagrange_step_adam,
     policy_set_from_json,
     policy_set_to_json,
     update_moving_averages,
+    weights,
 )
 from divset.policy_set import MU_BOUND, sigmoid
 
@@ -57,7 +61,7 @@ def test_moving_average_update_formula():
     assert pset.avg_value[1] == pytest.approx(0.9 * 2.0 + 0.1 * 1.0)
     assert np.allclose(pset.avg_psi[1], [0.5 * 0.0 + 0.5 * 2.0, 0.5 * 1.0 + 0.5 * 1.0])
     # one call over several members updates each row as a call of its own would
-    both = pset.copy()
+    both = copy.deepcopy(pset)
     values, psis = np.array([3.0, -1.0]), np.array([[1.0, 0.0], [0.0, 4.0]])
     update_moving_averages(both, np.arange(2), values, psis, cfg)
     for i in range(2):
@@ -155,15 +159,21 @@ def test_one_stacked_step_equals_the_per_set_steps_bit_for_bit():
     # the projection was exercised, and the anchors' mu never moved
     assert np.all(np.abs(stack.mu[:, 1:]) <= MU_BOUND) and np.any(np.abs(stack.mu) == MU_BOUND)
     assert np.any(np.abs(stack.mu[:, 0]) > MU_BOUND)
-
-
-def test_constraint_indicator_is_strict():
-    pset = init_set(2, 1, 2, 2)
-    pset.vstar_estimate = 1.0
-    pset.avg_value[:] = [1.0, 0.9]
-    assert not constraint_indicator(pset, 1, alpha=0.9)  # equality satisfies
-    pset.avg_value[1] = 0.89
-    assert constraint_indicator(pset, 1, alpha=0.9)
+    # the weights table of the stack is each set's own, for every strategy.
+    # Set 0's member 1 sits exactly at alpha v~_1, which satisfies the strict
+    # Smerl test, and its member 2 just below it, which violates it.
+    at = 0.9 * stack.avg_value[0, 0]
+    stack.avg_value[0, 1:3] = psets[0].avg_value[1:3] = [at, np.nextafter(at, -np.inf)]
+    for kind in StrategyKind:
+        strategy = StrategyConfig(kind=kind, alpha=0.9, c_d=0.25, c_e=0.3)
+        table = weights(strategy, stack)
+        assert table.shape == (sets, n, 2)
+        for g, pset in enumerate(psets):
+            assert table[g].tobytes() == weights(strategy, pset).tobytes(), (kind, g)
+        if kind == StrategyKind.SMERL:
+            assert table[0, 1:3].tolist() == [[1.0, 0.25], [1.0, 0.0]]
+        elif kind == StrategyKind.REVERSE_SMERL:
+            assert table[0, 1:3].tolist() == [[0.0, 0.25], [1.0, 0.25]]
 
 
 def test_policy_set_json_round_trip():
@@ -180,14 +190,3 @@ def test_policy_set_json_round_trip():
     assert np.array_equal(back.avg_psi, pset.avg_psi)
     assert back.vstar_estimate == pset.vstar_estimate
     assert np.array_equal(back.policies, pset.policies)
-
-
-def test_copy_is_deep():
-    pset = init_set(2, 2, 2, 2)
-    clone = pset.copy()
-    clone.mu[1] = 3.0
-    clone.avg_psi[0, 0] = 9.0
-    clone.policies[0, 0, 0] = 9.0
-    assert pset.mu[1] == 0.0
-    assert pset.avg_psi[0, 0] == 0.5
-    assert pset.policies[0, 0, 0] == 0.5

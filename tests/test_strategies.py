@@ -3,71 +3,68 @@
 import numpy as np
 import pytest
 
-from divset import StrategyConfig, StrategyKind, init_set, mix
+from divset import StrategyConfig, StrategyKind, init_set, weights
 
 
-def _setup():
-    rng = np.random.default_rng(0)
-    r_e = rng.uniform(size=(3, 2))
-    r_d = rng.uniform(size=(3, 2))
+def _pset():
     pset = init_set(3, 1, 3, 2)
     pset.vstar_estimate = 1.0
-    return r_e, r_d, pset
+    return pset
 
 
 def test_every_strategy_gives_the_anchor_pure_extrinsic_reward():
-    r_e, r_d, pset = _setup()
+    pset = _pset()
+    pset.mu[0] = -50.0  # the anchor's mu is inert
+    pset.avg_value[0] = 0.0  # and so is its constraint
     for kind in StrategyKind:
-        cfg = StrategyConfig(kind=kind)
-        assert np.array_equal(mix(cfg, r_e, r_d, pset, 0), r_e)
+        assert weights(StrategyConfig(kind=kind), pset)[0].tolist() == [1.0, 0.0]
 
 
-def test_mix_returns_a_copy_for_passthrough_branches():
-    r_e, r_d, pset = _setup()
-    out = mix(StrategyConfig(kind=StrategyKind.NO_DIVERSITY), r_e, r_d, pset, 1)
-    out[0, 0] += 1.0
-    assert out[0, 0] != r_e[0, 0]
+def test_weights_is_a_fresh_n_by_2_table():
+    pset = _pset()
+    table = weights(StrategyConfig(kind=StrategyKind.DOMINO_LAGRANGIAN), pset)
+    assert table.shape == (3, 2)
+    table[:] = 7.0
+    assert pset.extrinsic_weights().tolist() == [1.0, 0.5, 0.5]
 
 
 def test_no_diversity_ignores_the_diversity_reward_for_everyone():
-    r_e, r_d, pset = _setup()
-    cfg = StrategyConfig(kind=StrategyKind.NO_DIVERSITY)
-    for i in range(3):
-        assert np.array_equal(mix(cfg, r_e, r_d, pset, i), r_e)
+    table = weights(StrategyConfig(kind=StrategyKind.NO_DIVERSITY), _pset())
+    assert table.tolist() == [[1.0, 0.0]] * 3
 
 
 def test_domino_uses_the_sigmoid_mix():
-    r_e, r_d, pset = _setup()
+    pset = _pset()
     cfg = StrategyConfig(kind=StrategyKind.DOMINO_LAGRANGIAN)
-    assert np.allclose(mix(cfg, r_e, r_d, pset, 1), 0.5 * r_e + 0.5 * r_d)
+    assert weights(cfg, pset)[1].tolist() == [0.5, 0.5]
     pset.mu[2] = 50.0  # saturated sigmoid: all weight on extrinsic
-    assert np.allclose(mix(cfg, r_e, r_d, pset, 2), r_e)
+    assert np.allclose(weights(cfg, pset)[2], [1.0, 0.0])
 
 
 def test_smerl_gates_the_diversity_bonus_on_satisfaction():
-    r_e, r_d, pset = _setup()
+    pset = _pset()
     cfg = StrategyConfig(kind=StrategyKind.SMERL, alpha=0.9, c_d=0.25)
     pset.avg_value[1] = 0.95  # satisfied: bonus on
-    assert np.allclose(mix(cfg, r_e, r_d, pset, 1), r_e + 0.25 * r_d)
+    assert weights(cfg, pset)[1].tolist() == [1.0, 0.25]
     pset.avg_value[1] = 0.5  # violated: extrinsic only
-    assert np.array_equal(mix(cfg, r_e, r_d, pset, 1), r_e)
+    assert weights(cfg, pset)[1].tolist() == [1.0, 0.0]
 
 
 def test_reverse_smerl_gates_the_extrinsic_reward_on_violation():
-    r_e, r_d, pset = _setup()
+    pset = _pset()
     cfg = StrategyConfig(kind=StrategyKind.REVERSE_SMERL, alpha=0.9, c_d=0.25)
     pset.avg_value[1] = 0.5  # violated: extrinsic comes back
-    assert np.allclose(mix(cfg, r_e, r_d, pset, 1), r_e + 0.25 * r_d)
+    assert weights(cfg, pset)[1].tolist() == [1.0, 0.25]
     pset.avg_value[1] = 0.95  # satisfied: diversity only
-    assert np.allclose(mix(cfg, r_e, r_d, pset, 1), 0.25 * r_d)
+    assert weights(cfg, pset)[1].tolist() == [0.0, 0.25]
 
 
 def test_multi_objective_uses_the_fixed_mixture():
-    r_e, r_d, pset = _setup()
+    pset = _pset()
     cfg = StrategyConfig(kind=StrategyKind.MULTI_OBJECTIVE, c_e=0.3)
-    assert np.allclose(mix(cfg, r_e, r_d, pset, 1), 0.3 * r_e + 0.7 * r_d)
+    assert weights(cfg, pset)[1:].tolist() == [[0.3, 0.7]] * 2
     pure = StrategyConfig(kind=StrategyKind.MULTI_OBJECTIVE, c_e=0.0)
-    assert np.allclose(mix(pure, r_e, r_d, pset, 2), r_d)
+    assert weights(pure, pset)[2].tolist() == [0.0, 1.0]
 
 
 def test_strategy_config_validation():

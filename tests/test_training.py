@@ -22,6 +22,7 @@ from divset import (
     StrategyConfig,
     StrategyKind,
     TabularMdp,
+    TrainingDivergedError,
     best_response,
     build_chain,
     build_gridworld,
@@ -448,7 +449,7 @@ def _plain_train_sampled(mdp, n, diversity_cfg, strategy_cfg, cfg):
         state_seq = np.append(states, next_states[-1])
         targ_e = _plain_nstep_returns(rewards, v_e[z], state_seq, mdp.discount, cfg.n_step)
         targ_d = _plain_nstep_returns(r_d, v_d[z], state_seq, mdp.discount, cfg.n_step)
-        w_e, w_d = weights(strategy_cfg, pset, z)
+        w_e, w_d = weights(strategy_cfg, pset)[z]
         adv = w_e * (targ_e - v_e[z][states]) + w_d * (targ_d - v_d[z][states])
 
         pi_visited = probs[states]
@@ -577,6 +578,18 @@ def test_sampled_vstar_estimate_tracks_the_anchor():
     cfg = SampleTrainConfig(total_episodes=25, episode_length=20, seed=2)
     pset, _ = train_sampled(mdp, 2, _REPULSIVE, _DOMINO, cfg)
     assert pset.vstar_estimate == pytest.approx(float(pset.avg_value[0]), abs=0.0)
+
+
+def test_a_non_finite_learner_table_raises_training_diverged():
+    mdp = build_chain(4, end_reward=1.0)
+    cfg = SampleTrainConfig(total_episodes=20, episode_length=10, policy_lr=1e308)
+    cfgs = [dataclasses.replace(cfg, seed=seed) for seed in range(3)]
+    # the overflow warnings are the point here, not an error
+    with np.errstate(all="ignore"):
+        with pytest.raises(TrainingDivergedError, match="after episode"):
+            train_sampled(mdp, 2, _REPULSIVE, _DOMINO, cfg)
+        with pytest.raises(TrainingDivergedError, match="after episode"):
+            train_sampled_lockstep(mdp, 2, _REPULSIVE, _DOMINO, cfgs)
 
 
 def test_exact_reductions_match_the_plain_best_response():
