@@ -54,7 +54,6 @@ from .experiment import (
 from .kshot import (
     KShotConfig,
     KShotResult,
-    episode_return,
     kshot_evaluate,
     kshot_returns,
     kshot_select,
@@ -93,7 +92,7 @@ from .training import (
     SampleTrainConfig,
     TraceRecord,
     TrainingDivergedError,
-    rollout,
+    sample_episodes,
     train_exact,
     train_sampled,
     train_sampled_lockstep,

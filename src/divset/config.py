@@ -36,7 +36,7 @@ from .kshot import KShotConfig
 from .mdp import Criterion, TabularMdp
 from .policy_set import MovingAverageConfig
 from .strategies import StrategyConfig, StrategyKind
-from .training import ExactTrainConfig, FtlMode, SampleTrainConfig
+from .training import _LOCKSTEP_MEMBERS, ExactTrainConfig, FtlMode, SampleTrainConfig
 
 __all__ = [
     "ConfigError",
@@ -177,6 +177,16 @@ _UNIT = partial(_number, lo=0.0, hi=1.0)
 _COUNT = partial(_integer, lo=1)
 
 
+# Maxima of the counts that drive memory or time. A set fits one lockstep
+# group, so a best response stacks at most _LOCKSTEP_MEMBERS members. One
+# sample_episodes call plays k_select or n_eval episodes of horizon steps:
+# at most 10^7 steps, about 50 bytes each at its peak. The bootstrap's chunk
+# gathers (64, seeds, 2, n_eval) int64 episode indices: at most 102 MB.
+_SET_SIZE = partial(_COUNT, hi=_LOCKSTEP_MEMBERS)
+_STEPS = partial(_COUNT, hi=10_000)  # horizon, episode_length
+_EPISODES = partial(_COUNT, hi=1_000)  # k_select, n_eval
+
+
 @dataclass(frozen=True)
 class EnvironmentSettings:
     grid: GridSpec | None = None  # a gridworld; otherwise a chain
@@ -246,8 +256,8 @@ class ExperimentConfig:
 
 
 # Most states an environment may have. The transition tensor holds S^2 A
-# floats, and a lockstep best response gathers a (64, S, S) float64 stack:
-# 134 MB at 512 states.
+# floats, and a lockstep best response gathers at most a (64, S, S) float64
+# stack (_SET_SIZE): 134 MB at 512 states.
 _MAX_STATES = 512
 
 # optional keys of both environment types
@@ -326,7 +336,7 @@ _TRAINERS = {
     "exact": (
         ExactTrainConfig,
         {
-            "outer_iterations": _COUNT,
+            "outer_iterations": partial(_COUNT, hi=10_000),
             "criterion": _enum_of(Criterion),
             "lagrange_lr": _NONNEGATIVE,
             "ftl_mode": _enum_of(FtlMode),
@@ -336,8 +346,8 @@ _TRAINERS = {
     "sampled": (
         SampleTrainConfig,
         {
-            "total_episodes": _COUNT,
-            "episode_length": _COUNT,
+            "total_episodes": partial(_COUNT, hi=1_000_000),
+            "episode_length": _STEPS,
             "policy_lr": _NONNEGATIVE,
             "value_lr": _NONNEGATIVE,
             "entropy_weight": _NONNEGATIVE,
@@ -360,7 +370,7 @@ def _parse_trainer(path: str, d: dict) -> TrainerSettings:
 def _parse_sweep(path: str, d: dict) -> SweepSettings:
     optional = {
         "alpha": _axis(_UNIT),
-        "set_size": _axis(_COUNT),
+        "set_size": _axis(_SET_SIZE),
         "contact_distance": _axis(_number),
         "c_e": _axis(_UNIT),
         "c_d": _axis(_NONNEGATIVE),
@@ -386,7 +396,7 @@ def _parse_perturbation(path: str, d: dict) -> PerturbationSettings:
 
 
 def _parse_method(path: str, d: dict) -> KShotMethod:
-    required = {"name": _string, "strategy": _parse_strategy, "set_size": _COUNT}
+    required = {"name": _string, "strategy": _parse_strategy, "set_size": _SET_SIZE}
     return _section(path, d, required, {}, KShotMethod)
 
 
@@ -400,11 +410,11 @@ def _parse_methods(path: str, value) -> tuple[KShotMethod, ...]:
 
 # the evaluation protocol, gathered into one KShotConfig
 _PROTOCOL = {
-    "k_select": _COUNT,
-    "n_eval": _COUNT,
-    "horizon": _COUNT,
+    "k_select": _EPISODES,
+    "n_eval": _EPISODES,
+    "horizon": _STEPS,
     "ci_level": _UNIT,
-    "bootstrap_resamples": _COUNT,
+    "bootstrap_resamples": partial(_COUNT, hi=100_000),
 }
 
 
@@ -413,7 +423,7 @@ def _parse_kshot(path: str, d: dict) -> KShotSettings:
         "methods": _parse_methods,
         "perturbations": lambda p, v: _list(p, v, _parse_perturbation),
     }
-    optional = {"n_train_seeds": _COUNT, **_PROTOCOL}
+    optional = {"n_train_seeds": partial(_COUNT, hi=100), **_PROTOCOL}
     build = _nest(KShotSettings, "protocol", KShotConfig, _PROTOCOL)
     return _section(path, d, required, optional, build)
 
@@ -429,7 +439,7 @@ def parse_config(d: dict) -> ExperimentConfig:
     }
     optional = {
         "seeds": lambda p, v: _list(p, v, _integer, "a nonempty list of integers"),
-        "set_size": _COUNT,
+        "set_size": _SET_SIZE,
         "sweep": _top_level(_parse_sweep),
         "kshot": _top_level(_parse_kshot),
     }

@@ -8,7 +8,9 @@ evaluation return to the same protocol applied to a single-policy baseline
 set (kshot_evaluate, which plays no episodes, so the baseline is rolled
 once per perturbed MDP and shared by every method).
 
-Episode returns are undiscounted sums over the fixed horizon. All episode
+Every episode is played by training.sample_episodes, one call per member
+for selection and one per pick for evaluation; an episode's return is the
+undiscounted sum of its rewards over the fixed horizon. All episode
 streams are derived from (seed, role, train seed, episode[, member]) and
 never from the method, so competing methods face identical environment
 randomness: the baseline evaluated against itself gives a ratio of
@@ -30,12 +32,11 @@ import numpy as np
 from .mdp import TabularMdp
 from .policy_set import PolicySet
 from .seeding import child_rng, hash64
-from .training import rollout
+from .training import sample_episodes
 
 __all__ = [
     "KShotConfig",
     "KShotResult",
-    "episode_return",
     "kshot_select",
     "kshot_returns",
     "kshot_evaluate",
@@ -68,12 +69,6 @@ class KShotResult:
     baseline_nonpositive: bool
 
 
-def episode_return(
-    mdp: TabularMdp, policy: np.ndarray, horizon: int, rng: np.random.Generator
-) -> float:
-    return float(rollout(mdp, policy, horizon, rng).rewards.sum())
-
-
 def kshot_select(pset: PolicySet, perturbed: TabularMdp, cfg: KShotConfig, seed: int) -> int:
     """Index of the member with the best mean return over k_select episodes.
 
@@ -82,11 +77,8 @@ def kshot_select(pset: PolicySet, perturbed: TabularMdp, cfg: KShotConfig, seed:
     """
     means = np.empty(pset.n)
     for i, policy in enumerate(pset.policies):
-        returns = [
-            episode_return(perturbed, policy, cfg.horizon, child_rng(seed, i, e))
-            for e in range(cfg.k_select)
-        ]
-        means[i] = np.mean(returns)
+        rngs = [child_rng(seed, i, e) for e in range(cfg.k_select)]
+        means[i] = sample_episodes(perturbed, policy, cfg.horizon, rngs)[2].sum(axis=1).mean()
     return int(np.argmax(means))
 
 
@@ -104,11 +96,9 @@ def kshot_returns(
     returns = np.empty((len(sets), cfg.n_eval))
     for t, pset in enumerate(sets):
         selected[t] = kshot_select(pset, perturbed, cfg, hash64(seed, "select", t))
-        policy = pset.policies[selected[t]]
-        returns[t] = [
-            episode_return(perturbed, policy, cfg.horizon, child_rng(seed, "eval", t, e))
-            for e in range(cfg.n_eval)
-        ]
+        rngs = [child_rng(seed, "eval", t, e) for e in range(cfg.n_eval)]
+        rewards = sample_episodes(perturbed, pset.policies[selected[t]], cfg.horizon, rngs)[2]
+        returns[t] = rewards.sum(axis=1)
     return selected, returns
 
 

@@ -23,11 +23,15 @@ Both trainers train one set, or several sets that differ only in seed in
 lockstep, at most _LOCKSTEP_MEMBERS members at a time. A group is one
 stacked PolicySet, so each moving-average, Lagrange and weights step is one
 call over every set. Exact: each outer step's best responses of every
-set's members are one stacked solve.
-Sampled: each episode every set walks its own episode from its own
+set's members are one stacked solve. Sampled: each episode, one
+sample_episodes call plays every set's episode, each from its own set's
 generator, and the updates run once over the sets' stacked tables. Either
 way each set's arithmetic is what it would be alone, so lockstep training
 changes no output.
+
+sample_episodes is the package's one episode sampler: the sampled trainer
+and the few-shot harness (kshot) play every episode through it, on
+perturbed and unperturbed MDPs alike.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ __all__ = [
     "SampleTrainConfig",
     "TraceRecord",
     "TrainingDivergedError",
-    "rollout",
+    "sample_episodes",
     "train_exact",
     "train_sampled",
     "train_sampled_lockstep",
@@ -129,16 +133,6 @@ class TraceRecord:
     objective_value: float  # sum_i f(l_i) of the diversity kernel at the psi~ estimates
 
 
-@dataclass(frozen=True)
-class _Trajectory:
-    path: np.ndarray  # (T + 1,) the visited states, then the final next state
-    states: np.ndarray  # (T,) path[:-1]
-    actions: np.ndarray  # (T,)
-    rewards: np.ndarray  # (T,)
-    features: np.ndarray  # (T, d)
-    next_states: np.ndarray  # (T,) path[1:]
-
-
 @lru_cache(maxsize=16)
 def _active_steps(schedule: Schedule, horizon: int) -> tuple[tuple[bool, ...], np.ndarray]:
     """schedule.active(t) for every step t of an episode, as a tuple for the
@@ -150,71 +144,61 @@ def _active_steps(schedule: Schedule, horizon: int) -> tuple[tuple[bool, ...], n
     return steps, mask
 
 
-def _schedule(mdp: TabularMdp, horizon: int) -> tuple[TabularMdp, tuple[bool, ...], np.ndarray]:
-    """(fallback, active, active_mask) of an episode of `horizon` steps on mdp:
-    on a perturbed MDP, the unperturbed MDP, which applies at the steps its
-    schedule leaves inactive; otherwise mdp itself, active at every step."""
-    if isinstance(mdp, PerturbedMdp):
-        return (mdp.unperturbed, *_active_steps(mdp.schedule, horizon))
-    return (mdp, *_active_steps(Always(), horizon))
+def sample_episodes(
+    mdp: TabularMdp, policies: np.ndarray, horizon: int, rngs: Sequence[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample one fixed-horizon episode per generator from the initial
+    distribution; every episode the package plays comes from here.
 
+    policies is one (S, A) policy that every episode follows, or an
+    (E, S, A) stack whose row e episode e follows. Returns the (E, T + 1)
+    visited states (the start, then each step's next state), the (E, T)
+    actions and the (E, T) rewards, for E = len(rngs) and T = horizon.
 
-def _walk(
-    mdp: TabularMdp, fallback: TabularMdp, active: tuple[bool, ...], policy_cdf: list, draws: list
-) -> tuple[list[int], list[int]]:
-    """The step loop of one episode: its visited states (the start, then
-    each step's next state) and its chosen actions.
-
-    policy_cdf holds the policy's inf-tailed cumulative rows (_cdf_rows) as
-    lists and draws the episode's 2 * len(active) + 1 uniform draws: the
-    start, then per step the action and the next state. Each draw is one
-    bisect_right, on mdp's transition rows where active[t] holds and on
-    fallback's elsewhere.
-    """
-    A = mdp.num_actions
-    transition_rows = (fallback.transition_cdf, mdp.transition_cdf)  # by active[t]
-    s = bisect_right(mdp.initial_cdf, draws[0])
-    visited, chosen = [s], []
-    for on, u_action, u_next in zip(active, draws[1::2], draws[2::2]):
-        a = bisect_right(policy_cdf[s], u_action)
-        cum, outcomes = transition_rows[on][s * A + a]
-        chosen.append(a)
-        s = outcomes[bisect_right(cum, u_next)]
-        visited.append(s)
-    return visited, chosen
-
-
-def _step_rewards(
-    mdp: TabularMdp, fallback: TabularMdp, active_mask: np.ndarray, pairs: np.ndarray
-) -> np.ndarray:
-    """Per step, the reward of the row-major (s, a) pairs of one or more
-    episodes: mdp's where the schedule is active, fallback's elsewhere."""
-    rewards = mdp.reward.take(pairs)
-    if fallback is not mdp:
-        rewards = np.where(active_mask, rewards, fallback.reward.take(pairs))
-    return rewards
-
-
-def rollout(
-    mdp: TabularMdp, policy: np.ndarray, horizon: int, rng: np.random.Generator
-) -> _Trajectory:
-    """Sample one fixed-horizon episode from the initial distribution.
+    Episode e takes 2T + 1 uniform draws from rngs[e] in one call: the
+    start, then per step the action and the next state. It draws nothing
+    else, so its bytes depend on its own generator only, whatever the other
+    episodes of the call. Each draw is one bisect_right on an inf-tailed
+    cumulative row (_cdf_rows); each policy's rows are built once per call.
 
     On a perturbed MDP the perturbed transition and reward apply at step t
     iff its schedule is active at t, and the unperturbed ones otherwise.
     Every perturbation keeps the state indexing, so policies trained on the
-    unperturbed MDP apply unchanged. Each draw is one bisect_right on an
-    inf-tailed cumulative row (_walk).
+    unperturbed MDP apply unchanged.
     """
-    fallback, active, active_mask = _schedule(mdp, horizon)
-    draws = rng.random(2 * horizon + 1).tolist()
-    visited, chosen = _walk(mdp, fallback, active, _cdf_rows(policy).tolist(), draws)
-    path = np.array(visited, dtype=int)
+    if isinstance(mdp, PerturbedMdp):
+        fallback, schedule = mdp.unperturbed, mdp.schedule
+    else:
+        fallback, schedule = mdp, Always()
+    active, active_mask = _active_steps(schedule, horizon)
+    policy_cdfs = _cdf_rows(policies).tolist()
+    if policies.ndim == 2:
+        policy_cdfs = [policy_cdfs] * len(rngs)
+    elif len(policy_cdfs) != len(rngs):
+        raise ValueError(f"got {len(policy_cdfs)} policies for {len(rngs)} episodes")
+    A = mdp.num_actions
+    initial = mdp.initial_cdf
+    transition_rows = (fallback.transition_cdf, mdp.transition_cdf)  # by active[t]
+    paths, chosen = [], []
+    for rng, policy_cdf in zip(rngs, policy_cdfs):
+        draws = rng.random(2 * horizon + 1).tolist()
+        s = bisect_right(initial, draws[0])
+        visited, picks = [s], []
+        for on, u_action, u_next in zip(active, draws[1::2], draws[2::2]):
+            a = bisect_right(policy_cdf[s], u_action)
+            cum, outcomes = transition_rows[on][s * A + a]
+            picks.append(a)
+            s = outcomes[bisect_right(cum, u_next)]
+            visited.append(s)
+        paths.append(visited)
+        chosen.append(picks)
+    path = np.array(paths, dtype=int)
     actions = np.array(chosen, dtype=int)
-    pairs = path[:-1] * mdp.num_actions + actions  # row-major (s, a) indices
-    rewards = _step_rewards(mdp, fallback, active_mask, pairs)
-    features = mdp.features.take(pairs, axis=0)
-    return _Trajectory(path, path[:-1], actions, rewards, features, path[1:])
+    pairs = path[:, :-1] * A + actions  # row-major (s, a) indices
+    rewards = mdp.reward.take(pairs)
+    if fallback is not mdp:
+        rewards = np.where(active_mask, rewards, fallback.reward.take(pairs))
+    return path, actions, rewards
 
 
 def _trace_record(
@@ -418,12 +402,12 @@ def train_sampled_lockstep(
     trained in lockstep: one (pset, trace) per config, in order.
 
     The sets are trained in groups of at most _LOCKSTEP_MEMBERS members, as
-    in train_exact. Each episode every set of a group draws its latent and
-    its episode from its own generator and walks its own episode; the
-    updates then run once over the group's (sets, ...) stacks. Each set's
-    arithmetic is what it would be alone, so each set gets the bytes it
-    gets from train_sampled. A group raises TrainingDivergedError when any
-    of its sets diverges.
+    in train_exact. Each episode every set of a group draws its latent from
+    its own generator, then one sample_episodes call plays each set's
+    episode from that set's generator; the updates then run once over the
+    group's (sets, ...) stacks. Each set's arithmetic is what it would be
+    alone, so each set gets the bytes it gets from train_sampled. A group
+    raises TrainingDivergedError when any of its sets diverges.
     """
     return _lockstep(_train_sampled_group, mdp, n, diversity_cfg, strategy_cfg, list(cfgs))
 
@@ -447,7 +431,6 @@ def _train_sampled_group(
     logits = np.zeros((G * n, S, A))
     critics = np.zeros((G * n, S, 2))
     critic_rows = critics.reshape(G * n * S, 2)  # row (g * n + z) * S + s
-    fallback, active, active_mask = _schedule(mdp, T)
     features_sa = mdp.features_sa
     gamma = mdp.discount
     sets = np.arange(G)
@@ -477,16 +460,10 @@ def _train_sampled_group(
         zs = [int(rng.integers(n)) for rng in rngs]
         rows = sets * n + zs
         probs = _softmax(logits[rows])
-        walks = [
-            _walk(mdp, fallback, active, policy_cdf, rng.random(2 * T + 1).tolist())
-            for rng, policy_cdf in zip(rngs, _cdf_rows(probs).tolist())
-        ]
-        path = np.array([visited for visited, _ in walks])
-        actions = np.array([chosen for _, chosen in walks])
+        path, actions, ext_rewards = sample_episodes(mdp, probs, T, rngs)
         states = path[:, :-1]
         pairs = states * A + actions  # row-major (s, a) indices
         set_states = sets[:, None] * S + states  # g * S + s
-        ext_rewards = _step_rewards(mdp, fallback, active_mask, pairs)
 
         rewards = np.zeros((G, T, 2))  # per step: the extrinsic, the diversity reward
         rewards[:, :, 0] = ext_rewards

@@ -270,6 +270,34 @@ def test_environment_state_count_is_bounded_before_anything_is_built(monkeypatch
         assert str(info.value) == message
 
 
+# (path of the count, its maximum, the config change that sets it to v)
+COUNT_BOUNDS = [
+    ("config.set_size", 64, lambda v: {"set_size": v}),
+    ("sweep.set_size[1]", 64, lambda v: {"sweep": {"set_size": [2, v]}}),
+    ("kshot.methods[0].set_size", 64, lambda v: {"kshot": _kshot(method={"set_size": v})}),
+    ("trainer.outer_iterations", 10_000, lambda v: {"trainer": {"mode": "exact", "outer_iterations": v}}),
+    ("trainer.total_episodes", 1_000_000, lambda v: {"trainer": {"mode": "sampled", "total_episodes": v}}),
+    ("trainer.episode_length", 10_000, lambda v: {"trainer": {"mode": "sampled", "episode_length": v}}),
+    ("kshot.horizon", 10_000, lambda v: {"kshot": _kshot(horizon=v)}),
+    ("kshot.k_select", 1_000, lambda v: {"kshot": _kshot(k_select=v)}),
+    ("kshot.n_eval", 1_000, lambda v: {"kshot": _kshot(n_eval=v)}),
+    ("kshot.bootstrap_resamples", 100_000, lambda v: {"kshot": _kshot(bootstrap_resamples=v)}),
+    ("kshot.n_train_seeds", 100, lambda v: {"kshot": _kshot(n_train_seeds=v)}),
+]
+
+
+@pytest.mark.parametrize("path, maximum, change", COUNT_BOUNDS, ids=[b[0] for b in COUNT_BOUNDS])
+def test_counts_that_drive_memory_or_time_are_bounded_in_the_parser(path, maximum, change, monkeypatch):
+    def no_build(self):
+        return None, None  # parsing alone: nothing is built, trained or rolled
+
+    monkeypatch.setattr(divset.config.EnvironmentSettings, "build", no_build)
+    parse_config(minimal_chain_config(**change(maximum)))
+    with pytest.raises(ConfigError) as info:
+        parse_config(minimal_chain_config(**change(maximum + 1)))
+    assert str(info.value) == f"{path}: {maximum + 1} is above the maximum {maximum}"
+
+
 def test_unbuildable_environment_is_a_config_error():
     with pytest.raises(ConfigError, match="cannot build"):
         parse_config(

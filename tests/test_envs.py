@@ -17,7 +17,7 @@ from divset import (
     four_rooms_spec,
     grid_cells,
     perturb,
-    rollout,
+    sample_episodes,
 )
 
 from helpers import random_mdp
@@ -229,17 +229,17 @@ def test_periodic_schedule_expands_the_clock():
     assert out.transition[1, 1, 1] == 1.0
     assert np.array_equal(out.reward, mdp.reward)
     right = deterministic_policy(np.full(3, 1, dtype=int), 3)
-    for seed in range(10):
-        traj = rollout(out, right, horizon=8, rng=np.random.default_rng(seed))
+    rngs = [np.random.default_rng(seed) for seed in range(10)]
+    paths, _, rewards = sample_episodes(out, right, 8, rngs)
+    for path, episode_rewards in zip(paths, rewards):
         for t in range(8):
-            s = traj.states[t]
+            s = path[t]
             # phase 0 is active: full failure freezes the state;
             # phase 1 is inactive: ordinary dynamics move right
             expected = s if t % 2 == 0 else min(s + 1, 2)
-            assert traj.next_states[t] == expected
+            assert path[t + 1] == expected
             # rewards follow the dynamics in force at each phase
-            assert traj.rewards[t] == (1.0 if s == 2 else 0.0)
-        assert np.array_equal(traj.states[1:], traj.next_states[:-1])
+            assert episode_rewards[t] == (1.0 if s == 2 else 0.0)
 
 
 def test_rollout_on_a_clock_expanded_mdp_uses_base_state_indexing():
@@ -248,15 +248,17 @@ def test_rollout_on_a_clock_expanded_mdp_uses_base_state_indexing():
     p = Perturbation(kind=PerturbationKind.ACTION_FAILURE, magnitude=1.0, schedule=sched)
     out = perturb(mdp, p, seed=0)
     policy = deterministic_policy(np.full(3, 1, dtype=int), 3)  # indexed by base states
-    for seed in range(10):
-        traj = rollout(out, policy, horizon=9, rng=np.random.default_rng(seed))
-        assert traj.states.shape == (9,)
-        assert np.all((traj.states >= 0) & (traj.states < 3))
-        assert np.array_equal(traj.actions, np.full(9, 1))
+    rngs = [np.random.default_rng(seed) for seed in range(10)]
+    paths, actions, _ = sample_episodes(out, policy, 9, rngs)
+    assert paths.shape == (10, 10)
+    assert np.all((paths >= 0) & (paths < 3))
+    assert np.array_equal(actions, np.full((10, 9), 1))
+    for path in paths:
+        states = path[:-1]
         # the clock phase advances by one every step: only steps 0, 3, 6 freeze
-        moved = traj.next_states != traj.states
+        moved = path[1:] != states
         assert not np.any(moved[::3])
-        assert np.array_equal(moved, (np.arange(9) % 3 != 0) & (traj.states < 2))
+        assert np.array_equal(moved, (np.arange(9) % 3 != 0) & (states < 2))
 
 
 def _clock_expanded(mdp: TabularMdp, perturbed: TabularMdp, sched: Periodic) -> TabularMdp:
@@ -297,14 +299,14 @@ def test_periodic_rollouts_match_the_clock_expanded_mdp():
         scheduled = perturb(mdp, Perturbation(remap.kind, remap.magnitude, sched), seed=0)
         oracle = _clock_expanded(mdp, always, sched)
         oracle_policy = np.repeat(probs, sched.period, axis=0)
-        for seed in range(20):
-            traj = rollout(scheduled, probs, 30, np.random.default_rng(seed))
-            ref = rollout(oracle, oracle_policy, 30, np.random.default_rng(seed))
-            assert np.array_equal(traj.states, ref.states // sched.period)
-            assert np.array_equal(traj.next_states, ref.next_states // sched.period)
-            assert np.array_equal(traj.actions, ref.actions)
-            assert np.array_equal(traj.rewards, ref.rewards)
-            assert np.array_equal(traj.features, ref.features)
+        got = sample_episodes(scheduled, probs, 30, [np.random.default_rng(s) for s in range(20)])
+        ref = sample_episodes(oracle, oracle_policy, 30, [np.random.default_rng(s) for s in range(20)])
+        (path, actions, rewards), (ref_path, ref_actions, ref_rewards) = got, ref
+        assert np.array_equal(path, ref_path // sched.period)
+        assert np.array_equal(actions, ref_actions)
+        assert np.array_equal(rewards, ref_rewards)
+        features = mdp.features[path[:, :-1] * 3 + actions]
+        assert np.array_equal(features, oracle.features[ref_path[:, :-1] * 3 + ref_actions])
     # a long period costs no memory: the dynamics stay on the base states
     long = perturb(mdp, Perturbation(remap.kind, remap.magnitude, Periodic(50, 1, 49)), seed=0)
     assert long.transition.shape == mdp.transition.shape

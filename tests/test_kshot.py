@@ -2,28 +2,36 @@
 
 import csv
 import dataclasses
+import importlib.util
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import divset.experiment
 import divset.kshot
 from divset import (
     KShotConfig,
     build_chain,
     child_rng,
-    episode_return,
     init_set,
     kshot_evaluate,
     kshot_returns,
     kshot_select,
     parse_config,
     run_kshot,
+    sample_episodes,
 )
 from divset.experiment import KSHOT_COLUMNS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+BENCH_TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def episode_return(mdp, policy, horizon, rng) -> float:
+    """The undiscounted return of one episode, sampled alone."""
+    return float(sample_episodes(mdp, policy, horizon, [rng])[2].sum())
 
 
 def test_episode_return_sums_rewards():
@@ -261,6 +269,32 @@ def test_run_kshot_reproduces_the_golden_kshot_csv(tmp_path):
     assert path.read_bytes() == (GOLDEN_DIR / "kshot_chain.csv").read_bytes()
 
 
+def test_the_benchmark_tracer_counts_a_kshot_run(tmp_path):
+    # the benchmark's traced pass wraps divset functions by name and reads
+    # some of their arguments; a rename or a changed signature shows here
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH_TRACER)
+    bench_tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_tracer)
+    d = golden_kshot_config(tmp_path / "out")
+    config = parse_config(d)
+    tracer = bench_tracer.Tracer()
+    tracer.install()
+    try:
+        path = divset.experiment.run_kshot(config)
+    finally:
+        tracer.uninstall()
+    assert divset.kshot.kshot_select is kshot_select
+    assert divset.experiment.run_kshot is run_kshot
+    assert path.read_bytes() == (GOLDEN_DIR / "kshot_chain.csv").read_bytes()
+    metrics = tracer.metrics()
+    ks = d["kshot"]
+    cells = sum(len(p["magnitudes"]) for p in ks["perturbations"])
+    families = 1 + len(ks["methods"])  # the baseline, then each method
+    assert metrics["experiment.run_kshot.calls"] == 1
+    assert metrics["kshot.kshot_select.calls"] == cells * ks["n_train_seeds"] * families
+    assert metrics["kshot.kshot_evaluate.calls"] == cells * families
+
+
 def test_run_kshot_trains_each_method_in_lockstep_stacks_of_at_most_64(tmp_path, monkeypatch):
     stacks, calls = [], []
     real_best_response, real_train_exact = divset.training.best_response, divset.experiment.train_exact
@@ -288,21 +322,23 @@ def test_run_kshot_trains_each_method_in_lockstep_stacks_of_at_most_64(tmp_path,
 
 
 def test_run_kshot_rolls_each_set_once_per_cell_and_seed(tmp_path, monkeypatch):
-    calls = []
-    real_rollout = divset.kshot.rollout
+    episodes = []  # per sample_episodes call, its number of episodes
+    real_sample_episodes = divset.kshot.sample_episodes
 
-    def counting_rollout(*args, **kwargs):
-        calls.append(1)
-        return real_rollout(*args, **kwargs)
+    def counting_sample_episodes(mdp, policies, horizon, rngs):
+        episodes.append(len(rngs))
+        return real_sample_episodes(mdp, policies, horizon, rngs)
 
-    monkeypatch.setattr(divset.kshot, "rollout", counting_rollout)
+    monkeypatch.setattr(divset.kshot, "sample_episodes", counting_sample_episodes)
     d = golden_kshot_config(tmp_path / "out")
     run_kshot(parse_config(d))
     ks = d["kshot"]
     cells = sum(len(p["magnitudes"]) for p in ks["perturbations"])
     set_sizes = [1] + [m["set_size"] for m in ks["methods"]]  # baseline first
     per_seed = sum(ks["k_select"] * n + ks["n_eval"] for n in set_sizes)
-    assert len(calls) == cells * ks["n_train_seeds"] * per_seed
+    assert sum(episodes) == cells * ks["n_train_seeds"] * per_seed
+    # per family and seed: one call per member to select, one to evaluate the pick
+    assert len(episodes) == cells * ks["n_train_seeds"] * sum(n + 1 for n in set_sizes)
 
 
 def test_run_kshot_writes_schema_and_baseline_unit_ratios(tmp_path):

@@ -37,7 +37,7 @@ from divset import (
     load_config,
     occupancy,
     policy_value,
-    rollout,
+    sample_episodes,
     train_exact,
     train_sampled,
     train_sampled_lockstep,
@@ -258,12 +258,12 @@ def test_exact_trainer_solves_an_occupancy_only_for_a_changed_policy(monkeypatch
 def test_rollout_follows_the_dynamics():
     mdp = build_chain(5, end_reward=1.0)
     always_right = deterministic_policy(np.full(5, 1, dtype=int), 3)
-    traj = rollout(mdp, always_right, horizon=12, rng=np.random.default_rng(0))
-    assert traj.states.shape == (12,)
-    assert np.all(np.diff(traj.states) >= 0)  # moving right never goes back
-    assert np.array_equal(traj.rewards, mdp.reward[traj.states, traj.actions])
-    assert np.array_equal(traj.features, mdp.features[traj.states * 3 + traj.actions])
-    assert np.array_equal(traj.next_states[:-1], traj.states[1:])
+    path, actions, rewards = sample_episodes(mdp, always_right, 12, [np.random.default_rng(0)])
+    assert (path.shape, actions.shape, rewards.shape) == ((1, 13), (1, 12), (1, 12))
+    states = path[0, :-1]
+    assert np.all(np.diff(path[0]) >= 0)  # moving right never goes back
+    assert np.array_equal(actions[0], np.full(12, 1))
+    assert np.array_equal(rewards[0], mdp.reward[states, actions[0]])
 
 
 def _dense_rollout(mdp, policy, horizon, rng):
@@ -304,6 +304,17 @@ def _sparse(rng, rows, width):
     return p / p.sum(axis=1, keepdims=True)
 
 
+def _assert_matches_the_dense_rollout(mdp, policy, generator, path, actions, rewards):
+    """One episode of sample_episodes, its (T + 1,) path and (T,) actions and
+    rewards, equals _dense_rollout of policy on the same generator."""
+    ref = _dense_rollout(mdp, policy, len(actions), generator)
+    states = path[:-1]
+    got = (states, actions, rewards, mdp.features[states * mdp.num_actions + actions], path[1:])
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype
+        assert np.array_equal(g, r)
+
+
 def test_rollout_matches_the_dense_searchsorted_rollout():
     for seed in range(6):
         rng = np.random.default_rng(seed)
@@ -323,18 +334,35 @@ def test_rollout_matches_the_dense_searchsorted_rollout():
             unperturbed=base,
         )
         policy = _sparse(rng, S, A)
+        per_episode = _sparse(rng, 10 * S, A).reshape(10, S, A)
         for mdp in (
             base,
             PerturbedMdp(**perturbed),
             PerturbedMdp(**perturbed, schedule=Periodic(period=4, duration=2, start=1)),
         ):
-            for episode in range(10):
-                traj = rollout(mdp, policy, 40, np.random.default_rng([seed, episode]))
-                ref = _dense_rollout(mdp, policy, 40, np.random.default_rng([seed, episode]))
-                got = (traj.states, traj.actions, traj.rewards, traj.features, traj.next_states)
-                for g, r in zip(got, ref):
-                    assert g.dtype == r.dtype
-                    assert np.array_equal(g, r)
+            # each episode alone, then the ten in one call with a policy per
+            # episode, then the ten in one call sharing one policy
+            for e in range(10):
+                got = sample_episodes(mdp, policy, 40, [np.random.default_rng([seed, e])])
+                ref_rng = np.random.default_rng([seed, e])
+                _assert_matches_the_dense_rollout(mdp, policy, ref_rng, *(a[0] for a in got))
+            for policies in (per_episode, policy):
+                rngs = [np.random.default_rng([seed, e]) for e in range(10)]
+                path, actions, rewards = sample_episodes(mdp, policies, 40, rngs)
+                assert path.shape == (10, 41)
+                for e in range(10):
+                    own = policies[e] if policies.ndim == 3 else policies
+                    ref_rng = np.random.default_rng([seed, e])
+                    _assert_matches_the_dense_rollout(
+                        mdp, own, ref_rng, path[e], actions[e], rewards[e]
+                    )
+
+
+def test_sample_episodes_needs_one_policy_per_episode():
+    mdp = build_chain(3)
+    policies = np.full((2, 3, 3), 1.0 / 3.0)
+    with pytest.raises(ValueError, match="got 2 policies for 3 episodes"):
+        sample_episodes(mdp, policies, 4, [np.random.default_rng(e) for e in range(3)])
 
 
 def _one_row_mdp(row):
@@ -376,8 +404,8 @@ def test_draws_past_a_rounded_cdf_land_on_the_last_positive_outcome():
         initial_dist=np.ones(1),
     )
     draws = [0.0, 0.0, 0.0, 0.3, 0.0, 0.6, 0.0, 0.99, 0.0]
-    traj = rollout(mdp, np.array([[0.3, 0.3, 0.0]]), 4, _FixedDraws(draws))
-    assert traj.actions.tolist() == [0, 1, 1, 1]
+    _, actions, _ = sample_episodes(mdp, np.array([[0.3, 0.3, 0.0]]), 4, [_FixedDraws(draws)])
+    assert actions.tolist() == [[0, 1, 1, 1]]
 
 
 def test_a_positive_tail_absorbed_by_rounding_is_never_drawn():
@@ -387,9 +415,9 @@ def test_a_positive_tail_absorbed_by_rounding_is_never_drawn():
     cum, outcomes = mdp.transition_cdf[0]
     assert (cum, outcomes) == ([0.3, np.inf, np.inf], [0, 1, 2])
     assert outcomes[bisect_right(cum, 0.7)] == 1
-    traj = rollout(mdp, np.ones((4, 1)), 1, _FixedDraws([0.0, 0.5, 0.7]))
-    assert traj.states.tolist() == [0]
-    assert traj.next_states.tolist() == [1]
+    path, _, _ = sample_episodes(mdp, np.ones((4, 1)), 1, [_FixedDraws([0.0, 0.5, 0.7])])
+    assert path[:, :-1].tolist() == [[0]]
+    assert path[:, 1:].tolist() == [[1]]
 
 
 def _softmax(logits):
