@@ -180,7 +180,7 @@ _COUNT = partial(_integer, lo=1)
 # Maxima of the counts that drive memory or time. A set fits one lockstep
 # group, so a best response stacks at most _LOCKSTEP_MEMBERS members. One
 # sample_episodes call plays k_select or n_eval episodes of horizon steps:
-# at most 10^7 steps, about 50 bytes each at its peak. The bootstrap's chunk
+# at most 10^7 steps, about 33 bytes each at its peak. The bootstrap's chunk
 # gathers (64, seeds, 2, n_eval) int64 episode indices: at most 102 MB.
 _SET_SIZE = partial(_COUNT, hi=_LOCKSTEP_MEMBERS)
 _STEPS = partial(_COUNT, hi=10_000)  # horizon, episode_length
@@ -256,8 +256,9 @@ class ExperimentConfig:
 
 
 # Most states an environment may have. The transition tensor holds S^2 A
-# floats, and a lockstep best response gathers at most a (64, S, S) float64
-# stack (_SET_SIZE): 134 MB at 512 states.
+# floats, and a lockstep best response or a stacked occupancy call holds
+# at most about two (64, S, S) float64 stacks at once (_SET_SIZE; 2.2 under
+# tracemalloc): under 300 MB at 512 states.
 _MAX_STATES = 512
 
 # optional keys of both environment types

@@ -11,7 +11,10 @@ Conventions used throughout:
   array of probabilities pi[s, a] = pi(a | s), each row on the simplex; a
   set of n policies is one (n, S, A) array. An occupancy d is a length
   S * A array, row-major over (s, a), so d.reshape(S, A) indexes it by
-  state and action.
+  state and action. The occupancy functions also take an (..., S, A)
+  stack of policies, and policy_value and expected_features an (..., S * A)
+  stack of occupancies; each row of a stacked result has the bytes of its
+  own single call (no multi-column solve, and no product over the stack).
 
 - Occupancies are distributions over state-action pairs (length S * A,
   summing to one) and come in two flavors:
@@ -194,12 +197,13 @@ def deterministic_policy(actions: np.ndarray, num_actions: int) -> np.ndarray:
 
 
 def policy_transition_matrix(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
-    """P_pi[s, s'] = sum_a pi(a | s) P(s' | s, a)."""
-    return np.einsum("sa,sat->st", policy, mdp.transition)
+    """P_pi[s, s'] = sum_a pi(a | s) P(s' | s, a); (..., S, S) for an (..., S, A) stack."""
+    return np.einsum("...sa,sat->...st", policy, mdp.transition)
 
 
 def _solve_stationary(P_pi: np.ndarray) -> np.ndarray:
-    """Solve rho^T P_pi = rho^T, sum rho = 1 for a chain with one closed class.
+    """Solve rho^T P_pi = rho^T, sum rho = 1 for each chain of an (..., S, S)
+    stack with one closed class, one single-column solve per chain.
 
     The rows of (P_pi^T - I) sum to the zero vector, so exactly one of the
     stationarity equations is redundant and we may replace it with the
@@ -207,47 +211,45 @@ def _solve_stationary(P_pi: np.ndarray) -> np.ndarray:
     singular system, a negative entry or a residual above 1e-9 can only be
     a numerical fault, and raises LinAlgError.
     """
-    S = P_pi.shape[0]
-    A = P_pi.T - np.eye(S)
-    A[-1, :] = 1.0
-    b = np.zeros(S)
-    b[-1] = 1.0
-    rho = np.linalg.solve(A, b)
-    if (
-        not np.all(np.isfinite(rho))
-        or rho.min() < -1e-8
-        or np.max(np.abs(rho @ P_pi - rho)) > _STATIONARY_RESIDUAL_TOL
-    ):
+    S = P_pi.shape[-1]
+    A = P_pi.swapaxes(-1, -2) - np.eye(S)
+    A[..., -1, :] = 1.0
+    b = np.broadcast_to(np.eye(S)[-1], A.shape[:-1])
+    rho = np.linalg.solve(A, b[..., None])[..., 0]
+    residual = np.abs((rho[..., None, :] @ P_pi)[..., 0, :] - rho)
+    if not np.all(np.isfinite(rho) & (rho >= -1e-8) & (residual <= _STATIONARY_RESIDUAL_TOL)):
         raise np.linalg.LinAlgError("the stationary solve is not a distribution of its chain")
     rho = np.clip(rho, 0.0, None)
-    return rho / rho.sum()
+    return rho / rho.sum(axis=-1, keepdims=True)
 
 
 def stationary_distribution(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
     """Average-flavor occupancy d(s, a) = rho(s) pi(a | s), rho the Cesaro limit of d0 P_pi^t.
 
     With one closed class rho is P_pi's stationary distribution, whatever
-    d0. With several (Puterman 1994, App. A), each class C gets the
-    stationary distribution of its own block P_pi[C, C], weighted by the
-    mass that d0 ends up putting into C: its own d0 mass plus what the
-    transient states pass into it, one solve with the transient rows of
-    I - P_pi.
+    d0; a stack's members with one class are solved together. With several
+    (Puterman 1994, App. A), each class C gets the stationary distribution
+    of its own block P_pi[C, C], weighted by the mass that d0 ends up
+    putting into C: its own d0 mass plus what the transient states pass
+    into it, one solve with the transient rows of I - P_pi.
     """
     P_pi = policy_transition_matrix(mdp, policy)
-    S, reach = len(P_pi), mdp.reach_under_every_policy
+    S, reach = mdp.num_states, mdp.reach_under_every_policy
+    rho = np.zeros(P_pi.shape[:-1])
+    chains, rows = P_pi.reshape(-1, S, S), rho.reshape(-1, S)  # views, one row per policy
     # when every pair is reachable under every policy, every policy has one class
-    cls = np.zeros(S, dtype=int) if reach.all() else _closed_classes(P_pi, reach)
-    heads = np.flatnonzero(cls == np.arange(S))
-    if len(heads) == 1:
-        rho = _solve_stationary(P_pi)
-    else:
-        M = _identity_rows(np.eye(S) - P_pi, cls >= 0)
+    table = np.zeros(rows.shape, dtype=int) if reach.all() else _closed_classes(chains, reach)
+    several = np.count_nonzero(table == np.arange(S), axis=1) > 1
+    # a boolean mask copies its rows, so the mask is taken only when some member needs it
+    rows[~several] = _solve_stationary(chains[~several] if several.any() else chains)
+    for i in np.flatnonzero(several):
+        cls, heads = table[i], np.flatnonzero(table[i] == np.arange(S))
+        M = _identity_rows(np.eye(S) - chains[i], cls >= 0)
         into = np.linalg.solve(M, (cls[:, None] == heads).astype(float))
-        rho = np.zeros(S)
         for head, mass in zip(heads, mdp.initial_dist @ into):
             C = cls == head
-            rho[C] = mass * _solve_stationary(P_pi[np.ix_(C, C)])
-    return (rho[:, None] * policy).ravel()
+            rows[i, C] = mass * _solve_stationary(chains[i][np.ix_(C, C)])
+    return (rho[..., None] * policy).reshape(*rho.shape[:-1], mdp.reward.size)
 
 
 def discounted_occupancy(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
@@ -256,31 +258,34 @@ def discounted_occupancy(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
     The state marginal m solves m = (1 - gamma) d0 + gamma P_pi^T m, i.e.
     the flow-conservation equations; d(s, a) = m(s) pi(a | s).
     """
-    S = mdp.num_states
     gamma = mdp.discount
-    P_pi = policy_transition_matrix(mdp, policy)
-    m = np.linalg.solve(np.eye(S) - gamma * P_pi.T, (1.0 - gamma) * mdp.initial_dist)
-    return (m[:, None] * policy).ravel()
+    M = gamma * policy_transition_matrix(mdp, policy).swapaxes(-1, -2)
+    np.subtract(np.eye(mdp.num_states), M, out=M)  # I - gamma P_pi^T, in place
+    b = np.broadcast_to((1.0 - gamma) * mdp.initial_dist, M.shape[:-1])
+    m = np.linalg.solve(M, b[..., None])[..., 0]
+    return (m[..., None] * policy).reshape(*m.shape[:-1], mdp.reward.size)
 
 
 def occupancy(mdp: TabularMdp, policy: np.ndarray, criterion: Criterion) -> np.ndarray:
+    """The criterion's occupancy of a policy, or one row per policy of a stack."""
     if criterion == Criterion.AVERAGE:
         return stationary_distribution(mdp, policy)
     return discounted_occupancy(mdp, policy)
 
 
-def policy_value(mdp: TabularMdp, occ: np.ndarray) -> float:
-    """Expected extrinsic reward under the occupancy d.
+def policy_value(mdp: TabularMdp, occ: np.ndarray) -> float | np.ndarray:
+    """Expected extrinsic reward under the occupancy d; (...,) for an (..., S * A) stack.
 
     Average flavor: the gain. Discounted flavor: the (1 - gamma)-normalised
     discounted return from d0.
     """
-    return float(mdp.reward.ravel() @ occ)
+    values = (occ[..., None, :] @ mdp.reward.reshape(-1, 1))[..., 0, 0]
+    return float(values) if occ.ndim == 1 else values
 
 
 def expected_features(mdp: TabularMdp, occ: np.ndarray) -> np.ndarray:
-    """psi = Phi^T d, a length-d vector."""
-    return mdp.features.T @ occ
+    """psi = Phi^T d, a length-d vector; (..., d) for an (..., S * A) stack."""
+    return (mdp.features.T @ occ[..., None])[..., 0]
 
 
 def _transitive_closure(edges: np.ndarray) -> np.ndarray:

@@ -14,8 +14,9 @@ Both trainers implement the same game. Each outer step,
      an exact best response, or a policy-gradient step.
 
 The exact trainer is deterministic given its seed (randomness only enters
-through the initial policies). A member's occupancy is solved again only
-when its policy changed. The sampled trainer is a tabular softmax
+through the initial policies). Its members' occupancies are one stacked
+array, and one occupancy call re-solves the members whose policy changed.
+The sampled trainer is a tabular softmax
 actor-critic with one critic per reward stream and n-step advantages,
 deterministic given its seed.
 
@@ -179,8 +180,10 @@ def sample_episodes(
     A = mdp.num_actions
     initial = mdp.initial_cdf
     transition_rows = (fallback.transition_cdf, mdp.transition_cdf)  # by active[t]
-    paths, chosen = [], []
-    for rng, policy_cdf in zip(rngs, policy_cdfs):
+    # each episode's lists go into these as it ends, so one episode's are alive at a time
+    path = np.empty((len(rngs), horizon + 1), dtype=int)
+    actions = np.empty((len(rngs), horizon), dtype=int)
+    for e, (rng, policy_cdf) in enumerate(zip(rngs, policy_cdfs)):
         draws = rng.random(2 * horizon + 1).tolist()
         s = bisect_right(initial, draws[0])
         visited, picks = [s], []
@@ -190,10 +193,7 @@ def sample_episodes(
             picks.append(a)
             s = outcomes[bisect_right(cum, u_next)]
             visited.append(s)
-        paths.append(visited)
-        chosen.append(picks)
-    path = np.array(paths, dtype=int)
-    actions = np.array(chosen, dtype=int)
+        path[e], actions[e] = visited, picks
     pairs = path[:, :-1] * A + actions  # row-major (s, a) indices
     rewards = mdp.reward.take(pairs)
     if fallback is not mdp:
@@ -262,9 +262,10 @@ def train_exact(
     (computed once; the extrinsic reward never changes). Each outer
     iteration makes one best_response call over the stack of every set's
     members' mixed rewards, each member starting from its current policy.
-    A member's occupancy is solved again only when its policy changed since
-    its last solve. The returned trace is a list of one record per
-    iteration plus a final evaluation record for the policies as returned.
+    One occupancy call solves the initial members; after each best_response
+    one more solves the members it changed, if any. The returned trace is a
+    list of one record per iteration plus a final evaluation record for the
+    policies as returned.
     """
     single = isinstance(cfg, ExactTrainConfig)
     results = _lockstep(
@@ -307,22 +308,14 @@ def _train_exact_group(
     )
     stack.vstar_estimate = policy_value(mdp, occupancy(mdp, pi_star, criterion))
     members = stack.policies.reshape(G * n, S, A)  # row g * n + i is set g's member i
-    # nan policies equal no policy, so the first measure solves every member
-    measured = np.full((G * n, S, A), np.nan)  # each member's policy at its last solve
-    occs: list = [None] * (G * n)  # that policy's occupancy
+    occs = occupancy(mdp, members, criterion)  # row i: member i's current policy's
     records: list[list[TraceRecord]] = [[] for _ in cfgs]
     features_sa = mdp.features_sa
     zero_reward = np.zeros_like(mdp.reward)
 
     def measure() -> tuple[np.ndarray, np.ndarray]:
         """Every member's exact value (G, n) and expected features (G, n, d)."""
-        for i, policy in enumerate(members):
-            if not np.array_equal(policy, measured[i]):
-                occs[i] = occupancy(mdp, policy, criterion)
-                measured[i] = policy
-        values = np.array([policy_value(mdp, o) for o in occs])
-        psis = np.stack([expected_features(mdp, o) for o in occs])
-        return values.reshape(G, n), psis.reshape(G, n, d)
+        return policy_value(mdp, occs).reshape(G, n), expected_features(mdp, occs).reshape(G, n, d)
 
     def record(iteration: int, values: np.ndarray, psis: np.ndarray) -> None:
         for trace, *arrays in zip(records, values, stack.extrinsic_weights(), stack.avg_psi, psis):
@@ -360,7 +353,11 @@ def _train_exact_group(
             mixed += [w_e * mdp.reward + w_d * r_d for (w_e, w_d), r_d in zip(w[g], rewards_d)]
         # every mixed reward is fixed before any member moves, so the best
         # responses of every set's members are one stacked solve
-        members[:] = best_response(mdp, np.stack(mixed), criterion, members)
+        policies = best_response(mdp, np.stack(mixed), criterion, members)
+        changed = np.any(policies != members, axis=(1, 2))
+        members[:] = policies
+        if changed.any():  # only a changed policy's occupancy is solved again
+            occs[changed] = occupancy(mdp, policies[changed], criterion)
 
     record(shared.outer_iterations, *measure())
     return _split(stack, records)
@@ -446,12 +443,7 @@ def _train_sampled_group(
 
     def record(it: int) -> None:
         stack.policies = _softmax(logits).reshape(G, n, S, A)
-        exact_psis = np.stack(
-            [
-                expected_features(mdp, occupancy(mdp, p, Criterion.AVERAGE))
-                for p in stack.policies.reshape(G * n, S, A)
-            ]
-        ).reshape(G, n, d)
+        exact_psis = expected_features(mdp, occupancy(mdp, stack.policies, Criterion.AVERAGE))
         values, sigma = stack.avg_value.copy(), stack.extrinsic_weights()
         for trace, *arrays in zip(records, values, sigma, stack.avg_psi, exact_psis):
             trace.append(_trace_record(it, *arrays, diversity_cfg))

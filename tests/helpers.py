@@ -1,6 +1,7 @@
 """Shared builders and oracles for the test suite."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -86,3 +87,34 @@ def own_objective_term(psis: np.ndarray, i: int, cfg: DiversityConfig) -> float:
     if cfg.scaling == RewardScaling.APPENDIX_CODE:
         f /= psis.shape[1]
     return f
+
+
+def golden_kshot_config(out: Path) -> dict:
+    """Sampled-trainer chain config with an n=2 method, scored under an
+    always-on and a Periodic ActionFailure."""
+    return {
+        "master_seed": 13,
+        "output_dir": str(out),
+        "environment": {"type": "chain", "length": 5, "end_reward": 1.0},
+        "diversity": {"kind": "Repulsive", "contact_distance": 1.0},
+        "strategy": {"kind": "DominoLagrangian", "alpha": 0.8},
+        "trainer": {"mode": "sampled", "total_episodes": 60, "episode_length": 12, "eval_every": 60},
+        "kshot": {
+            "methods": [
+                {"name": "pair", "strategy": {"kind": "DominoLagrangian", "alpha": 0.8}, "set_size": 2}
+            ],
+            "perturbations": [
+                {"kind": "ActionFailure", "magnitudes": [0.0, 0.3]},
+                {
+                    "kind": "ActionFailure",
+                    "magnitudes": [0.6],
+                    "schedule": {"type": "Periodic", "period": 4, "duration": 2, "start": 1},
+                },
+            ],
+            "k_select": 3,
+            "n_eval": 5,
+            "horizon": 12,
+            "n_train_seeds": 2,
+            "bootstrap_resamples": 40,
+        },
+    }

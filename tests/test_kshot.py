@@ -25,6 +25,8 @@ from divset import (
 )
 from divset.experiment import KSHOT_COLUMNS
 
+from helpers import golden_kshot_config
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 BENCH_TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -231,37 +233,6 @@ def test_paired_ratio_ci_memory_does_not_grow_with_the_resamples():
         peaks[resamples] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     assert peaks[4000] - peaks[500] < 64 * (4000 - 500)
-
-
-def golden_kshot_config(out: Path) -> dict:
-    """Sampled-trainer chain config with an n=2 method, scored under an
-    always-on and a Periodic ActionFailure."""
-    return {
-        "master_seed": 13,
-        "output_dir": str(out),
-        "environment": {"type": "chain", "length": 5, "end_reward": 1.0},
-        "diversity": {"kind": "Repulsive", "contact_distance": 1.0},
-        "strategy": {"kind": "DominoLagrangian", "alpha": 0.8},
-        "trainer": {"mode": "sampled", "total_episodes": 60, "episode_length": 12, "eval_every": 60},
-        "kshot": {
-            "methods": [
-                {"name": "pair", "strategy": {"kind": "DominoLagrangian", "alpha": 0.8}, "set_size": 2}
-            ],
-            "perturbations": [
-                {"kind": "ActionFailure", "magnitudes": [0.0, 0.3]},
-                {
-                    "kind": "ActionFailure",
-                    "magnitudes": [0.6],
-                    "schedule": {"type": "Periodic", "period": 4, "duration": 2, "start": 1},
-                },
-            ],
-            "k_select": 3,
-            "n_eval": 5,
-            "horizon": 12,
-            "n_train_seeds": 2,
-            "bootstrap_resamples": 40,
-        },
-    }
 
 
 def test_run_kshot_reproduces_the_golden_kshot_csv(tmp_path):

@@ -364,6 +364,40 @@ def test_each_closed_class_gets_the_d0_mass_that_ends_up_in_it():
     assert np.allclose(occ.reshape(3, 2), rho[:, None] * policy, rtol=0.0, atol=1e-15)
 
 
+def _assert_rows_have_the_bytes_of_single_calls(mdp: TabularMdp, policies: np.ndarray) -> None:
+    """Row i of the stacked occupancy, value and features of an (..., S, A)
+    stack has the bytes of the single-policy calls on its policy."""
+    S, A, d = mdp.num_states, mdp.num_actions, mdp.feature_dim
+    batch = policies.shape[:-2]
+    for criterion in Criterion:
+        occs = occupancy(mdp, policies, criterion)
+        values, psis = policy_value(mdp, occs), expected_features(mdp, occs)
+        assert (occs.shape, values.shape, psis.shape) == ((*batch, S * A), batch, (*batch, d))
+        rows = occs.reshape(-1, S * A), values.ravel(), psis.reshape(-1, d)
+        for policy, occ, value, psi in zip(policies.reshape(-1, S, A), *rows):
+            alone = occupancy(mdp, policy, criterion)
+            assert occ.tobytes() == alone.tobytes()
+            assert isinstance(policy_value(mdp, alone), float)
+            assert value.tobytes() == np.float64(policy_value(mdp, alone)).tobytes()
+            assert psi.tobytes() == expected_features(mdp, alone).tobytes()
+
+
+def test_stacked_evaluation_gives_each_policy_the_bytes_of_its_own_call():
+    rng = np.random.default_rng(15)
+    chain = build_chain(5, end_reward=1.0)
+    mdps = [build_gridworld(four_rooms_spec()), chain]
+    mdps += [_absorbing_mdp(seed) for seed in range(3)]
+    mdps += [random_mdp(rng, 6, 3, 4) for _ in range(3)]
+    for mdp in mdps:
+        S, A = mdp.num_states, mdp.num_actions
+        stochastic = rng.dirichlet(np.ones(A), size=(2, 5, S))
+        tables = deterministic_action_tables(S, A) if mdp is chain else rng.integers(0, A, (20, S))
+        # members with one class, with several and with transient states in one stack
+        mixed = np.concatenate([deterministic_policy(tables, A), stochastic[0]])
+        for policies in (stochastic, stochastic[1], mixed, mixed[:0]):  # 4-D, 3-D and empty
+            _assert_rows_have_the_bytes_of_single_calls(mdp, policies)
+
+
 def test_occupancy_on_four_rooms_needs_no_class_detection(monkeypatch):
     def no_closure(*args):
         raise AssertionError("_closed_classes called")

@@ -1,6 +1,7 @@
 """Exact and sampled training loops."""
 
 import dataclasses
+import tracemalloc
 from bisect import bisect_right
 from pathlib import Path
 
@@ -229,12 +230,12 @@ def test_lockstep_training_needs_configs_that_differ_only_in_seed():
 def test_exact_trainer_solves_an_occupancy_only_for_a_changed_policy(monkeypatch):
     mdp = build_chain(5, end_reward=1.0)
     n, iterations = 3, 8
-    solves, changed = [], []
+    rows, changed = [], []  # policies per occupancy call; members moved per best response
     real_occupancy, real_best_response = divset.training.occupancy, divset.training.best_response
 
-    def counting_occupancy(mdp, policy, criterion):
-        solves.append(1)
-        return real_occupancy(mdp, policy, criterion)
+    def counting_occupancy(mdp, policies, criterion):
+        rows.append(len(policies) if policies.ndim == 3 else 1)
+        return real_occupancy(mdp, policies, criterion)
 
     def tracking_best_response(mdp, reward, criterion, start=None):
         policies = real_best_response(mdp, reward, criterion, start)
@@ -247,10 +248,13 @@ def test_exact_trainer_solves_an_occupancy_only_for_a_changed_policy(monkeypatch
     cfg = ExactTrainConfig(outer_iterations=iterations, seed=2)
     pset, trace = train_exact(mdp, n, _REPULSIVE, _DOMINO, cfg)
     # the optimum, each initial policy once, then each member whose best
-    # response moved it
+    # response moved it; one call for the optimum, one for the initial set
+    # and one per iteration that moved any member
     assert len(changed) == iterations
-    assert len(solves) == 1 + n + sum(changed)
-    assert sum(changed) < iterations * n
+    assert sum(rows) == 1 + n + sum(changed)
+    assert rows[:2] == [1, n]
+    assert len(rows) == 2 + np.count_nonzero(changed)
+    assert 0 in changed and sum(changed) < iterations * n
     fresh = [policy_value(mdp, real_occupancy(mdp, p, cfg.criterion)) for p in pset.policies]
     assert trace[-1].extrinsic_values.tobytes() == np.array(fresh).tobytes()
 
@@ -363,6 +367,32 @@ def test_sample_episodes_needs_one_policy_per_episode():
     policies = np.full((2, 3, 3), 1.0 / 3.0)
     with pytest.raises(ValueError, match="got 2 policies for 3 episodes"):
         sample_episodes(mdp, policies, 4, [np.random.default_rng(e) for e in range(3)])
+
+
+def test_sample_episodes_of_no_generator_are_empty():
+    mdp = build_chain(3)
+    for policies in (np.full((3, 3), 1.0 / 3.0), np.full((0, 3, 3), 1.0 / 3.0)):
+        path, actions, rewards = sample_episodes(mdp, policies, 4, [])
+        assert path.shape == (0, 5) and actions.shape == rewards.shape == (0, 4)
+
+
+def test_sample_episodes_keeps_one_episode_of_lists_alive():
+    # 20 episodes of 10,000 four-rooms steps: the returned arrays take 4.8 MB;
+    # holding every episode's Python lists until the end peaked at 10.6 MB
+    mdp = build_gridworld(four_rooms_spec())
+    uniform = np.full((mdp.num_states, mdp.num_actions), 1.0 / mdp.num_actions)
+    rngs = [np.random.default_rng(e) for e in range(20)]
+    mdp.transition_cdf, mdp.initial_cdf  # built once per MDP, not part of the call
+    tracemalloc.start()
+    try:
+        out = sample_episodes(mdp, uniform, 10_000, rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in out)
+    # the returned arrays, one (E, T) temporary for the pair indices, and
+    # 2 MB for one episode's draws and lists (about 1 MB)
+    assert peak < returned + out[1].nbytes + 2_000_000
 
 
 def _one_row_mdp(row):
