@@ -102,11 +102,13 @@ def _generalized_c(l: float, cfg: DiversityConfig) -> float:
 
 
 # kind -> (f, c): f maps the array of l_i to the objective terms, c maps one
-# l_i (a Python float) to the reward coefficient; f'(l) = l c(l).
+# l_i (a Python float) to the reward coefficient; f'(l) = l c(l). l**5 is
+# spelled out as products: numpy's power loop differs in the last bit between
+# its AVX-512 and AVX2 builds, a product does not (l**2 is a product already).
 _KERNELS = {
     DiversityKind.REPULSIVE: (lambda l, cfg: 0.5 * l**2, lambda l, cfg: 1.0),
     DiversityKind.VAN_DER_WAALS: (
-        lambda l, cfg: 0.5 * l**2 - 0.2 * l**5 / cfg.contact_distance**3,
+        lambda l, cfg: 0.5 * l**2 - 0.2 * (l * l * l * l * l) / cfg.contact_distance**3,
         lambda l, cfg: 1.0 - (l / cfg.contact_distance) ** 3,
     ),
     DiversityKind.GENERALIZED: (_generalized_f, _generalized_c),

@@ -31,7 +31,6 @@ import itertools
 import json
 import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -243,6 +242,9 @@ def run_experiment(config: ExperimentConfig) -> Path:
     workers = _worker_count()
     chunks = _chunks(specs, workers)
     if workers > 1 and len(chunks) > 1:
+        # imported here, so that serial runs and kshot never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # a fork pool starts all its processes at the first submit
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             results = list(pool.map(run_cell, itertools.repeat(config), chunks))

@@ -19,7 +19,10 @@ exactly 1. Aggregation across training seeds uses a nested bootstrap
 variance reach the interval. The bootstrap draws its seed indices and its
 episode indices from two streams of its own, child_rng(ci seed, "seeds")
 and child_rng(ci seed, "episodes"), where the ci seed is
-hash64(seed, "ci").
+hash64(seed, "ci"). The interval's two ends are percentiles of the finite
+resample statistics by numpy's default linear method, computed here
+(_percentiles) bit for bit as np.percentile does: np.percentile imports
+numpy.ma on its first call, which would cost every kshot run that import.
 """
 
 from __future__ import annotations
@@ -182,5 +185,18 @@ def _paired_ratio_ci(
     if not finite.size:
         return float("nan"), float("nan")
     lo = (1.0 - level) / 2.0 * 100.0
-    low, high = np.percentile(finite, [lo, 100.0 - lo])
+    low, high = _percentiles(finite, [lo, 100.0 - lo])
     return float(low), float(high)
+
+
+def _percentiles(values: np.ndarray, q: list[float]) -> np.ndarray:
+    """np.percentile(values, q) by its default linear method, bit for bit,
+    for finite values and q in [0, 100]; np.percentile itself imports
+    numpy.ma on its first call."""
+    ordered = np.sort(values)
+    index = (len(ordered) - 1) * np.true_divide(q, 100)
+    lower = np.floor(index).astype(np.intp)
+    a, b = ordered[lower], ordered[np.minimum(lower + 1, len(ordered) - 1)]
+    t = index - lower
+    # numpy's _lerp: from the nearer end, so a weight of 1 returns b exactly
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)

@@ -210,12 +210,21 @@ def _solve_stationary(P_pi: np.ndarray) -> np.ndarray:
     normalisation. With one closed class the system is nonsingular, so a
     singular system, a negative entry or a residual above 1e-9 can only be
     a numerical fault, and raises LinAlgError.
+
+    The system is built in place on P_pi, seen transposed, and P_pi's
+    diagonal and last column are restored exactly after the solve, so the
+    residual is checked against the chains as given.
     """
     S = P_pi.shape[-1]
-    A = P_pi.swapaxes(-1, -2) - np.eye(S)
+    diagonal = np.einsum("...ii->...i", P_pi)  # writeable; diagonal() is read-only
+    saved_diagonal, saved_column = diagonal.copy(), P_pi[..., -1].copy()
+    A = P_pi.swapaxes(-1, -2)
+    diagonal -= 1.0
     A[..., -1, :] = 1.0
     b = np.broadcast_to(np.eye(S)[-1], A.shape[:-1])
     rho = np.linalg.solve(A, b[..., None])[..., 0]
+    P_pi[..., -1] = saved_column
+    diagonal[...] = saved_diagonal
     residual = np.abs((rho[..., None, :] @ P_pi)[..., 0, :] - rho)
     if not np.all(np.isfinite(rho) & (rho >= -1e-8) & (residual <= _STATIONARY_RESIDUAL_TOL)):
         raise np.linalg.LinAlgError("the stationary solve is not a distribution of its chain")
@@ -410,6 +419,8 @@ def best_response(
     rewards = reward.reshape(-1, S, A)
     actions = np.argmax(rewards if start is None else start.reshape(-1, S, A), axis=2)
     P, states = mdp.transition, np.arange(S)
+    # each round gathers its policy matrices into the head of one buffer
+    rows, buffer = P.reshape(S * A, S), np.empty((len(rewards), S, S))
     discounted = criterion == Criterion.DISCOUNTED
     # without detection each policy has one class headed by state 0; m members take the first m rows
     one_class = _classes(np.broadcast_to(0, (len(rewards), S)))
@@ -418,8 +429,9 @@ def best_response(
     while live.size:
         a, r = actions[live], rewards[live]
         r_pi = r[np.arange(len(a))[:, None], states, a]
-        # the policy matrices, turned in place into I - gamma P_pi or I - P_pi
-        M = P[states, a]
+        # the policy matrices, turned in place into I - gamma P_pi or I - P_pi;
+        # the indices are in range, and mode="raise" would gather into a copy of out
+        M = rows.take(states * A + a, axis=0, out=buffer[: len(a)], mode="clip")
         allowed = None
         if discounted:
             M *= mdp.discount

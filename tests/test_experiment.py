@@ -1,7 +1,11 @@
 """Sweep enumeration, output files, and byte-level reproducibility."""
 
+import concurrent.futures
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +33,8 @@ from divset.experiment import (
     _worker_count,
     strategy_descriptor,
 )
+
+from helpers import golden_kshot_config
 
 
 def tiny_config(tmp_path: Path, **overrides) -> dict:
@@ -177,7 +183,7 @@ class _SerialPool:
     ],
 )
 def test_sweep_pool_has_no_more_processes_than_tasks(tmp_path, monkeypatch, trainer, tasks):
-    monkeypatch.setattr(divset.experiment, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "max_workers", [])
     monkeypatch.setattr(_SerialPool, "chunks", [])
     monkeypatch.setenv("DIVSET_WORKERS", "5")
@@ -187,6 +193,30 @@ def test_sweep_pool_has_no_more_processes_than_tasks(tmp_path, monkeypatch, trai
     run_experiment(parse_config(tiny_config(tmp_path, trainer=trainer, seeds=seeds, sweep={})))
     assert _SerialPool.chunks == [2, 2, 2, 1]
     assert _SerialPool.max_workers == [tasks]
+
+
+_FOOTPRINT = """
+import json, sys
+import divset
+watched = ("concurrent.futures.process", "multiprocessing", "numpy.ma")
+after_import = [name for name in watched if name in sys.modules]
+divset.run_kshot(divset.parse_config(json.loads(sys.argv[1])))
+print(json.dumps([after_import, [name for name in watched if name in sys.modules]]))
+"""
+
+
+def test_import_and_kshot_load_neither_the_pool_nor_numpy_ma(tmp_path):
+    # the pool's modules load only when a sweep starts a pool, and the
+    # bootstrap takes its percentiles without np.percentile, which imports numpy.ma
+    src = str(Path(divset.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cfg = json.dumps(golden_kshot_config(tmp_path / "out"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, cfg], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], []]
 
 
 def test_worker_count_parsing(monkeypatch):

@@ -235,6 +235,21 @@ def test_paired_ratio_ci_memory_does_not_grow_with_the_resamples():
     assert peaks[4000] - peaks[500] < 64 * (4000 - 500)
 
 
+def test_percentiles_match_numpys_linear_method_bit_for_bit():
+    rng = np.random.default_rng(25)
+    samples = [
+        rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0) + rng.normal()
+        for n in rng.integers(1, 601, size=300)
+    ]
+    samples += [np.array([2.5]), np.full(9, 1.25)]  # one finite resample; all equal
+    for values in samples:
+        for level in (0.5, 0.9, 0.95, 0.99, rng.uniform()):
+            lo = (1.0 - level) / 2.0 * 100.0
+            q = [lo, 100.0 - lo]
+            got = divset.kshot._percentiles(values, q)
+            assert got.tobytes() == np.percentile(values, q).tobytes()
+
+
 def test_run_kshot_reproduces_the_golden_kshot_csv(tmp_path):
     path = run_kshot(parse_config(golden_kshot_config(tmp_path / "out")))
     assert path.read_bytes() == (GOLDEN_DIR / "kshot_chain.csv").read_bytes()
