@@ -1,11 +1,14 @@
 """Shared builders and oracles for the test suite."""
 
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 
 from divset import DiversityConfig, DiversityKind, RewardScaling, TabularMdp, validate_mdp
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # one config per kernel form: repulsive, van der Waals, the generalized
 # l0 * l of the committed configs, a generalized kernel with a logarithmic
@@ -118,3 +121,15 @@ def golden_kshot_config(out: Path) -> dict:
             "bootstrap_resamples": 40,
         },
     }
+
+
+def golden_four_rooms_config(out: Path) -> dict:
+    """The committed four-rooms sweep cut down to 2 alphas x 2 set sizes x
+    2 seeds of 30 outer iterations: the exact trainer on the one-class
+    path, the Generalized kernel and DominoLagrangian."""
+    d = json.loads((ROOT / "configs" / "four_rooms_qd.json").read_text())
+    d["output_dir"] = str(out)
+    d["seeds"] = [0, 1]
+    d["sweep"] = {"alpha": [0.7, 0.9], "set_size": [5, 10]}
+    d["trainer"]["outer_iterations"] = 30
+    return d
