@@ -2,7 +2,7 @@
 
 Train a set of n policies that spread out in expected-feature space
 while each keeps its value above a fraction alpha of the optimum. The
-package provides exact (occupancy-solving) and sample-based trainers,
+package provides exact (linear-solve) and sample-based trainers,
 constraint strategies for the Lagrangian method and its fixed-mixture
 baselines, environment builders with parametric perturbations, and a
 few-shot robustness evaluation protocol.
@@ -27,6 +27,7 @@ from .diversity import (
     diversity_objective,
     diversity_reward,
     diversity_score,
+    reward_table,
 )
 from .envs import (
     Always,

@@ -40,6 +40,7 @@ __all__ = [
     "DiversityKind",
     "RewardScaling",
     "DiversityConfig",
+    "reward_table",
     "diversity_reward",
     "diversity_score",
     "diversity_objective",
@@ -131,37 +132,52 @@ def _scale(
     return value
 
 
+def reward_table(
+    psis: np.ndarray, cfg: DiversityConfig, nearest: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every member's reward factors from one nearest-neighbour pass over the (n, d) psis:
+    c, with c[i] = c(l_i), and the (n, d) diff, with diff[i] = psi^i - psi^{j*_i}. Member
+    i's diversity reward is _scale(c[i] * (phi . diff[i])). c[i] is zero for a member that
+    coincides with its nearest neighbour (l_i = 0), whose reward vanishes; this also guards
+    the negative-power generalized coefficients, which diverge at l = 0. nearest, if given,
+    is _nearest(psis), which the set's score and objective can share."""
+    index, dists = _nearest(psis) if nearest is None else nearest
+    _, c = _KERNELS[cfg.kind]
+    return np.array([0.0 if l == 0.0 else c(l, cfg) for l in dists.tolist()]), psis - psis[index]
+
+
 def diversity_reward(
     features_sa: np.ndarray, psis: np.ndarray, i: int, cfg: DiversityConfig
 ) -> np.ndarray:
-    """Per-pair gradient reward for member i of the (n, d) psis, as an (S, A) matrix.
-
-    features_sa is the MDP's feature tensor reshaped to (S, A, d). When
-    member i coincides with its nearest neighbour (l_i = 0) the difference
-    vector vanishes and the reward is identically zero; this also guards
-    the negative-power generalized coefficients, which diverge at l = 0.
-    """
+    """Per-pair gradient reward for member i of the (n, d) psis, as an (S, A) matrix,
+    read from reward_table: identically zero when member i coincides with its nearest
+    neighbour. features_sa is the MDP's feature tensor reshaped to (S, A, d)."""
     if len(psis) < 2:
         raise ValueError("diversity_reward needs at least two members")
-    nearest, dists = _nearest(psis)
-    l = float(dists[i])
-    if l == 0.0:
+    nearest = _nearest(psis)
+    if nearest[1][i] == 0.0:
         return np.zeros(features_sa.shape[:2])
-    diff = psis[i] - psis[nearest[i]]
-    _, c = _KERNELS[cfg.kind]
-    return _scale(c(l, cfg) * (features_sa @ diff), psis, cfg)
+    c, diff = reward_table(psis, cfg, nearest)
+    return _scale(c[i] * (features_sa @ diff[i]), psis, cfg)
 
 
-def diversity_score(psis: np.ndarray) -> float:
-    """Mean nearest-neighbour distance of the (n, d) psis; zero for a singleton."""
+def diversity_score(
+    psis: np.ndarray, nearest: tuple[np.ndarray, np.ndarray] | None = None
+) -> float:
+    """Mean nearest-neighbour distance of the (n, d) psis; zero for a singleton.
+    nearest, if given, is _nearest(psis)."""
     if len(psis) < 2:
         return 0.0
-    return float(_nearest(psis)[1].mean())
+    return float((_nearest(psis) if nearest is None else nearest)[1].mean())
 
 
-def diversity_objective(psis: np.ndarray, cfg: DiversityConfig) -> float:
-    """sum_i f(l_i) over the (n, d) psis for cfg's kernel; zero for a singleton."""
+def diversity_objective(
+    psis: np.ndarray, cfg: DiversityConfig, nearest: tuple[np.ndarray, np.ndarray] | None = None
+) -> float:
+    """sum_i f(l_i) over the (n, d) psis for cfg's kernel; zero for a singleton.
+    nearest, if given, is _nearest(psis)."""
     if len(psis) < 2:
         return 0.0
     f, _ = _KERNELS[cfg.kind]
-    return _scale(float(f(_nearest(psis)[1], cfg).sum()), psis, cfg)
+    dists = (_nearest(psis) if nearest is None else nearest)[1]
+    return _scale(float(f(dists, cfg).sum()), psis, cfg)

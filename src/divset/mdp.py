@@ -14,7 +14,8 @@ Conventions used throughout:
   state and action. The occupancy functions also take an (..., S, A)
   stack of policies, and policy_value and expected_features an (..., S * A)
   stack of occupancies; each row of a stacked result has the bytes of its
-  own single call (no multi-column solve, and no product over the stack).
+  own single call (one right-hand side per solve, and no product over the
+  stack).
 
 - Occupancies are distributions over state-action pairs (length S * A,
   summing to one) and come in two flavors:
@@ -35,8 +36,15 @@ Conventions used throughout:
   policies, which evaluates each policy by linear solves (the discounted
   values, or the gain and bias of every closed class of P_pi) and moves
   each state to its best action (Howard's greedy rule) until no state's
-  action improves; no tolerance to tune. best_response iterates for an
-  (n, S, A) reward stack in lockstep, one stacked evaluation per round.
+  action improves; no tolerance to tune. best_response iterates for n
+  members in lockstep, one stacked evaluation per round. Their rewards are
+  given in a basis of K reward columns with one coefficient row per member,
+  and evaluation is linear in the reward, so each evaluation solves the K
+  columns at once (K right-hand sides per matrix). It returns each policy's
+  evaluation of every column: with the extrinsic reward and the feature
+  columns, d0 . gain is the policy's value and expected features, and
+  passing the evaluations back with those policies as the next call's
+  start replaces that call's first solve.
 """
 
 from __future__ import annotations
@@ -340,8 +348,9 @@ def _classes(table: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _gain_and_bias(M: np.ndarray, r_pi: np.ndarray, classes: tuple) -> tuple[np.ndarray, ...]:
     """Multichain evaluation (Puterman 1994, ch. 8-9) of the (m, S, S) stack M = I - P_pi,
-    which this overwrites: g = P_pi g and g + h = r_pi + P_pi h, each member bit for bit as alone.
-    g is (m, S), or (m, 1) when every member has one class and no transient state.
+    which this overwrites: g = P_pi g and g + h = r_pi + P_pi h for each of the K reward columns
+    of the (m, S, K) r_pi, each member bit for bit as alone. g and h are (m, S, K), g (m, 1, K)
+    when every member has one class and no transient state.
 
     Each class (classes, from _classes) has one gain and a bias that is 0 at its head, whose column
     of M carries the gain in one stacked solve without the transient states; two more, over the
@@ -353,20 +362,31 @@ def _gain_and_bias(M: np.ndarray, r_pi: np.ndarray, classes: tuple) -> tuple[np.
         transient = cls < 0
         into = _identity_rows(M[some], ~transient[some])
         _identity_rows(M, transient)
-        rhs = np.where(transient, 0.0, r_pi)
+        rhs = np.where(transient[..., None], 0.0, r_pi)
     M[members, :, heads] = columns
-    h = np.linalg.solve(M, rhs[..., None])[..., 0]
+    h = np.linalg.solve(M, rhs)
     if some.size or several.size:
         g = h[np.arange(len(h))[:, None], cls]
-    else:  # one class each and no transient state: one gain per member, (m, 1)
+    else:  # one class each and no transient state: one gain per member and column
         g = h[members, heads][:, None]
     h[members, heads] = 0.0
     if some.size:
         g[transient] = h[transient] = 0.0
-        g[some] = np.linalg.solve(into, g[some][..., None])[..., 0]
-        bias_rhs = np.where(transient[some], r_pi[some] - g[some], h[some])
-        h[some] = np.linalg.solve(into, bias_rhs[..., None])[..., 0]
+        g[some] = np.linalg.solve(into, g[some])
+        bias_rhs = np.where(transient[some][..., None], r_pi[some] - g[some], h[some])
+        h[some] = np.linalg.solve(into, bias_rhs)
     return g, h
+
+
+def _combine(columns: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """sum_k coefficients[:, k] * columns[..., k] for (n, ..., K) columns and (n, K)
+    coefficients: one multiply and one add per column, in column order, so the bytes
+    depend on no BLAS kernel. With K = 1 and coefficient 1 it is the column itself."""
+    c = coefficients.reshape(len(coefficients), *[1] * (columns.ndim - 2), -1)
+    total = c[..., 0] * columns[..., 0]
+    for k in range(1, columns.shape[-1]):
+        total += c[..., k] * columns[..., k]
+    return total
 
 
 def _improve(
@@ -385,19 +405,38 @@ def _improve(
 
 
 def best_response(
-    mdp: TabularMdp, reward: np.ndarray, criterion: Criterion, start: np.ndarray | None = None
-) -> np.ndarray:
-    """Optimal deterministic policies for a stack of arbitrary reward matrices.
+    mdp: TabularMdp,
+    basis: np.ndarray,
+    coefficients: np.ndarray,
+    criterion: Criterion,
+    start: np.ndarray | None = None,
+    evaluations: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Optimal deterministic policies for a stack of rewards in a reward basis.
 
-    reward is one (S, A) matrix or an (n, S, A) stack, and the result has
-    the same shape: the best response to each reward. start, if given, has
-    reward's shape too.
+    basis holds K reward columns, (S, A, K) shared by every member or
+    (n, S, A, K) one basis per member, and coefficients is (n, K): member
+    i's reward is sum_k coefficients[i, k] basis[..., k]. A plain (S, A)
+    reward is the K = 1 basis reward[..., None] with coefficient 1, and an
+    (n, S, A) stack of rewards the per-member basis rewards[..., None].
+    start, if given, is (n, S, A). evaluations, if given, are what this
+    function returned for start's policies in the same basis; start must
+    then be those deterministic policies.
+
+    Returns the (n, S, A) policies and their evaluations (gains, biases),
+    each (n, S, K): column k evaluates the policy on basis column k.
+    Evaluation is linear in the reward, so member i's evaluation of its own
+    reward is the columns weighted by coefficients[i], and d0 . gains[i, :, k]
+    is the criterion's value of its policy on column k (policy_value of its
+    occupancy). Average criterion: the multichain gain g and bias h.
+    Discounted: the bias is the value v and the gain (1 - gamma) v.
 
     Howard policy iteration (Puterman 1994, ch. 6, 8 and 9) from the
-    greedy actions of start, or of reward when no start is given. The n
-    iterations run in lockstep: each round evaluates the members whose
-    policy changed in the last round with one stacked solve and improves
-    them with one broadcast q product.
+    greedy actions of start, or of each member's reward when no start is
+    given. The n iterations run in lockstep: each round evaluates the
+    members whose policy changed in the last round with one stacked solve,
+    all K columns at once, and improves them with one broadcast q product.
+    Given evaluations stand in for the first round's solve.
 
     - discounted: v solves (I - gamma P_pi) v = r_pi, and q = r + gamma P v;
     - average: g and h are the multichain gain and bias (_gain_and_bias),
@@ -412,53 +451,74 @@ def best_response(
     each member's loop; a member leaves the stack once no state switches.
     """
     S, A = mdp.num_states, mdp.num_actions
-    if reward.ndim not in (2, 3) or reward.shape[-2:] != (S, A):
-        raise ValueError(f"reward must be {(S, A)} or (n, {S}, {A}), got {reward.shape}")
-    if start is not None and start.shape != reward.shape:
-        raise ValueError(f"start must have reward's shape {reward.shape}, got {start.shape}")
-    rewards = reward.reshape(-1, S, A)
-    actions = np.argmax(rewards if start is None else start.reshape(-1, S, A), axis=2)
+    if basis.ndim not in (3, 4) or basis.shape[-3:-1] != (S, A):
+        raise ValueError(f"basis must be ({S}, {A}, K) or (n, {S}, {A}, K), got {basis.shape}")
+    n, K = len(coefficients), basis.shape[-1]
+    if coefficients.shape != (n, K) or basis.ndim == 4 and len(basis) != n:
+        raise ValueError(
+            f"coefficients must be (n, {K}) for basis {basis.shape}, got {coefficients.shape}"
+        )
+    if start is not None and start.shape != (n, S, A):
+        raise ValueError(f"start must be {(n, S, A)}, got {start.shape}")
+    if evaluations is not None and (
+        start is None or len(evaluations) != 2 or any(e.shape != (n, S, K) for e in evaluations)
+    ):
+        raise ValueError(f"evaluations must be two {(n, S, K)} arrays, with a start")
+    columns = np.broadcast_to(basis, (n, S, A, K))
+    rewards = _combine(columns, coefficients)
+    cells = columns.reshape(n, S * A, K)  # a view, row s * A + a
+    actions = np.argmax(rewards if start is None else start, axis=2)
     P, states = mdp.transition, np.arange(S)
     # each round gathers its policy matrices into the head of one buffer
-    rows, buffer = P.reshape(S * A, S), np.empty((len(rewards), S, S))
+    rows, buffer = P.reshape(S * A, S), np.empty((n, S, S))
+    gains, biases = np.empty((n, S, K)), np.empty((n, S, K))
     discounted = criterion == Criterion.DISCOUNTED
     # without detection each policy has one class headed by state 0; m members take the first m rows
-    one_class = _classes(np.broadcast_to(0, (len(rewards), S)))
-    detect = not mdp.reach_under_every_policy.all()
-    live = np.arange(len(rewards))
+    one_class = _classes(np.broadcast_to(0, (n, S)))
+    detect = not discounted and not mdp.reach_under_every_policy.all()
+    live = np.arange(n)
     while live.size:
-        a, r = actions[live], rewards[live]
-        r_pi = r[np.arange(len(a))[:, None], states, a]
-        # the policy matrices, turned in place into I - gamma P_pi or I - P_pi;
-        # the indices are in range, and mode="raise" would gather into a copy of out
-        M = rows.take(states * A + a, axis=0, out=buffer[: len(a)], mode="clip")
-        allowed = None
-        if discounted:
+        a, r, c = actions[live], rewards[live], coefficients[live]
+        pairs = states * A + a
+        if evaluations is None or detect:
+            # the policy matrices, turned in place into I - gamma P_pi or I - P_pi;
+            # the indices are in range, and mode="raise" would gather into a copy of out
+            M = rows.take(pairs, axis=0, out=buffer[: len(a)], mode="clip")
+        if detect:
+            classes = _classes(_closed_classes(M, mdp.reach_under_every_policy))
+        else:
+            classes = [index[: len(a)] for index in one_class]
+        if evaluations is not None:  # the first round of a call with start's evaluations
+            g, h = evaluations
+            evaluations = None
+        elif discounted:
             M *= mdp.discount
             np.subtract(np.eye(S), M, out=M)
-            v = np.linalg.solve(M, r_pi[..., None])[..., 0]
-            q = r + mdp.discount * (P @ v[:, None, :, None])[..., 0]
+            h = np.linalg.solve(M, cells[live[:, None], pairs])
+            g = (1.0 - mdp.discount) * h
         else:
-            if detect:
-                classes = _classes(_closed_classes(M, mdp.reach_under_every_policy))
-            else:
-                classes = [index[: len(a)] for index in one_class]
             np.subtract(np.eye(S), M, out=M)
-            g, h = _gain_and_bias(M, r_pi, classes)
+            g, h = _gain_and_bias(M, cells[live[:, None], pairs], classes)
+        gains[live], biases[live] = g, h
+        h = _combine(h, c)
+        allowed = None
+        if discounted:
+            q = r + mdp.discount * (P @ h[:, None, :, None])[..., 0]
+        else:
             q = r + (P @ h[:, None, :, None])[..., 0]
             several = classes[-1]
             if several.size:
                 # a member whose gain improves moves by P g; the others move
                 # by r + P h among the actions that keep the gain
-                gain_q = (P @ g[several][:, None, :, None])[..., 0]
+                gain_q = (P @ _combine(g[several], c[several])[:, None, :, None])[..., 0]
                 current = np.take_along_axis(gain_q, a[several][..., None], axis=2)
                 slack = _IMPROVEMENT_RTOL * np.abs(gain_q).max(axis=(1, 2))[:, None, None]
-                gains = np.any(gain_q > current + slack, axis=(1, 2))[:, None, None]
-                q[several] = np.where(gains, gain_q, q[several])
+                gains_up = np.any(gain_q > current + slack, axis=(1, 2))[:, None, None]
+                q[several] = np.where(gains_up, gain_q, q[several])
                 allowed = np.ones(q.shape, dtype=bool)
-                allowed[several] = gains | (gain_q >= current - slack)
+                allowed[several] = gains_up | (gain_q >= current - slack)
         improved = _improve(a, q, allowed)
         changed = np.any(improved != a, axis=1)
         actions[live] = improved
         live = live[changed]
-    return deterministic_policy(actions, A).reshape(reward.shape)
+    return deterministic_policy(actions, A), (gains, biases)

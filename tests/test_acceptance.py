@@ -179,7 +179,7 @@ def test_criterion_3_best_response_matches_enumeration(acceptance_line):
         for row in tables:
             pol = deterministic_policy(row, 3)
             best_enum = max(best_enum, policy_value(mdp, occupancy(mdp, pol, criterion)))
-        br = best_response(mdp, mdp.reward, criterion)
+        br = best_response(mdp, mdp.reward[..., None], np.ones((1, 1)), criterion)[0][0]
         v_br = policy_value(mdp, occupancy(mdp, br, criterion))
         gap = abs(v_br - best_enum)
         worst = max(worst, gap)
@@ -241,8 +241,7 @@ def test_criterion_5_contact_distance_tracks_half_the_max_spread(acceptance_line
     # enumerate the achievable spread: position features are scalar, so the
     # extreme expected features are themselves best-response values
     feat = mdp.features.ravel()
-    hi = best_response(mdp, feat.reshape(mdp.reward.shape), crit)
-    lo = best_response(mdp, -feat.reshape(mdp.reward.shape), crit)
+    hi, lo = best_response(mdp, feat.reshape(mdp.features_sa.shape), np.array([[1.0], [-1.0]]), crit)[0]
     psi_hi = expected_features(mdp, occupancy(mdp, hi, crit))[0]
     psi_lo = expected_features(mdp, occupancy(mdp, lo, crit))[0]
     max_spread = float(psi_hi - psi_lo)
@@ -275,7 +274,8 @@ def test_criterion_6_degenerate_strategies_recover_the_plain_optimum(acceptance_
     t0 = time.time()
     mdp = build_chain(5, end_reward=1.0)
     crit = Criterion.AVERAGE
-    vstar = policy_value(mdp, occupancy(mdp, best_response(mdp, mdp.reward, crit), crit))
+    pi_star = best_response(mdp, mdp.reward[..., None], np.ones((1, 1)), crit)[0][0]
+    vstar = policy_value(mdp, occupancy(mdp, pi_star, crit))
     strategies = [
         StrategyConfig(kind=StrategyKind.MULTI_OBJECTIVE, c_e=1.0),
         StrategyConfig(kind=StrategyKind.SMERL, c_d=0.0),

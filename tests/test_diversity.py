@@ -12,7 +12,9 @@ from divset import (
     diversity_objective,
     diversity_reward,
     diversity_score,
+    reward_table,
 )
+from divset.diversity import _nearest, _scale
 
 from helpers import KERNEL_CASES, own_objective_term
 
@@ -94,6 +96,30 @@ def test_coincident_members_get_a_zero_reward():
         reward = diversity_reward(phi.reshape(4, 3, 1), psis, 0, cfg)
         assert np.array_equal(reward, np.zeros((4, 3)))
         assert np.all(np.isfinite(reward))
+
+
+def test_reward_table_gives_every_members_reward_factors():
+    # one nearest-neighbour pass gives each member's c(l_i) and psi_i - psi_j;
+    # diversity_reward's (S, A) product reads them in its own order, and the
+    # score and objective take the same pass
+    rng = np.random.default_rng(3)
+    features_sa = rng.uniform(size=(6, 3, 4))
+    psis = rng.uniform(size=(5, 4))
+    psis[3] = psis[1]  # a coincident pair: both factors c are zero
+    for cfg in KERNEL_CASES:
+        nearest = _nearest(psis)
+        c, diff = reward_table(psis, cfg, nearest)
+        assert c.shape == (5,) and diff.shape == (5, 4)
+        assert c[1] == c[3] == 0.0 and not diff[1].any() and not diff[3].any()
+        for i in range(5):
+            assert np.array_equal(diff[i], psis[i] - psis[nearest[0][i]])
+            reward = diversity_reward(features_sa, psis, i, cfg)
+            if c[i] != 0.0:
+                assert reward.tobytes() == _scale(c[i] * (features_sa @ diff[i]), psis, cfg).tobytes()
+        distinct = psis[:3]  # the log kernel's potential is -inf at l = 0
+        nearest = _nearest(distinct)
+        assert diversity_score(distinct, nearest) == diversity_score(distinct)
+        assert diversity_objective(distinct, cfg, nearest) == diversity_objective(distinct, cfg)
 
 
 def test_coincident_members_give_a_finite_generalized_objective():

@@ -285,9 +285,9 @@ def test_run_kshot_trains_each_method_in_lockstep_stacks_of_at_most_64(tmp_path,
     stacks, calls = [], []
     real_best_response, real_train_exact = divset.training.best_response, divset.experiment.train_exact
 
-    def recording_best_response(mdp, reward, criterion, start=None):
-        stacks.append(len(reward) if reward.ndim == 3 else 1)
-        return real_best_response(mdp, reward, criterion, start)
+    def recording_best_response(mdp, basis, coefficients, criterion, *args):
+        stacks.append(len(coefficients))
+        return real_best_response(mdp, basis, coefficients, criterion, *args)
 
     def counting_train_exact(*args):
         calls.append(1)

@@ -1,6 +1,7 @@
 """Occupancies, values, and best responses."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from divset.envs import FeatureKind, build_gridworld, four_rooms_spec
 from divset.mdp import _classes, _closed_classes, _gain_and_bias
 
 from helpers import deterministic_action_tables, random_mdp
+
+ONE = np.ones((1, 1))  # a plain reward's coefficient, as a one-column basis
 
 
 def test_validate_rejects_bad_row_sums():
@@ -116,7 +119,7 @@ def test_best_response_dominates_random_policies():
     rng = np.random.default_rng(8)
     for criterion in (Criterion.DISCOUNTED, Criterion.AVERAGE):
         mdp = random_mdp(rng, 5, 3, 1)
-        pol = best_response(mdp, mdp.reward, criterion)
+        pol = best_response(mdp, mdp.reward[..., None], ONE, criterion)[0][0]
         v_star = policy_value(mdp, occupancy(mdp, pol, criterion))
         for _ in range(25):
             other = rng.dirichlet(np.ones(3), size=5)
@@ -128,7 +131,7 @@ def test_best_response_breaks_ties_to_the_lowest_action():
     rng = np.random.default_rng(9)
     mdp = random_mdp(rng, 4, 3, 1)
     for criterion in (Criterion.DISCOUNTED, Criterion.AVERAGE):
-        pol = best_response(mdp, np.zeros((4, 3)), criterion)
+        pol = best_response(mdp, np.zeros((4, 3, 1)), ONE, criterion)[0][0]
         assert np.array_equal(pol, deterministic_policy(np.zeros(4, dtype=int), 3))
 
 
@@ -136,10 +139,11 @@ def test_best_response_value_does_not_depend_on_the_start():
     rng = np.random.default_rng(10)
     for criterion in (Criterion.DISCOUNTED, Criterion.AVERAGE):
         mdp = random_mdp(rng, 6, 3, 1)
-        cold = policy_value(mdp, occupancy(mdp, best_response(mdp, mdp.reward, criterion), criterion))
+        cold = best_response(mdp, mdp.reward[..., None], ONE, criterion)[0][0]
+        cold = policy_value(mdp, occupancy(mdp, cold, criterion))
         for _ in range(20):
             start = rng.dirichlet(np.ones(3), size=6)
-            pol = best_response(mdp, mdp.reward, criterion, start)
+            pol = best_response(mdp, mdp.reward[..., None], ONE, criterion, start[None])[0][0]
             assert abs(policy_value(mdp, occupancy(mdp, pol, criterion)) - cold) < 1e-12
 
 
@@ -167,7 +171,8 @@ def test_best_response_is_gain_optimal_from_every_multichain_start():
     tables = deterministic_action_tables(5, 3)
     best = np.max([_cesaro_gain(mdp, row) for row in tables], axis=0)
     for row in tables:
-        pol = best_response(mdp, mdp.reward, Criterion.AVERAGE, deterministic_policy(row, 3))
+        start = deterministic_policy(row, 3)[None]
+        pol = best_response(mdp, mdp.reward[..., None], ONE, Criterion.AVERAGE, start)[0][0]
         gain = _cesaro_gain(mdp, np.argmax(pol, axis=1))
         assert np.max(np.abs(gain - best)) < 1e-12, row
 
@@ -186,8 +191,8 @@ def _scalar_improve(actions, q, allowed=True):
 
 def _solve_alone(P_pi, r_pi, cls):
     """_gain_and_bias for one policy, as a stack of one."""
-    g, h = _gain_and_bias((np.eye(len(cls)) - P_pi)[None], r_pi[None], _classes(cls[None]))
-    return np.broadcast_to(g, h.shape)[0], h[0]
+    g, h = _gain_and_bias((np.eye(len(cls)) - P_pi)[None], r_pi[None, :, None], _classes(cls[None]))
+    return np.broadcast_to(g, h.shape)[0, :, 0], h[0, :, 0]
 
 
 def _scalar_best_response(mdp, reward, criterion, start=None):
@@ -220,7 +225,7 @@ def _scalar_best_response(mdp, reward, criterion, start=None):
 
 
 def _assert_matches_the_scalar_oracle(mdp, rewards, criterion, starts=None):
-    got = best_response(mdp, rewards, criterion, starts)
+    got, _ = best_response(mdp, rewards[..., None], np.ones((len(rewards), 1)), criterion, starts)
     assert got.shape == rewards.shape
     for i in range(len(rewards)):
         start = None if starts is None else starts[i]
@@ -274,7 +279,8 @@ def test_stacked_best_response_matches_the_scalar_oracle_on_multichain_starts():
         table, members, _, _, transient, several = classes
         assert transient.size and several.size and np.any(np.bincount(members) == 1)
         # the stacked evaluation gives each member the bytes of its own
-        g, h = _gain_and_bias(np.eye(len(states)) - P_pi, r_pi, classes)
+        g, h = _gain_and_bias(np.eye(len(states)) - P_pi, r_pi[..., None], classes)
+        g, h = g[..., 0], h[..., 0]
         for i in range(len(tables)):
             alone = _solve_alone(P_pi[i], r_pi[i], table[i])
             assert g[i].tobytes() == alone[0].tobytes() and h[i].tobytes() == alone[1].tobytes()
@@ -294,19 +300,78 @@ def test_stacked_best_response_matches_the_scalar_oracle_when_discounted():
         _assert_matches_the_scalar_oracle(mdp, rewards, Criterion.DISCOUNTED, starts)
 
 
-def test_best_response_keeps_the_shape_of_one_reward_and_rejects_others():
+def test_best_response_takes_a_plain_reward_as_a_one_column_basis_and_rejects_bad_shapes():
     mdp = build_chain(5, end_reward=1.0)
     for criterion in Criterion:
-        pol = best_response(mdp, mdp.reward, criterion)
-        assert pol.shape == (5, 3)
+        pol, (gains, biases) = best_response(mdp, mdp.reward[..., None], ONE, criterion)
+        assert pol.shape == (1, 5, 3) and gains.shape == biases.shape == (1, 5, 1)
         expected = _scalar_best_response(mdp, mdp.reward, criterion)
-        assert np.array_equal(pol, deterministic_policy(expected, 3))
-        assert best_response(mdp, mdp.reward[None], criterion).shape == (1, 5, 3)
-    for bad in (np.zeros(15), np.zeros((5, 4)), np.zeros((2, 4, 3)), np.zeros((1, 2, 5, 3))):
-        with pytest.raises(ValueError, match="reward"):
-            best_response(mdp, bad, Criterion.AVERAGE)
+        assert np.array_equal(pol[0], deterministic_policy(expected, 3))
+    for bad in (np.zeros((5, 3)), np.zeros((5, 4, 1)), np.zeros((2, 4, 3, 1)), np.zeros((1, 2, 5, 3, 1))):
+        with pytest.raises(ValueError, match="basis"):
+            best_response(mdp, bad, ONE, Criterion.AVERAGE)
+    for basis, coefficients in (
+        (np.zeros((5, 3, 2)), ONE),
+        (np.zeros((2, 5, 3, 1)), np.ones((3, 1))),
+        (np.zeros((5, 3, 1)), np.ones(1)),
+    ):
+        with pytest.raises(ValueError, match="coefficients"):
+            best_response(mdp, basis, coefficients, Criterion.AVERAGE)
+    two = np.ones((2, 1))
     with pytest.raises(ValueError, match="start"):
-        best_response(mdp, np.zeros((2, 5, 3)), Criterion.AVERAGE, np.zeros((5, 3)))
+        best_response(mdp, np.zeros((5, 3, 1)), two, Criterion.AVERAGE, np.zeros((5, 3)))
+    evaluations = (np.zeros((2, 5, 1)), np.zeros((2, 5, 1)))
+    with pytest.raises(ValueError, match="evaluations"):
+        best_response(mdp, np.zeros((5, 3, 1)), two, Criterion.AVERAGE, evaluations=evaluations)
+    with pytest.raises(ValueError, match="evaluations"):
+        starts = np.zeros((2, 5, 3))
+        best_response(mdp, np.zeros((5, 3, 1)), two, Criterion.AVERAGE, starts, evaluations[:1] * 3)
+
+
+def _reward_basis(mdp: TabularMdp) -> np.ndarray:
+    """The exact trainer's basis: the extrinsic reward, then the feature columns."""
+    return np.concatenate([mdp.reward[..., None], mdp.features_sa], axis=2)
+
+
+def _assert_evaluations_give_values_and_features(mdp, criterion, policies, evaluations):
+    """d0 . gains of each column is the policy's value, then its expected
+    features, as occupancy gives them, within a relative 1e-12 per column."""
+    occs = occupancy(mdp, policies, criterion)
+    expected = np.column_stack([policy_value(mdp, occs), expected_features(mdp, occs)])
+    measured = mdp.initial_dist @ evaluations[0]
+    scale = np.abs(expected).max(axis=0)
+    assert np.all(np.abs(measured - expected) <= 1e-12 * scale)
+
+
+def test_basis_evaluations_give_values_and_features_and_replace_the_first_round():
+    rng = np.random.default_rng(16)
+    chain = build_chain(5, end_reward=1.0)
+    dense = random_mdp(rng, 12, 3, 8)
+    for mdp in (build_gridworld(four_rooms_spec()), dense, chain, _absorbing_mdp(0)):
+        S, A = mdp.num_states, mdp.num_actions
+        basis = _reward_basis(mdp)
+        K = basis.shape[-1]
+        # on the multichain MDPs the evaluated policies have one or several
+        # closed classes and transient states: a zero reward keeps every start
+        starts = [(rng.dirichlet(np.ones(A), size=(6, S)), False)]
+        if not mdp.reach_under_every_policy.all():
+            tables = deterministic_action_tables(S, A) if mdp is chain else rng.integers(0, A, (40, S))
+            starts.append((deterministic_policy(tables, A), True))
+        for criterion, (start, keep) in itertools.product(Criterion, starts):
+            n = len(start)
+            coefficients = np.zeros((n, K)) if keep else rng.normal(size=(n, K))
+            policies, evaluations = best_response(mdp, basis, coefficients, criterion, start)
+            if keep:
+                assert np.array_equal(policies, start)
+            _assert_evaluations_give_values_and_features(mdp, criterion, policies, evaluations)
+            # the next call from these policies, with and without their evaluations
+            coefficients = rng.normal(size=(n, K))
+            given = best_response(mdp, basis, coefficients, criterion, policies, evaluations)
+            solved = best_response(mdp, basis, coefficients, criterion, policies)
+            assert np.array_equal(given[0], solved[0])
+            for a, b in zip(given[1], solved[1]):
+                assert a.tobytes() == b.tobytes()
+            _assert_evaluations_give_values_and_features(mdp, criterion, *given)
 
 
 def _multichain_chain_mdps():
@@ -410,13 +475,14 @@ def test_occupancy_on_four_rooms_needs_no_class_detection(monkeypatch):
         assert abs(occupancy(mdp, policy, Criterion.AVERAGE).sum() - 1.0) < 1e-12
     shape = (6, mdp.num_states, mdp.num_actions)
     for criterion in Criterion:
-        best_response(mdp, mdp.reward + rng.normal(0.0, 0.3, size=shape), criterion)
+        rewards = mdp.reward + rng.normal(0.0, 0.3, size=shape)
+        best_response(mdp, rewards[..., None], np.ones((len(rewards), 1)), criterion)
     # the patch is where occupancy and best_response look: the slip-free
     # chain does call it
     with pytest.raises(AssertionError, match="_closed_classes"):
         occupancy(build_chain(5), np.full((5, 3), 1.0 / 3), Criterion.AVERAGE)
     with pytest.raises(AssertionError, match="_closed_classes"):
-        best_response(build_chain(5), build_chain(5).reward, Criterion.AVERAGE)
+        best_response(build_chain(5), build_chain(5).reward[..., None], ONE, Criterion.AVERAGE)
 
 
 def _count_solves(monkeypatch) -> list:
@@ -441,7 +507,7 @@ def test_one_class_has_no_gain_stage_to_trip_on_row_sum_rounding():
     mdp = TabularMdp(P, np.array([[1.0, 0.0], [0.5, 0.5]]), np.eye(4), 0.9, np.array([1.0, 0.0]))
     validate_mdp(mdp)
     start = deterministic_policy(np.zeros(2, dtype=int), 2)
-    pol = best_response(mdp, mdp.reward, Criterion.AVERAGE, start)
+    pol = best_response(mdp, mdp.reward[..., None], ONE, Criterion.AVERAGE, start[None])[0][0]
     assert np.array_equal(np.argmax(pol, axis=1), [0, 0])
 
 
@@ -451,7 +517,7 @@ def test_howard_moves_a_state_to_its_best_action_in_one_round(monkeypatch):
     mdp = TabularMdp(np.ones((1, 3, 1)), np.array([[0.0, 1.0, 2.0]]), np.eye(3), 0.9, np.ones(1))
     start = deterministic_policy(np.zeros(1, dtype=int), 3)
     calls = _count_solves(monkeypatch)
-    pol = best_response(mdp, mdp.reward, Criterion.AVERAGE, start)
+    pol = best_response(mdp, mdp.reward[..., None], ONE, Criterion.AVERAGE, start[None])[0][0]
     assert np.array_equal(pol, deterministic_policy(np.array([2]), 3))
     assert len(calls) == 2
 
@@ -467,7 +533,7 @@ def test_howard_moves_a_state_to_its_best_gain_in_one_round_on_a_multichain_mdp(
     assert not mdp.reach_under_every_policy.all()  # class detection runs
     start = deterministic_policy(np.zeros(3, dtype=int), 3)
     calls = _count_solves(monkeypatch)
-    pol = best_response(mdp, mdp.reward, Criterion.AVERAGE, start)
+    pol = best_response(mdp, mdp.reward[..., None], ONE, Criterion.AVERAGE, start[None])[0][0]
     assert np.array_equal(np.argmax(pol, axis=1), [2, 0, 0])
     # one solve with every state recurrent, then three with state 0
     # transient; moving to action 1 first would cost three more

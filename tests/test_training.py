@@ -1,6 +1,7 @@
 """Exact and sampled training loops."""
 
 import dataclasses
+import itertools
 import tracemalloc
 from bisect import bisect_right
 from pathlib import Path
@@ -15,6 +16,7 @@ from divset import (
     DiversityConfig,
     DiversityKind,
     ExactTrainConfig,
+    FeatureKind,
     FtlMode,
     MovingAverageConfig,
     Periodic,
@@ -227,36 +229,48 @@ def test_lockstep_training_needs_configs_that_differ_only_in_seed():
         train_sampled_lockstep(mdp, 2, _REPULSIVE, _DOMINO, cfgs)
 
 
-def test_exact_trainer_solves_an_occupancy_only_for_a_changed_policy(monkeypatch):
-    mdp = build_chain(5, end_reward=1.0)
-    n, iterations = 3, 8
-    rows, changed = [], []  # policies per occupancy call; members moved per best response
-    real_occupancy, real_best_response = divset.training.occupancy, divset.training.best_response
+def test_exact_trainer_solves_occupancies_only_for_the_optimum_and_the_initial_set(monkeypatch):
+    # after the stochastic initial set every value and psi is read from the
+    # best responses' evaluations in the reward basis
+    mdp = build_chain(9, end_reward=1.0)
+    assert divset.training._basis_pays(mdp.num_states, mdp.feature_dim)
+    n, calls = 3, []
+    real_occupancy = divset.training.occupancy
 
     def counting_occupancy(mdp, policies, criterion):
-        rows.append(len(policies) if policies.ndim == 3 else 1)
+        calls.append(policies.shape[:-2])
         return real_occupancy(mdp, policies, criterion)
 
-    def tracking_best_response(mdp, reward, criterion, start=None):
-        policies = real_best_response(mdp, reward, criterion, start)
-        if start is not None:
-            changed.append(int(np.any(policies != start, axis=(1, 2)).sum()))
-        return policies
-
     monkeypatch.setattr(divset.training, "occupancy", counting_occupancy)
-    monkeypatch.setattr(divset.training, "best_response", tracking_best_response)
-    cfg = ExactTrainConfig(outer_iterations=iterations, seed=2)
-    pset, trace = train_exact(mdp, n, _REPULSIVE, _DOMINO, cfg)
-    # the optimum, each initial policy once, then each member whose best
-    # response moved it; one call for the optimum, one for the initial set
-    # and one per iteration that moved any member
-    assert len(changed) == iterations
-    assert sum(rows) == 1 + n + sum(changed)
-    assert rows[:2] == [1, n]
-    assert len(rows) == 2 + np.count_nonzero(changed)
-    assert 0 in changed and sum(changed) < iterations * n
-    fresh = [policy_value(mdp, real_occupancy(mdp, p, cfg.criterion)) for p in pset.policies]
-    assert trace[-1].extrinsic_values.tobytes() == np.array(fresh).tobytes()
+    for criterion, iterations in itertools.product(Criterion, (1, 4, 12)):
+        calls.clear()
+        cfg = ExactTrainConfig(outer_iterations=iterations, criterion=criterion, seed=2)
+        pset, trace = train_exact(mdp, n, _REPULSIVE, _DOMINO, cfg)
+        assert calls == [(), (n,)]  # the optimum, then the initial set
+        occs = real_occupancy(mdp, pset.policies, criterion)
+        fresh_values = policy_value(mdp, occs)
+        assert np.all(np.abs(trace[-1].extrinsic_values - fresh_values) <= 1e-12)
+        fresh_score = diversity_score(expected_features(mdp, occs))
+        assert abs(trace[-1].diversity_mean_exact - fresh_score) <= 1e-12
+
+
+@pytest.mark.parametrize("features", [FeatureKind.XY_COORDINATES, FeatureKind.ONE_HOT_STATE])
+def test_exact_trainer_trains_the_same_sets_in_the_basis_and_member_by_member(monkeypatch, features):
+    # the trainer evaluates in the d + 1 column reward basis only while d <= S / 8;
+    # past that each member's own reward is one column and occupancies are solved
+    mdp = build_gridworld(dataclasses.replace(four_rooms_spec(), feature_kind=features))
+    uses_basis = divset.training._basis_pays(mdp.num_states, mdp.feature_dim)
+    assert uses_basis == (features == FeatureKind.XY_COORDINATES)
+    cfg = ExactTrainConfig(outer_iterations=8, seed=3)
+    runs = []
+    for basis in (True, False):
+        monkeypatch.setattr(divset.training, "_basis_pays", lambda S, d: basis)
+        runs.append(train_exact(mdp, 4, _REPULSIVE, _DOMINO, [cfg, dataclasses.replace(cfg, seed=4)]))
+    for (in_basis, trace_basis), (alone, trace_alone) in zip(*runs):
+        assert np.array_equal(in_basis.policies, alone.policies)
+        for a, b in zip(trace_basis, trace_alone):
+            assert np.all(np.abs(a.extrinsic_values - b.extrinsic_values) <= 1e-12)
+            assert abs(a.diversity_mean_exact - b.diversity_mean_exact) <= 1e-12
 
 
 def test_rollout_follows_the_dynamics():
@@ -652,8 +666,8 @@ def test_a_non_finite_learner_table_raises_training_diverged():
 
 def test_exact_reductions_match_the_plain_best_response():
     mdp = build_chain(5, end_reward=1.0)
-    pi_star = best_response(mdp, mdp.reward, Criterion.AVERAGE)
-    v_star = policy_value(mdp, occupancy(mdp, pi_star, Criterion.AVERAGE))
+    pi_star, _ = best_response(mdp, mdp.reward[..., None], np.ones((1, 1)), Criterion.AVERAGE)
+    v_star = policy_value(mdp, occupancy(mdp, pi_star[0], Criterion.AVERAGE))
     cfg = ExactTrainConfig(outer_iterations=10, seed=0)
     for strategy in (
         StrategyConfig(kind=StrategyKind.MULTI_OBJECTIVE, c_e=1.0),
