@@ -354,10 +354,14 @@ def _train_exact_group(
         """Every member's exact value (G, n) and expected features (G, n, d), from occs."""
         return policy_value(mdp, occs).reshape(G, n), expected_features(mdp, occs).reshape(G, n, d)
 
-    def record(iteration: int, values: np.ndarray, psis: np.ndarray, nearest: list) -> None:
+    def record(iteration: int, values: np.ndarray, psis: np.ndarray) -> list:
+        """Append each set's record; return each set's _nearest(avg_psi), which the
+        record's score and objective and the set's reward table share."""
+        nearest = [_nearest(avg_psi) for avg_psi in stack.avg_psi]
         sets = zip(records, values, stack.extrinsic_weights(), stack.avg_psi, psis, nearest)
         for trace, *arrays, near in sets:
             trace.append(_trace_record(iteration, *arrays, diversity_cfg, near))
+        return nearest
 
     # Seed the follow-the-leader state with the initial policies' true
     # statistics. Exact mode has no estimation phase, and starting every
@@ -376,8 +380,7 @@ def _train_exact_group(
             stack.avg_psi += (psis - stack.avg_psi) / (k + 1)
         else:
             update_moving_averages(stack, ..., values, psis, shared.moving_average)
-        nearest = [_nearest(avg_psi) for avg_psi in stack.avg_psi]  # one pass per set
-        record(k, values, psis, nearest)
+        nearest = record(k, values, psis)
 
         if strategy_cfg.kind == StrategyKind.DOMINO_LAGRANGIAN:
             lagrange_step(stack, strategy_cfg.alpha, shared.lagrange_lr)
@@ -386,7 +389,7 @@ def _train_exact_group(
         # the anchor's diversity columns stay zero
         coefficients = np.zeros((G, n, 1 + d))
         coefficients[..., 0] = w[..., 0]
-        for g, (avg_psi, near) in enumerate(zip(stack.avg_psi, nearest) if n > 1 else ()):
+        for g, (avg_psi, near) in enumerate(zip(stack.avg_psi, nearest)):
             c, diff = reward_table(avg_psi, diversity_cfg, near)
             scaled = _scale(c[1:, None] * diff[1:], avg_psi, diversity_cfg)
             coefficients[g, 1:, 1:] = w[g, 1:, 1:] * scaled
@@ -410,7 +413,7 @@ def _train_exact_group(
                 occs[changed] = occupancy(mdp, policies[changed], criterion)
             values, psis = measure()
 
-    record(shared.outer_iterations, values, psis, [_nearest(avg_psi) for avg_psi in stack.avg_psi])
+    record(shared.outer_iterations, values, psis)
     return _split(stack, records)
 
 
