@@ -435,7 +435,7 @@ def best_response(
     greedy actions of start, or of each member's reward when no start is
     given. The n iterations run in lockstep: each round evaluates the
     members whose policy changed in the last round with one stacked solve,
-    all K columns at once, and improves them with one broadcast q product.
+    all K columns at once, and improves them with one q product (one gemm).
     Given evaluations stand in for the first round's solve.
 
     - discounted: v solves (I - gamma P_pi) v = r_pi, and q = r + gamma P v;
@@ -468,9 +468,10 @@ def best_response(
     rewards = _combine(columns, coefficients)
     cells = columns.reshape(n, S * A, K)  # a view, row s * A + a
     actions = np.argmax(rewards if start is None else start, axis=2)
-    P, states = mdp.transition, np.arange(S)
-    # each round gathers its policy matrices into the head of one buffer
-    rows, buffer = P.reshape(S * A, S), np.empty((n, S, S))
+    states = np.arange(S)
+    # row s * A + a of P; each round gathers its policy matrices into the head
+    # of one buffer, and takes every member's q = r + P h in one product
+    rows, buffer = mdp.transition.reshape(S * A, S), np.empty((n, S, S))
     gains, biases = np.empty((n, S, K)), np.empty((n, S, K))
     discounted = criterion == Criterion.DISCOUNTED
     # without detection each policy has one class headed by state 0; m members take the first m rows
@@ -503,14 +504,14 @@ def best_response(
         h = _combine(h, c)
         allowed = None
         if discounted:
-            q = r + mdp.discount * (P @ h[:, None, :, None])[..., 0]
+            q = r + mdp.discount * (h @ rows.T).reshape(r.shape)
         else:
-            q = r + (P @ h[:, None, :, None])[..., 0]
+            q = r + (h @ rows.T).reshape(r.shape)
             several = classes[-1]
             if several.size:
                 # a member whose gain improves moves by P g; the others move
                 # by r + P h among the actions that keep the gain
-                gain_q = (P @ _combine(g[several], c[several])[:, None, :, None])[..., 0]
+                gain_q = (_combine(g[several], c[several]) @ rows.T).reshape(-1, S, A)
                 current = np.take_along_axis(gain_q, a[several][..., None], axis=2)
                 slack = _IMPROVEMENT_RTOL * np.abs(gain_q).max(axis=(1, 2))[:, None, None]
                 gains_up = np.any(gain_q > current + slack, axis=(1, 2))[:, None, None]
