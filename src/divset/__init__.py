@@ -96,7 +96,6 @@ from .training import (
     sample_episodes,
     train_exact,
     train_sampled,
-    train_sampled_lockstep,
 )
 
 __version__ = "0.1.0"

@@ -27,6 +27,7 @@ from .envs import (
     FeatureKind,
     GridSpec,
     Periodic,
+    Perturbation,
     PerturbationKind,
     Schedule,
     build_chain,
@@ -56,6 +57,9 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
+BASELINE_METHOD = "baseline"  # the method name of the baseline's kshot.csv rows
+
+
 def _check_keys(path: str, d: dict, required: set[str], optional: set[str]) -> None:
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: expected an object, got {type(d).__name__}")
@@ -67,6 +71,16 @@ def _check_keys(path: str, d: dict, required: set[str], optional: set[str]) -> N
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
 
 
+def _built(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with a ValueError that build raises reported at path."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _section(path: str, d: dict, required: dict, optional: dict, build):
     """build(**parsed) from section d; both tables map key -> checker(path, value).
 
@@ -76,12 +90,7 @@ def _section(path: str, d: dict, required: dict, optional: dict, build):
     _check_keys(path, d, set(required), set(optional))
     checkers = {**required, **optional}
     parsed = {key: check(f"{path}.{key}", d[key]) for key, check in checkers.items() if key in d}
-    try:
-        return build(**parsed)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _built(path, build, **parsed)
 
 
 def _variant(path: str, d: dict, key: str, choices: set[str]) -> tuple[str, dict]:
@@ -203,11 +212,6 @@ class TrainerSettings:
     mode: str  # "exact" or "sampled"
     exact: ExactTrainConfig | None = None
     sampled: SampleTrainConfig | None = None
-
-    def instantiate(self, seed: int) -> ExactTrainConfig | SampleTrainConfig:
-        base = self.exact if self.mode == "exact" else self.sampled
-        assert base is not None
-        return dataclasses.replace(base, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -393,7 +397,10 @@ def _parse_schedule(path: str, d: dict) -> Schedule:
 
 def _parse_perturbation(path: str, d: dict) -> PerturbationSettings:
     required = {"kind": _enum_of(PerturbationKind), "magnitudes": _axis(_number)}
-    return _section(path, d, required, {"schedule": _parse_schedule}, PerturbationSettings)
+    ps = _section(path, d, required, {"schedule": _parse_schedule}, PerturbationSettings)
+    for i, magnitude in enumerate(ps.magnitudes):
+        _built(f"{path}.magnitudes[{i}]", Perturbation, kind=ps.kind, magnitude=magnitude)
+    return ps
 
 
 def _parse_method(path: str, d: dict) -> KShotMethod:
@@ -406,6 +413,9 @@ def _parse_methods(path: str, value) -> tuple[KShotMethod, ...]:
     names = [m.name for m in methods]
     if len(set(names)) != len(names):
         raise ConfigError(f"{path}: method names must be unique")
+    if BASELINE_METHOD in names:
+        i = names.index(BASELINE_METHOD)
+        raise ConfigError(f"{path}[{i}].name: {BASELINE_METHOD!r} names the baseline's rows")
     return methods
 
 
@@ -449,6 +459,12 @@ def parse_config(d: dict) -> ExperimentConfig:
         config.environment.build()
     except Exception as exc:
         raise ConfigError(f"environment: cannot build ({exc})") from exc
+    for i, l0 in enumerate(config.sweep.contact_distance or ()):
+        path = f"sweep.contact_distance[{i}]"
+        _built(path, dataclasses.replace, config.diversity, contact_distance=l0)
+    for i, ps in enumerate(config.kshot.perturbations if config.kshot else ()):
+        if ps.kind.needs_grid and config.environment.grid is None:
+            raise ConfigError(f"kshot.perturbations[{i}].kind: {ps.kind.value} needs a gridworld")
     return config
 
 

@@ -272,6 +272,11 @@ class PerturbationKind(str, Enum):
     REWARD_SHIFT = "RewardShift"
     ACTION_REMAP = "ActionRemap"
 
+    @property
+    def needs_grid(self) -> bool:
+        """Whether the perturbation edits the grid, so needs its GridSpec."""
+        return self not in (PerturbationKind.ACTION_FAILURE, PerturbationKind.ACTION_REMAP)
+
 
 @dataclass(frozen=True)
 class Always:
@@ -303,6 +308,14 @@ class Perturbation:
     kind: PerturbationKind
     magnitude: float
     schedule: Schedule = Always()
+
+    def __post_init__(self) -> None:
+        # a probability or a fraction of the states or cells; RewardShift's is a radius in cells
+        hi = float("inf") if self.kind == PerturbationKind.REWARD_SHIFT else 1.0
+        if not 0.0 <= self.magnitude <= hi:
+            raise ValueError(
+                f"{self.kind.value} magnitude must be in [0, {hi:g}], got {self.magnitude}"
+            )
 
 
 @dataclass(frozen=True)
@@ -357,16 +370,15 @@ def _apply_always(
     """Perturbed (transition, reward) with the original state indexing."""
     S, A = mdp.num_states, mdp.num_actions
     m = p.magnitude
+    if p.kind.needs_grid and grid_spec is None:
+        raise ValueError(f"{p.kind.value} requires the originating GridSpec")
+
     if p.kind == PerturbationKind.ACTION_FAILURE:
-        if not 0.0 <= m <= 1.0:
-            raise ValueError(f"ActionFailure magnitude must be in [0, 1], got {m}")
         stay = np.zeros((S, A, S))
         stay[np.arange(S), :, np.arange(S)] = 1.0
         return (1.0 - m) * mdp.transition + m * stay, mdp.reward.copy()
 
     if p.kind == PerturbationKind.ACTION_REMAP:
-        if not 0.0 <= m <= 1.0:
-            raise ValueError(f"ActionRemap magnitude must be in [0, 1], got {m}")
         rng = child_rng(seed, "remap")
         n_states = int(np.floor(m * S))
         chosen = rng.choice(S, size=n_states, replace=False)
@@ -377,9 +389,6 @@ def _apply_always(
             transition[s] = mdp.transition[s, perm]
             reward[s] = mdp.reward[s, perm]
         return transition, reward
-
-    if grid_spec is None:
-        raise ValueError(f"{p.kind.value} requires the originating GridSpec")
 
     if p.kind == PerturbationKind.SLIP_INCREASE:
         new_spec = dataclasses.replace(grid_spec, slip_prob=min(1.0, grid_spec.slip_prob + m))
@@ -405,8 +414,6 @@ def _apply_always(
         return mdp.transition.copy(), shifted.reward
 
     if p.kind == PerturbationKind.BLOCK_CELLS:
-        if not 0.0 <= m <= 1.0:
-            raise ValueError(f"BlockCells magnitude must be in [0, 1], got {m}")
         rng = child_rng(seed, "block")
         cells = grid_cells(grid_spec)
         index = {cell: s for s, cell in enumerate(cells)}

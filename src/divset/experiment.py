@@ -34,7 +34,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig
+from .config import BASELINE_METHOD, ConfigError, ExperimentConfig
 from .diversity import DiversityConfig
 from .envs import Always, Perturbation, UnreachableGoalError, perturb
 from .kshot import KShotResult, kshot_evaluate, kshot_returns
@@ -42,7 +42,7 @@ from .mdp import TabularMdp
 from .policy_set import PolicySet, policy_set_to_json
 from .seeding import hash64
 from .strategies import StrategyConfig, StrategyKind
-from .training import TraceRecord, train_exact, train_sampled_lockstep
+from .training import TraceRecord, train_exact, train_sampled
 
 __all__ = [
     "WORKERS_ENV",
@@ -57,7 +57,6 @@ __all__ = [
 ]
 
 WORKERS_ENV = "DIVSET_WORKERS"
-BASELINE_METHOD = "baseline"
 PERTURB_ATTEMPTS = 8
 
 QD_COLUMNS = [
@@ -150,11 +149,10 @@ def _train(
     seeds: Sequence[int],
 ) -> list[tuple[PolicySet, list[TraceRecord]]]:
     """Train one set per seed with the configured trainer, in one lockstep
-    call: train_exact or train_sampled_lockstep."""
-    cfgs = [config.trainer.instantiate(seed) for seed in seeds]
+    call: train_exact or train_sampled."""
     if config.trainer.mode == "exact":
-        return train_exact(mdp, n, diversity, strategy, cfgs)
-    return train_sampled_lockstep(mdp, n, diversity, strategy, cfgs)
+        return train_exact(mdp, n, diversity, strategy, config.trainer.exact, seeds)
+    return train_sampled(mdp, n, diversity, strategy, config.trainer.sampled, seeds)
 
 
 def _cell(spec: RunSpec) -> tuple:

@@ -25,8 +25,8 @@ The sampled trainer is a tabular softmax
 actor-critic with one critic per reward stream and n-step advantages,
 deterministic given its seed.
 
-Both trainers train one set, or several sets that differ only in seed in
-lockstep, at most _LOCKSTEP_MEMBERS members at a time. A group is one
+Both trainers take one config and a list of seeds, and train one set per
+seed in lockstep, at most _LOCKSTEP_MEMBERS members at a time. A group is one
 stacked PolicySet, so each moving-average, Lagrange and weights step is one
 call over every set. Exact: each outer step's best responses of every
 set's members are one stacked call. Sampled: each episode, one
@@ -42,7 +42,6 @@ perturbed and unperturbed MDPs alike.
 
 from __future__ import annotations
 
-import dataclasses
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -90,13 +89,12 @@ __all__ = [
     "sample_episodes",
     "train_exact",
     "train_sampled",
-    "train_sampled_lockstep",
 ]
 
 
 # most members trained in one lockstep group (train_exact's best_response
-# stack, train_sampled_lockstep's tables); it bounds their memory whatever
-# the number of sets
+# stack, train_sampled's tables); it bounds their memory whatever the
+# number of sets
 _LOCKSTEP_MEMBERS = 64
 
 
@@ -120,7 +118,6 @@ class ExactTrainConfig:
     ftl_mode: FtlMode = FtlMode.MOVING_AVERAGE
     moving_average: MovingAverageConfig = MovingAverageConfig()
     policy_init: str = "random"  # random rows break the initial symmetry
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -133,7 +130,6 @@ class SampleTrainConfig:
     n_step: int = 5
     lagrange_lr: float = 1e-3
     moving_average: MovingAverageConfig = MovingAverageConfig()
-    seed: int = 0
     eval_every: int = 100
 
 
@@ -263,16 +259,16 @@ def train_exact(
     n: int,
     diversity_cfg: DiversityConfig,
     strategy_cfg: StrategyConfig,
-    cfg: ExactTrainConfig | Sequence[ExactTrainConfig],
-) -> tuple[PolicySet, list[TraceRecord]] | list[tuple[PolicySet, list[TraceRecord]]]:
+    cfg: ExactTrainConfig,
+    seeds: Sequence[int],
+) -> list[tuple[PolicySet, list[TraceRecord]]]:
     """Run the exact three-player loop for cfg.outer_iterations steps.
 
-    cfg is one config, which trains one set and returns its (pset, trace),
-    or a sequence of configs that differ only in seed, which trains one set
-    per config in lockstep and returns one (pset, trace) per config, in
-    order. The sets are trained in groups of at most _LOCKSTEP_MEMBERS
-    members (a set larger than that alone). Each set's arithmetic is what
-    it would be alone, so grouping changes no output.
+    Trains one set per seed in lockstep and returns one (pset, trace) per
+    seed, in order; a seed only draws its set's initial policies. The sets
+    are trained in groups of at most _LOCKSTEP_MEMBERS members (a set larger
+    than that alone). Each set's arithmetic is what it would be alone, so
+    grouping changes no output.
 
     The anchor's constraint reference is the exact optimal extrinsic value
     (computed once; the extrinsic reward never changes). Each outer
@@ -289,25 +285,19 @@ def train_exact(
     is a list of one record per iteration plus a final evaluation record for
     the policies as returned.
     """
-    single = isinstance(cfg, ExactTrainConfig)
-    results = _lockstep(
-        _train_exact_group, mdp, n, diversity_cfg, strategy_cfg, [cfg] if single else list(cfg)
-    )
-    return results[0] if single else results
+    return _lockstep(_train_exact_group, mdp, n, diversity_cfg, strategy_cfg, cfg, seeds)
 
 
-def _lockstep(train_group, mdp, n, diversity_cfg, strategy_cfg, cfgs: list) -> list:
-    """One (pset, trace) per config, in order: train_group trains runs of
-    consecutive configs in lockstep, at most _LOCKSTEP_MEMBERS members in
-    all (a set larger than that alone). The configs may differ only in seed."""
-    if any(dataclasses.replace(c, seed=0) != dataclasses.replace(cfgs[0], seed=0) for c in cfgs):
-        raise ValueError("lockstep training needs configs that differ only in seed")
+def _lockstep(train_group, mdp, n, diversity_cfg, strategy_cfg, cfg, seeds: Sequence[int]) -> list:
+    """One (pset, trace) per seed, in order: train_group trains runs of
+    consecutive seeds in lockstep, at most _LOCKSTEP_MEMBERS members in all
+    (a set larger than that alone)."""
     if n < 1:
         raise ValueError(f"need at least one policy, got n={n}")
     per_group = max(1, _LOCKSTEP_MEMBERS // n)
     results = []
-    for first in range(0, len(cfgs), per_group):
-        results += train_group(mdp, n, diversity_cfg, strategy_cfg, cfgs[first : first + per_group])
+    for i in range(0, len(seeds), per_group):
+        results += train_group(mdp, n, diversity_cfg, strategy_cfg, cfg, seeds[i : i + per_group])
     return results
 
 
@@ -330,25 +320,21 @@ def _train_exact_group(
     n: int,
     diversity_cfg: DiversityConfig,
     strategy_cfg: StrategyConfig,
-    cfgs: list[ExactTrainConfig],
+    cfg: ExactTrainConfig,
+    seeds: Sequence[int],
 ) -> list[tuple[PolicySet, list[TraceRecord]]]:
     S, A, d = mdp.num_states, mdp.num_actions, mdp.feature_dim
-    G, shared = len(cfgs), cfgs[0]  # every field but the seed
-    criterion = shared.criterion
+    G, criterion = len(seeds), cfg.criterion
     pi_star, _ = best_response(mdp, mdp.reward[..., None], np.ones((1, 1)), criterion)
-    stack = _stack(
-        [
-            init_set(n, d, S, A, policy_init=cfg.policy_init, rng=np.random.default_rng(cfg.seed))
-            for cfg in cfgs
-        ]
-    )
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    stack = _stack([init_set(n, d, S, A, policy_init=cfg.policy_init, rng=rng) for rng in rngs])
     stack.vstar_estimate = policy_value(mdp, occupancy(mdp, pi_star[0], criterion))
     members = stack.policies.reshape(G * n, S, A)  # row g * n + i is set g's member i
     # every member's mixed reward lies in the span of the extrinsic reward and the features
     basis = np.concatenate([mdp.reward[..., None], mdp.features_sa], axis=2)
     in_basis, evaluations = _basis_pays(S, d), None
     occs = occupancy(mdp, members, criterion)  # the stochastic initial set's
-    records: list[list[TraceRecord]] = [[] for _ in cfgs]
+    records: list[list[TraceRecord]] = [[] for _ in seeds]
 
     def measure() -> tuple[np.ndarray, np.ndarray]:
         """Every member's exact value (G, n) and expected features (G, n, d), from occs."""
@@ -372,18 +358,18 @@ def _train_exact_group(
     values, psis = measure()
     stack.avg_value[:], stack.avg_psi[:] = values, psis
 
-    for k in range(shared.outer_iterations):
-        if shared.ftl_mode == FtlMode.FULL_AVERAGE:
+    for k in range(cfg.outer_iterations):
+        if cfg.ftl_mode == FtlMode.FULL_AVERAGE:
             # running means over iterations 0..k, started from the initial
             # measure, which equals iteration 0's
             stack.avg_value += (values - stack.avg_value) / (k + 1)
             stack.avg_psi += (psis - stack.avg_psi) / (k + 1)
         else:
-            update_moving_averages(stack, ..., values, psis, shared.moving_average)
+            update_moving_averages(stack, ..., values, psis, cfg.moving_average)
         nearest = record(k, values, psis)
 
         if strategy_cfg.kind == StrategyKind.DOMINO_LAGRANGIAN:
-            lagrange_step(stack, strategy_cfg.alpha, shared.lagrange_lr)
+            lagrange_step(stack, strategy_cfg.alpha, cfg.lagrange_lr)
         w = weights(strategy_cfg, stack)
         # member i's reward w_e r_e + w_d _scale(c(l_i) phi . (psi_i - psi_j)) in the basis;
         # the anchor's diversity columns stay zero
@@ -413,7 +399,7 @@ def _train_exact_group(
                 occs[changed] = occupancy(mdp, policies[changed], criterion)
             values, psis = measure()
 
-    record(shared.outer_iterations, values, psis)
+    record(cfg.outer_iterations, values, psis)
     return _split(stack, records)
 
 
@@ -429,7 +415,8 @@ def train_sampled(
     diversity_cfg: DiversityConfig,
     strategy_cfg: StrategyConfig,
     cfg: SampleTrainConfig,
-) -> tuple[PolicySet, list[TraceRecord]]:
+    seeds: Sequence[int],
+) -> list[tuple[PolicySet, list[TraceRecord]]]:
     """Tabular softmax actor-critic over latent-indexed policies.
 
     Per episode one latent z is drawn, one fixed-horizon episode is rolled
@@ -437,30 +424,17 @@ def train_sampled(
     advantages per reward stream (extrinsic critic and diversity critic),
     combined with the strategy's mixing weights, plus an entropy bonus.
     The diversity reward is rebuilt from the psi~ snapshot each episode.
-    One set is a lockstep group of one (train_sampled_lockstep).
+
+    Trains one set per seed in lockstep and returns one (pset, trace) per
+    seed, in order; each set draws its latents and episodes from its own
+    seed's generator. The sets are trained in groups of at most
+    _LOCKSTEP_MEMBERS members, as in train_exact. Each episode one
+    sample_episodes call plays every set's episode of a group; the updates
+    then run once over the group's (sets, ...) stacks. Each set's arithmetic
+    is what it would be alone, so grouping changes no output. A group raises
+    TrainingDivergedError when any of its sets diverges.
     """
-    return train_sampled_lockstep(mdp, n, diversity_cfg, strategy_cfg, [cfg])[0]
-
-
-def train_sampled_lockstep(
-    mdp: TabularMdp,
-    n: int,
-    diversity_cfg: DiversityConfig,
-    strategy_cfg: StrategyConfig,
-    cfgs: Sequence[SampleTrainConfig],
-) -> list[tuple[PolicySet, list[TraceRecord]]]:
-    """train_sampled for each of cfgs, configs that differ only in seed,
-    trained in lockstep: one (pset, trace) per config, in order.
-
-    The sets are trained in groups of at most _LOCKSTEP_MEMBERS members, as
-    in train_exact. Each episode every set of a group draws its latent from
-    its own generator, then one sample_episodes call plays each set's
-    episode from that set's generator; the updates then run once over the
-    group's (sets, ...) stacks. Each set's arithmetic is what it would be
-    alone, so each set gets the bytes it gets from train_sampled. A group
-    raises TrainingDivergedError when any of its sets diverges.
-    """
-    return _lockstep(_train_sampled_group, mdp, n, diversity_cfg, strategy_cfg, list(cfgs))
+    return _lockstep(_train_sampled_group, mdp, n, diversity_cfg, strategy_cfg, cfg, seeds)
 
 
 def _train_sampled_group(
@@ -468,13 +442,13 @@ def _train_sampled_group(
     n: int,
     diversity_cfg: DiversityConfig,
     strategy_cfg: StrategyConfig,
-    cfgs: list[SampleTrainConfig],
+    cfg: SampleTrainConfig,
+    seeds: Sequence[int],
 ) -> list[tuple[PolicySet, list[TraceRecord]]]:
     S, A, d = mdp.num_states, mdp.num_actions, mdp.feature_dim
-    G, shared = len(cfgs), cfgs[0]  # every field but the seed
-    T = shared.episode_length
-    rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
-    stack = _stack([init_set(n, d, S, A, policy_init="uniform") for _ in cfgs])
+    G, T = len(seeds), cfg.episode_length
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    stack = _stack([init_set(n, d, S, A, policy_init="uniform") for _ in seeds])
     stack.vstar_estimate = stack.avg_value[:, :1]  # a view: each set's anchor v~
     adam = AdamState.zeros((G, max(n - 1, 1)))
     # row g * n + z is set g's member z; the critics per state are the
@@ -491,9 +465,9 @@ def _train_sampled_group(
     # at path[min(t + n, T)], observed even for the truncated tail, with
     # discount gamma^min(n, T - t)
     steps = np.arange(T)
-    boot = np.minimum(steps + shared.n_step, T)
-    boot_discount = (gamma ** np.minimum(shared.n_step, T - steps))[:, None]
-    records: list[list[TraceRecord]] = [[] for _ in cfgs]
+    boot = np.minimum(steps + cfg.n_step, T)
+    boot_discount = (gamma ** np.minimum(cfg.n_step, T - steps))[:, None]
+    records: list[list[TraceRecord]] = [[] for _ in seeds]
 
     def record(it: int) -> None:
         stack.policies = _softmax(logits).reshape(G, n, S, A)
@@ -502,7 +476,7 @@ def _train_sampled_group(
         for trace, *arrays in zip(records, values, sigma, stack.avg_psi, exact_psis):
             trace.append(_trace_record(it, *arrays, diversity_cfg))
 
-    for ep in range(shared.total_episodes):
+    for ep in range(cfg.total_episodes):
         zs = [int(rng.integers(n)) for rng in rngs]
         rows = sets * n + zs
         probs = _softmax(logits[rows])
@@ -523,7 +497,7 @@ def _train_sampled_group(
         member_states = rows[:, None] * S
         targets = np.zeros((G, T, 2))
         gpow = 1.0
-        for k in range(min(shared.n_step, T)):
+        for k in range(min(cfg.n_step, T)):
             targets[:, : T - k] += gpow * rewards[:, k:]
             gpow *= gamma
         targets += boot_discount * critic_rows.take(member_states + path[:, boot], axis=0)
@@ -538,13 +512,13 @@ def _train_sampled_group(
         row_cells = (set_states[..., None] * A + action_cells).ravel()
         cells = [(set_states * A + actions).ravel(), row_cells]
         terms = [adv.ravel(), (-adv[..., None] * pi_visited).ravel()]
-        if shared.entropy_weight > 0.0:
+        if cfg.entropy_weight > 0.0:
             logp = np.log(np.maximum(pi_visited, 1e-30))
             ent = -(pi_visited * logp).sum(axis=-1)
             cells.append(row_cells)
-            terms.append((-shared.entropy_weight * pi_visited * (logp + ent[..., None])).ravel())
+            terms.append((-cfg.entropy_weight * pi_visited * (logp + ent[..., None])).ravel())
         grad = np.bincount(np.concatenate(cells), np.concatenate(terms), minlength=G * S * A)
-        logits[rows] += shared.policy_lr * grad.reshape(G, S, A) / T
+        logits[rows] += cfg.policy_lr * grad.reshape(G, S, A) / T
 
         # each visited state's critics move toward their mean targets; one
         # bincount sums both streams' targets, each bin in step order
@@ -553,20 +527,20 @@ def _train_sampled_group(
         tsum = np.bincount(stream_cells, targets.ravel(), minlength=2 * G * S).reshape(G, S, 2)
         mean_targets = tsum / np.maximum(tcnt, 1)
         critic = critics[rows]
-        np.copyto(critic, critic + shared.value_lr * (mean_targets - critic), where=tcnt > 0)
+        np.copyto(critic, critic + cfg.value_lr * (mean_targets - critic), where=tcnt > 0)
         critics[rows] = critic
 
         # the episode means, computed as np.mean computes them
         mean_rewards = ext_rewards.sum(axis=1) / T
         mean_features = mdp.features.take(pairs, axis=0).sum(axis=1) / T
-        update_moving_averages(stack, (sets, zs), mean_rewards, mean_features, shared.moving_average)
+        update_moving_averages(stack, (sets, zs), mean_rewards, mean_features, cfg.moving_average)
         if strategy_cfg.kind == StrategyKind.DOMINO_LAGRANGIAN and n > 1:
-            lagrange_step_adam(stack, strategy_cfg.alpha, shared.lagrange_lr, adam)
+            lagrange_step_adam(stack, strategy_cfg.alpha, cfg.lagrange_lr, adam)
 
         if not (np.isfinite(logits[rows]).all() and np.isfinite(critic).all()):
             raise TrainingDivergedError(f"non-finite learner table after episode {ep}")
 
-        if (ep + 1) % shared.eval_every == 0 or ep + 1 == shared.total_episodes:
+        if (ep + 1) % cfg.eval_every == 0 or ep + 1 == cfg.total_episodes:
             record(ep + 1)
 
     stack.policies = _softmax(logits).reshape(G, n, S, A)

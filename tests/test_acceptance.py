@@ -41,7 +41,7 @@ from divset import (
     run_kshot,
     stationary_distribution,
     train_exact,
-    train_sampled_lockstep,
+    train_sampled,
 )
 from divset.cli import main
 from divset.policy_set import AdamState, sigmoid
@@ -201,15 +201,15 @@ def test_criterion_4_constraint_satisfaction_on_four_rooms(acceptance_line):
     above alpha times the anchor's, to a 2% slack, on the committed grid."""
     t0 = time.time()
     cfg, mdp = _four_rooms_training_pieces()
-    crit = cfg.trainer.instantiate(0).criterion
+    crit = cfg.trainer.exact.criterion
     violations = []
     worst_margin = np.inf
     for n in (5, 10):
         for alpha in (0.5, 0.7, 0.9):
             scfg = dataclasses.replace(cfg.strategy, alpha=alpha)
             # one cell's five seeds train in lockstep, each as it would alone
-            tcfgs = [cfg.trainer.instantiate(seed) for seed in range(5)]
-            for seed, (pset, _) in enumerate(train_exact(mdp, n, cfg.diversity, scfg, tcfgs)):
+            runs = train_exact(mdp, n, cfg.diversity, scfg, cfg.trainer.exact, range(5))
+            for seed, (pset, _) in enumerate(runs):
                 values = np.array(
                     [policy_value(mdp, occupancy(mdp, p, crit)) for p in pset.policies]
                 )
@@ -236,7 +236,7 @@ def test_criterion_5_contact_distance_tracks_half_the_max_spread(acceptance_line
     t0 = time.time()
     cfg = load_config(CONFIG_DIR / "chain_vdw.json")
     mdp, _ = cfg.environment.build()
-    crit = cfg.trainer.instantiate(0).criterion
+    crit = cfg.trainer.exact.criterion
 
     # enumerate the achievable spread: position features are scalar, so the
     # extreme expected features are themselves best-response values
@@ -251,8 +251,9 @@ def test_criterion_5_contact_distance_tracks_half_the_max_spread(acceptance_line
     hits = 0
     finals = []
     for spec in enumerate_runs(cfg):
-        tcfg = cfg.trainer.instantiate(spec.train_seed)
-        pset, _ = train_exact(mdp, spec.set_size, cfg.diversity, cfg.strategy, tcfg)
+        [(pset, _)] = train_exact(
+            mdp, spec.set_size, cfg.diversity, cfg.strategy, cfg.trainer.exact, [spec.train_seed]
+        )
         l = float(np.linalg.norm(pset.avg_psi[0] - pset.avg_psi[1]))
         finals.append(l)
         hits += abs(l - target) <= 0.15 * target
@@ -283,12 +284,13 @@ def test_criterion_6_degenerate_strategies_recover_the_plain_optimum(acceptance_
     ]
     worst = 0.0
     for scfg in strategies:
-        pset, _ = train_exact(
+        [(pset, _)] = train_exact(
             mdp,
             3,
             DiversityConfig(kind=DiversityKind.REPULSIVE),
             scfg,
-            ExactTrainConfig(outer_iterations=50, seed=0),
+            ExactTrainConfig(outer_iterations=50),
+            [0],
         )
         values = [policy_value(mdp, occupancy(mdp, p, crit)) for p in pset.policies]
         gap = max(abs(v - vstar) for v in values)
@@ -354,8 +356,7 @@ def test_criterion_8_diversity_falls_as_the_constraint_tightens(acceptance_line)
     scatter = {}
     for alpha in (0.5, 0.98):
         scfg = dataclasses.replace(cfg.strategy, alpha=alpha)
-        tcfgs = [cfg.trainer.instantiate(seed) for seed in range(5)]
-        runs = train_exact(mdp, 5, cfg.diversity, scfg, tcfgs)
+        runs = train_exact(mdp, 5, cfg.diversity, scfg, cfg.trainer.exact, range(5))
         finals = [trace[-1].diversity_mean for _, trace in runs]
         means[alpha] = float(np.mean(finals))
         scatter[alpha] = [round(f, 4) for f in finals]
@@ -483,23 +484,16 @@ def test_criterion_11_sampled_training_agrees_with_exact(acceptance_line):
     mdp = random_mdp(np.random.default_rng(42), 4, 3, 2, discount=0.95)
     dcfg = DiversityConfig(kind=DiversityKind.REPULSIVE)
     scfg = StrategyConfig(kind=StrategyKind.DOMINO_LAGRANGIAN, alpha=0.9)
-    exact_set, _ = train_exact(mdp, 2, dcfg, scfg, ExactTrainConfig(outer_iterations=300, seed=0))
+    [(exact_set, _)] = train_exact(mdp, 2, dcfg, scfg, ExactTrainConfig(outer_iterations=300), [0])
     ref = float(np.linalg.norm(exact_set.avg_psi[0] - exact_set.avg_psi[1]))
     assert ref > 0.0
     hits = 0
     rels = []
-    cfgs = [
-        SampleTrainConfig(
-            total_episodes=6000,
-            episode_length=200,
-            lagrange_lr=0.02,
-            entropy_weight=0.003,
-            seed=seed,
-        )
-        for seed in range(5)
-    ]
+    cfg = SampleTrainConfig(
+        total_episodes=6000, episode_length=200, lagrange_lr=0.02, entropy_weight=0.003
+    )
     # the 5 seeds train in one lockstep call, each with the bytes it gets alone
-    for pset, _ in train_sampled_lockstep(mdp, 2, dcfg, scfg, cfgs):
+    for pset, _ in train_sampled(mdp, 2, dcfg, scfg, cfg, range(5)):
         l = float(np.linalg.norm(pset.avg_psi[0] - pset.avg_psi[1]))
         rel = abs(l - ref) / ref
         rels.append(rel)

@@ -54,7 +54,7 @@ def test_minimal_config_defaults():
     assert cfg.kshot is None
     assert cfg.sweep.alpha is None
     assert cfg.trainer.mode == "exact"
-    assert cfg.trainer.instantiate(99).seed == 99
+    assert cfg.trainer.sampled is None
     mdp, grid = cfg.environment.build()
     assert grid is None
     assert mdp.num_states == 4
@@ -215,6 +215,29 @@ MESSAGES = [
         {"trainer": {"mode": "sampled", "lagrange_optimizer": "sgd"}},
         "trainer: unknown key(s) ['lagrange_optimizer']",
     ),
+    # each swept contact distance is checked against the config's diversity kind
+    (
+        {"diversity": {"kind": "VanDerWaals", "contact_distance": 4.0}, "sweep": {"contact_distance": [4.0, 0.0]}},
+        "sweep.contact_distance[1]: contact_distance must be positive, got 0.0",
+    ),
+    # each magnitude is checked against its kind's range
+    (
+        {"kshot": _kshot(perturbation={"magnitudes": [0.1, 1.5]})},
+        "kshot.perturbations[0].magnitudes[1]: ActionFailure magnitude must be in [0, 1], got 1.5",
+    ),
+    (
+        {"environment": _grid(), "kshot": _kshot(perturbation={"kind": "RewardShift", "magnitudes": [-1]})},
+        "kshot.perturbations[0].magnitudes[0]: RewardShift magnitude must be in [0, inf], got -1.0",
+    ),
+    (
+        {"kshot": _kshot(perturbation={"kind": "SlipIncrease"})},
+        "kshot.perturbations[0].kind: SlipIncrease needs a gridworld",
+    ),
+    # the baseline's kshot.csv rows carry the method name "baseline"
+    (
+        {"kshot": _kshot(method={"name": "baseline"})},
+        "kshot.methods[0].name: 'baseline' names the baseline's rows",
+    ),
 ]
 
 
@@ -226,9 +249,20 @@ def test_config_error_messages(change, message):
     assert str(info.value) == message
 
 
+def test_grid_level_perturbations_need_a_gridworld():
+    for kind in PerturbationKind:
+        kshot = _kshot(perturbation={"kind": kind.value})
+        parse_config(minimal_chain_config(environment=_grid(), kshot=kshot))
+        if kind.needs_grid:
+            with pytest.raises(ConfigError, match=f"{kind.value} needs a gridworld"):
+                parse_config(minimal_chain_config(kshot=kshot))
+        else:
+            parse_config(minimal_chain_config(kshot=kshot))
+
+
 def test_omitted_keys_take_the_dataclass_defaults():
     cfg = parse_config(minimal_chain_config())
-    assert cfg.trainer.instantiate(0) == ExactTrainConfig(outer_iterations=2, seed=0)
+    assert cfg.trainer.exact == ExactTrainConfig(outer_iterations=2)
     assert cfg.diversity == DiversityConfig(kind=DiversityKind.REPULSIVE)
     assert cfg.strategy == StrategyConfig(kind=StrategyKind.DOMINO_LAGRANGIAN)
     mdp, _ = cfg.environment.build()
@@ -238,7 +272,7 @@ def test_omitted_keys_take_the_dataclass_defaults():
     assert mdp.discount == reference.discount
 
     cfg = parse_config(minimal_chain_config(trainer={"mode": "sampled"}, environment=_grid()))
-    assert cfg.trainer.instantiate(0) == SampleTrainConfig(seed=0)
+    assert cfg.trainer.sampled == SampleTrainConfig()
     assert cfg.environment.build()[1] == GridSpec(width=2, height=2, goal_cells={(0, 0): 1.0})
 
     cfg = parse_config(minimal_chain_config(kshot=_periodic()))
@@ -338,10 +372,9 @@ def test_sampled_trainer_section():
             }
         )
     )
-    t = cfg.trainer.instantiate(1)
+    t = cfg.trainer.sampled
     assert (t.total_episodes, t.episode_length, t.n_step) == (50, 30, 3)
     assert t.moving_average.value_decay == 0.8
-    assert t.seed == 1
 
 
 def test_kshot_section_parses():

@@ -129,6 +129,21 @@ def test_action_failure_mixes_toward_staying_put():
         perturb(mdp, Perturbation(kind=PerturbationKind.ACTION_FAILURE, magnitude=1.5), seed=0)
 
 
+def test_a_perturbation_checks_its_magnitude_against_its_kind():
+    for kind in PerturbationKind:
+        Perturbation(kind=kind, magnitude=0.0)
+        Perturbation(kind=kind, magnitude=1.0)
+        for bad in (-0.5, float("nan")):
+            with pytest.raises(ValueError, match=f"{kind.value} magnitude"):
+                Perturbation(kind=kind, magnitude=bad)
+        # probabilities and fractions end at 1; RewardShift's radius does not
+        if kind == PerturbationKind.REWARD_SHIFT:
+            Perturbation(kind=kind, magnitude=7.0)
+        else:
+            with pytest.raises(ValueError, match=r"must be in \[0, 1\], got 1.5"):
+                Perturbation(kind=kind, magnitude=1.5)
+
+
 def test_action_remap_permutes_whole_states():
     mdp = build_chain(6, end_reward=1.0)
     p = Perturbation(kind=PerturbationKind.ACTION_REMAP, magnitude=1.0)

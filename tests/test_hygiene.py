@@ -1,7 +1,8 @@
 """Source hygiene: no unused imports in src/divset or tests, no
 unreferenced private names in src/divset, every name in a src/divset
-module's __all__ defined there, and every committed BENCH_*.json trajectory
-readable with the keys they all share.
+module's __all__ defined there, every committed BENCH_*.json trajectory
+readable with the keys they all share, and README's library example in step
+with the API.
 
 The source checks read the modules with the standard library's ast, so they
 run without importing the package.
@@ -9,7 +10,10 @@ run without importing the package.
 
 import ast
 import json
+import re
 from pathlib import Path
+
+import pytest
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
@@ -117,3 +121,11 @@ def test_every_bench_file_parses_with_the_shared_keys():
     for path in paths:
         missing = BENCH_KEYS - json.loads(path.read_text()).keys()
         assert not missing, f"{path.name} lacks {sorted(missing)}"
+
+
+def test_readme_library_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
+    assert len(blocks) == 1, f"README has {len(blocks)} python blocks"
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    # the example prints its pair's feature distance, which it annotates as ~4.0
+    assert float(capsys.readouterr().out) == pytest.approx(4.0, abs=0.05)

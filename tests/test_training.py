@@ -43,7 +43,6 @@ from divset import (
     sample_episodes,
     train_exact,
     train_sampled,
-    train_sampled_lockstep,
     update_moving_averages,
     weights,
 )
@@ -59,8 +58,9 @@ _DOMINO = StrategyConfig(kind=StrategyKind.DOMINO_LAGRANGIAN, alpha=0.9)
 
 def test_single_policy_training_recovers_the_optimum():
     mdp = build_chain(5, end_reward=1.0)
-    cfg = ExactTrainConfig(outer_iterations=5, seed=0)
-    pset, trace = train_exact(mdp, 1, _REPULSIVE, StrategyConfig(kind=StrategyKind.NO_DIVERSITY), cfg)
+    cfg = ExactTrainConfig(outer_iterations=5)
+    no_diversity = StrategyConfig(kind=StrategyKind.NO_DIVERSITY)
+    [(pset, trace)] = train_exact(mdp, 1, _REPULSIVE, no_diversity, cfg, [0])
     v = policy_value(mdp, occupancy(mdp, pset.policies[0], Criterion.AVERAGE))
     assert v == pytest.approx(1.0, abs=1e-9)
     assert len(trace) == 6  # one per iteration plus the final evaluation
@@ -69,8 +69,8 @@ def test_single_policy_training_recovers_the_optimum():
 def test_exact_trainer_seeds_the_estimates_with_true_initial_statistics():
     rng = np.random.default_rng(0)
     mdp = random_mdp(rng, 4, 3, 2)
-    cfg = ExactTrainConfig(outer_iterations=1, seed=7)
-    pset, trace = train_exact(mdp, 3, _REPULSIVE, _DOMINO, cfg)
+    cfg = ExactTrainConfig(outer_iterations=1)
+    [(pset, trace)] = train_exact(mdp, 3, _REPULSIVE, _DOMINO, cfg, [7])
     # recompute the initial policies' exact features from the same seed
     init = np.random.default_rng(7)
     from divset import init_set
@@ -93,9 +93,9 @@ def test_exact_trainer_seeds_the_estimates_with_true_initial_statistics():
 def test_exact_trainer_is_deterministic_given_the_seed():
     rng = np.random.default_rng(1)
     mdp = random_mdp(rng, 4, 3, 2)
-    cfg = ExactTrainConfig(outer_iterations=10, seed=3)
-    a, _ = train_exact(mdp, 2, _REPULSIVE, _DOMINO, cfg)
-    b, _ = train_exact(mdp, 2, _REPULSIVE, _DOMINO, cfg)
+    cfg = ExactTrainConfig(outer_iterations=10)
+    [(a, _)] = train_exact(mdp, 2, _REPULSIVE, _DOMINO, cfg, [3])
+    [(b, _)] = train_exact(mdp, 2, _REPULSIVE, _DOMINO, cfg, [3])
     assert np.array_equal(a.mu, b.mu)
     assert np.array_equal(a.avg_psi, b.avg_psi)
     assert np.array_equal(a.policies, b.policies)
@@ -104,14 +104,14 @@ def test_exact_trainer_is_deterministic_given_the_seed():
 def test_diversity_training_separates_members():
     rng = np.random.default_rng(2)
     mdp = random_mdp(rng, 5, 3, 2)
-    cfg = ExactTrainConfig(outer_iterations=40, seed=0)
-    _, trace_none = train_exact(
-        mdp, 2, _REPULSIVE, StrategyConfig(kind=StrategyKind.NO_DIVERSITY), cfg
+    cfg = ExactTrainConfig(outer_iterations=40)
+    [(_, trace_none)] = train_exact(
+        mdp, 2, _REPULSIVE, StrategyConfig(kind=StrategyKind.NO_DIVERSITY), cfg, [0]
     )
-    _, trace_pure = train_exact(
-        mdp, 2, _REPULSIVE, StrategyConfig(kind=StrategyKind.MULTI_OBJECTIVE, c_e=0.0), cfg
+    [(_, trace_pure)] = train_exact(
+        mdp, 2, _REPULSIVE, StrategyConfig(kind=StrategyKind.MULTI_OBJECTIVE, c_e=0.0), cfg, [0]
     )
-    _, trace_dom = train_exact(mdp, 2, _REPULSIVE, _DOMINO, cfg)
+    [(_, trace_dom)] = train_exact(mdp, 2, _REPULSIVE, _DOMINO, cfg, [0])
     # without a diversity reward both members collapse onto the optimum
     assert trace_none[-1].diversity_mean_exact == pytest.approx(0.0, abs=1e-12)
     # a pure diversity member separates in the final greedy iterate
@@ -123,8 +123,8 @@ def test_diversity_training_separates_members():
 
 def test_anchor_constraint_reference_is_the_exact_optimum():
     mdp = build_chain(5, end_reward=2.0)
-    cfg = ExactTrainConfig(outer_iterations=3, seed=0)
-    pset, _ = train_exact(mdp, 2, _REPULSIVE, _DOMINO, cfg)
+    cfg = ExactTrainConfig(outer_iterations=3)
+    [(pset, _)] = train_exact(mdp, 2, _REPULSIVE, _DOMINO, cfg, [0])
     assert pset.vstar_estimate == pytest.approx(2.0, abs=1e-9)
 
 
@@ -133,9 +133,9 @@ def test_full_average_mode_tracks_running_means():
 
     def train(iterations):
         cfg = ExactTrainConfig(
-            outer_iterations=iterations, seed=0, ftl_mode=FtlMode.FULL_AVERAGE, policy_init="uniform"
+            outer_iterations=iterations, ftl_mode=FtlMode.FULL_AVERAGE, policy_init="uniform"
         )
-        return train_exact(mdp, 2, _REPULSIVE, _DOMINO, cfg)
+        return train_exact(mdp, 2, _REPULSIVE, _DOMINO, cfg, [0])[0]
 
     pset, trace = train(3)
     values = np.stack([rec.extrinsic_values for rec in trace[:-1]])
@@ -151,8 +151,8 @@ def test_full_average_mode_tracks_running_means():
 def test_trace_records_expose_weights_and_objective():
     rng = np.random.default_rng(3)
     mdp = random_mdp(rng, 4, 2, 2)
-    cfg = ExactTrainConfig(outer_iterations=4, seed=1)
-    _, trace = train_exact(mdp, 3, _REPULSIVE, _DOMINO, cfg)
+    cfg = ExactTrainConfig(outer_iterations=4)
+    [(_, trace)] = train_exact(mdp, 3, _REPULSIVE, _DOMINO, cfg, [1])
     for rec in trace:
         assert rec.sigma_mu[0] == 1.0
         assert rec.extrinsic_values.shape == (3,)
@@ -170,7 +170,7 @@ def test_generalized_trace_objective_is_l0_times_the_summed_distances():
         kind=DiversityKind.GENERALIZED, contact_distance=l0,
         attractive_coeff=0.0, repulsive_power=-1.0, attractive_power=3.0,
     )
-    _, trace = train_exact(mdp, 3, cfg, _DOMINO, ExactTrainConfig(outer_iterations=4, seed=1))
+    [(_, trace)] = train_exact(mdp, 3, cfg, _DOMINO, ExactTrainConfig(outer_iterations=4), [1])
     for rec in trace:
         assert rec.objective_value == pytest.approx(l0 * 3 * rec.diversity_mean, rel=1e-12)
 
@@ -212,21 +212,11 @@ def test_lockstep_training_equals_one_set_at_a_time(case, unichain):
         cfg = dataclasses.replace(cfg, ftl_mode=FtlMode.FULL_AVERAGE)
     elif case == "chain_discounted":
         cfg = dataclasses.replace(cfg, criterion=Criterion.DISCOUNTED)
-    cfgs = [dataclasses.replace(cfg, seed=seed) for seed in (3, 0, 11)]
-    together = train_exact(mdp, 3, _REPULSIVE, _DOMINO, cfgs)
-    assert len(together) == len(cfgs)
-    for got, one in zip(together, cfgs):
-        _assert_same_training(got, train_exact(mdp, 3, _REPULSIVE, _DOMINO, one))
-
-
-def test_lockstep_training_needs_configs_that_differ_only_in_seed():
-    mdp = build_chain(4, end_reward=1.0)
-    cfgs = [ExactTrainConfig(outer_iterations=2), ExactTrainConfig(outer_iterations=3, seed=1)]
-    with pytest.raises(ValueError, match="only in seed"):
-        train_exact(mdp, 2, _REPULSIVE, _DOMINO, cfgs)
-    cfgs = [SampleTrainConfig(total_episodes=2), SampleTrainConfig(total_episodes=3, seed=1)]
-    with pytest.raises(ValueError, match="only in seed"):
-        train_sampled_lockstep(mdp, 2, _REPULSIVE, _DOMINO, cfgs)
+    seeds = [3, 0, 11]
+    together = train_exact(mdp, 3, _REPULSIVE, _DOMINO, cfg, seeds)
+    assert len(together) == len(seeds)
+    for got, seed in zip(together, seeds):
+        _assert_same_training(got, *train_exact(mdp, 3, _REPULSIVE, _DOMINO, cfg, [seed]))
 
 
 def test_exact_trainer_solves_occupancies_only_for_the_optimum_and_the_initial_set(monkeypatch):
@@ -244,8 +234,8 @@ def test_exact_trainer_solves_occupancies_only_for_the_optimum_and_the_initial_s
     monkeypatch.setattr(divset.training, "occupancy", counting_occupancy)
     for criterion, iterations in itertools.product(Criterion, (1, 4, 12)):
         calls.clear()
-        cfg = ExactTrainConfig(outer_iterations=iterations, criterion=criterion, seed=2)
-        pset, trace = train_exact(mdp, n, _REPULSIVE, _DOMINO, cfg)
+        cfg = ExactTrainConfig(outer_iterations=iterations, criterion=criterion)
+        [(pset, trace)] = train_exact(mdp, n, _REPULSIVE, _DOMINO, cfg, [2])
         assert calls == [(), (n,)]  # the optimum, then the initial set
         occs = real_occupancy(mdp, pset.policies, criterion)
         fresh_values = policy_value(mdp, occs)
@@ -261,11 +251,11 @@ def test_exact_trainer_trains_the_same_sets_in_the_basis_and_member_by_member(mo
     mdp = build_gridworld(dataclasses.replace(four_rooms_spec(), feature_kind=features))
     uses_basis = divset.training._basis_pays(mdp.num_states, mdp.feature_dim)
     assert uses_basis == (features == FeatureKind.XY_COORDINATES)
-    cfg = ExactTrainConfig(outer_iterations=8, seed=3)
+    cfg = ExactTrainConfig(outer_iterations=8)
     runs = []
     for basis in (True, False):
         monkeypatch.setattr(divset.training, "_basis_pays", lambda S, d: basis)
-        runs.append(train_exact(mdp, 4, _REPULSIVE, _DOMINO, [cfg, dataclasses.replace(cfg, seed=4)]))
+        runs.append(train_exact(mdp, 4, _REPULSIVE, _DOMINO, cfg, [3, 4]))
     for (in_basis, trace_basis), (alone, trace_alone) in zip(*runs):
         assert np.array_equal(in_basis.policies, alone.policies)
         for a, b in zip(trace_basis, trace_alone):
@@ -483,13 +473,13 @@ def _plain_nstep_returns(rewards, values, state_seq, gamma, n):
     return G
 
 
-def _plain_train_sampled(mdp, n, diversity_cfg, strategy_cfg, cfg):
+def _plain_train_sampled(mdp, n, diversity_cfg, strategy_cfg, cfg, seed):
     """Reference sampled trainer: the dense searchsorted rollout, one
     critic table, one n-step return and one bincount per reward stream,
     and the diversity reward gathered from its full (S, A) matrix."""
     S, A, d = mdp.num_states, mdp.num_actions, mdp.feature_dim
     T = cfg.episode_length
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     logits = np.zeros((n, S, A))
     v_e = np.zeros((n, S))
     v_d = np.zeros((n, S))
@@ -564,30 +554,30 @@ def _sampled_oracle_cases():
     smerl = StrategyConfig(kind=StrategyKind.SMERL, alpha=0.8, c_d=0.5)
     no_entropy = SampleTrainConfig(
         total_episodes=80, episode_length=23, eval_every=30, entropy_weight=0.0, n_step=7,
-        moving_average=MovingAverageConfig(0.8, 0.7), seed=2,
+        moving_average=MovingAverageConfig(0.8, 0.7),
     )
     return {
         "four rooms": (
             grid, 5, four_rooms.diversity, four_rooms.strategy,
-            SampleTrainConfig(total_episodes=60, episode_length=100, eval_every=25, seed=3),
+            SampleTrainConfig(total_episodes=60, episode_length=100, eval_every=25), 3,
         ),
         "slip-free chain": (
             chain, 1, _REPULSIVE, _DOMINO,
-            SampleTrainConfig(total_episodes=40, episode_length=30, eval_every=15, seed=1),
+            SampleTrainConfig(total_episodes=40, episode_length=30, eval_every=15), 1,
         ),
-        "no entropy": (dense, 3, _REPULSIVE, _DOMINO, no_entropy),
+        "no entropy": (dense, 3, _REPULSIVE, _DOMINO, no_entropy, 2),
         "smerl": (
             small, 3, KERNEL_CASES[1], smerl,
-            SampleTrainConfig(total_episodes=80, episode_length=9, eval_every=40, seed=4),
+            SampleTrainConfig(total_episodes=80, episode_length=9, eval_every=40), 4,
         ),
     }
 
 
 @pytest.mark.parametrize("case", ["four rooms", "slip-free chain", "no entropy", "smerl"])
 def test_sampled_trainer_matches_the_plain_reference_bit_for_bit(case):
-    args = _sampled_oracle_cases()[case]
-    got, got_trace = train_sampled(*args)
-    want, want_trace = _plain_train_sampled(*args)
+    *args, seed = _sampled_oracle_cases()[case]
+    [(got, got_trace)] = train_sampled(*args, [seed])
+    want, want_trace = _plain_train_sampled(*args, seed)
     for field in ("policies", "mu", "avg_value", "avg_psi", "vstar_estimate"):
         a, b = getattr(got, field), getattr(want, field)
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field
@@ -600,24 +590,24 @@ def test_sampled_trainer_matches_the_plain_reference_bit_for_bit(case):
 
 @pytest.mark.parametrize("case", ["four rooms", "slip-free chain", "no entropy", "smerl"])
 def test_sampled_lockstep_group_equals_each_seed_alone(case, monkeypatch):
-    mdp, n, dcfg, scfg, cfg = _sampled_oracle_cases()[case]
-    cfgs = [dataclasses.replace(cfg, seed=seed) for seed in (cfg.seed, 0, 17)]
-    together = train_sampled_lockstep(mdp, n, dcfg, scfg, cfgs)
-    assert len(together) == len(cfgs)
-    for got, one in zip(together, cfgs):
-        _assert_same_training(got, train_sampled(mdp, n, dcfg, scfg, one))
-        _assert_same_training(got, _plain_train_sampled(mdp, n, dcfg, scfg, one))
+    mdp, n, dcfg, scfg, cfg, seed = _sampled_oracle_cases()[case]
+    seeds = [seed, 0, 17]
+    together = train_sampled(mdp, n, dcfg, scfg, cfg, seeds)
+    assert len(together) == len(seeds)
+    for got, one in zip(together, seeds):
+        _assert_same_training(got, *train_sampled(mdp, n, dcfg, scfg, cfg, [one]))
+        _assert_same_training(got, _plain_train_sampled(mdp, n, dcfg, scfg, cfg, one))
     # past the member cap the sets train in groups of 2 and 1, with the same bytes
     groups = []
     real_group = divset.training._train_sampled_group
 
-    def recording_group(mdp, n, dcfg, scfg, group):
+    def recording_group(mdp, n, dcfg, scfg, cfg, group):
         groups.append(len(group))
-        return real_group(mdp, n, dcfg, scfg, group)
+        return real_group(mdp, n, dcfg, scfg, cfg, group)
 
     monkeypatch.setattr(divset.training, "_LOCKSTEP_MEMBERS", 2 * n)
     monkeypatch.setattr(divset.training, "_train_sampled_group", recording_group)
-    for got, want in zip(train_sampled_lockstep(mdp, n, dcfg, scfg, cfgs), together):
+    for got, want in zip(train_sampled(mdp, n, dcfg, scfg, cfg, seeds), together):
         _assert_same_training(got, want)
     assert groups == [2, 1]
 
@@ -625,9 +615,9 @@ def test_sampled_lockstep_group_equals_each_seed_alone(case, monkeypatch):
 def test_sampled_trainer_is_deterministic_and_records_on_schedule():
     rng = np.random.default_rng(4)
     mdp = random_mdp(rng, 4, 3, 2)
-    cfg = SampleTrainConfig(total_episodes=30, episode_length=20, eval_every=10, seed=5)
-    a, trace = train_sampled(mdp, 2, _REPULSIVE, _DOMINO, cfg)
-    b, _ = train_sampled(mdp, 2, _REPULSIVE, _DOMINO, cfg)
+    cfg = SampleTrainConfig(total_episodes=30, episode_length=20, eval_every=10)
+    [(a, trace)] = train_sampled(mdp, 2, _REPULSIVE, _DOMINO, cfg, [5])
+    [(b, _)] = train_sampled(mdp, 2, _REPULSIVE, _DOMINO, cfg, [5])
     assert [rec.iteration for rec in trace] == [10, 20, 30]
     assert np.array_equal(a.mu, b.mu)
     assert np.array_equal(a.policies, b.policies)
@@ -636,9 +626,9 @@ def test_sampled_trainer_is_deterministic_and_records_on_schedule():
 
 def test_sampled_trainer_learns_a_simple_task():
     mdp = build_chain(4, end_reward=1.0)
-    cfg = SampleTrainConfig(total_episodes=400, episode_length=60, seed=0)
-    pset, _ = train_sampled(
-        mdp, 1, _REPULSIVE, StrategyConfig(kind=StrategyKind.NO_DIVERSITY), cfg
+    cfg = SampleTrainConfig(total_episodes=400, episode_length=60)
+    [(pset, _)] = train_sampled(
+        mdp, 1, _REPULSIVE, StrategyConfig(kind=StrategyKind.NO_DIVERSITY), cfg, [0]
     )
     v = policy_value(mdp, occupancy(mdp, pset.policies[0], Criterion.AVERAGE))
     assert v > 0.7  # most of the stationary mass reaches the rewarded end
@@ -647,34 +637,33 @@ def test_sampled_trainer_learns_a_simple_task():
 def test_sampled_vstar_estimate_tracks_the_anchor():
     rng = np.random.default_rng(6)
     mdp = random_mdp(rng, 4, 3, 2)
-    cfg = SampleTrainConfig(total_episodes=25, episode_length=20, seed=2)
-    pset, _ = train_sampled(mdp, 2, _REPULSIVE, _DOMINO, cfg)
+    cfg = SampleTrainConfig(total_episodes=25, episode_length=20)
+    [(pset, _)] = train_sampled(mdp, 2, _REPULSIVE, _DOMINO, cfg, [2])
     assert pset.vstar_estimate == pytest.approx(float(pset.avg_value[0]), abs=0.0)
 
 
 def test_a_non_finite_learner_table_raises_training_diverged():
     mdp = build_chain(4, end_reward=1.0)
     cfg = SampleTrainConfig(total_episodes=20, episode_length=10, policy_lr=1e308)
-    cfgs = [dataclasses.replace(cfg, seed=seed) for seed in range(3)]
     # the overflow warnings are the point here, not an error
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingDivergedError, match="after episode"):
-            train_sampled(mdp, 2, _REPULSIVE, _DOMINO, cfg)
+            train_sampled(mdp, 2, _REPULSIVE, _DOMINO, cfg, [0])
         with pytest.raises(TrainingDivergedError, match="after episode"):
-            train_sampled_lockstep(mdp, 2, _REPULSIVE, _DOMINO, cfgs)
+            train_sampled(mdp, 2, _REPULSIVE, _DOMINO, cfg, range(3))
 
 
 def test_exact_reductions_match_the_plain_best_response():
     mdp = build_chain(5, end_reward=1.0)
     pi_star, _ = best_response(mdp, mdp.reward[..., None], np.ones((1, 1)), Criterion.AVERAGE)
     v_star = policy_value(mdp, occupancy(mdp, pi_star[0], Criterion.AVERAGE))
-    cfg = ExactTrainConfig(outer_iterations=10, seed=0)
+    cfg = ExactTrainConfig(outer_iterations=10)
     for strategy in (
         StrategyConfig(kind=StrategyKind.MULTI_OBJECTIVE, c_e=1.0),
         StrategyConfig(kind=StrategyKind.SMERL, c_d=0.0),
         StrategyConfig(kind=StrategyKind.NO_DIVERSITY),
     ):
-        pset, _ = train_exact(mdp, 2, _REPULSIVE, strategy, cfg)
+        [(pset, _)] = train_exact(mdp, 2, _REPULSIVE, strategy, cfg, [0])
         for pol in pset.policies:
             v = policy_value(mdp, occupancy(mdp, pol, Criterion.AVERAGE))
             assert v == pytest.approx(v_star, abs=1e-9)
