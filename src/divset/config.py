@@ -36,6 +36,7 @@ from .envs import (
 from .kshot import KShotConfig
 from .mdp import Criterion, TabularMdp
 from .policy_set import MovingAverageConfig
+from .seeding import SEED_MAX, SEED_MIN
 from .strategies import StrategyConfig, StrategyKind
 from .training import _LOCKSTEP_MEMBERS, ExactTrainConfig, FtlMode, SampleTrainConfig
 
@@ -441,7 +442,7 @@ def _parse_kshot(path: str, d: dict) -> KShotSettings:
 
 def parse_config(d: dict) -> ExperimentConfig:
     required = {
-        "master_seed": _integer,
+        "master_seed": partial(_integer, lo=SEED_MIN, hi=SEED_MAX),  # hash64's range
         "output_dir": _string,
         "environment": _top_level(_parse_environment),
         "diversity": _top_level(_parse_diversity),

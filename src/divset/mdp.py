@@ -43,8 +43,8 @@ Conventions used throughout:
   columns at once (K right-hand sides per matrix). It returns each policy's
   evaluation of every column: with the extrinsic reward and the feature
   columns, d0 . gain is the policy's value and expected features, and
-  passing the evaluations back with those policies as the next call's
-  start replaces that call's first solve.
+  passing evaluations back with their policies as a later call's start
+  replaces that call's first solve.
 """
 
 from __future__ import annotations
@@ -419,9 +419,10 @@ def best_response(
     i's reward is sum_k coefficients[i, k] basis[..., k]. A plain (S, A)
     reward is the K = 1 basis reward[..., None] with coefficient 1, and an
     (n, S, A) stack of rewards the per-member basis rewards[..., None].
-    start, if given, is (n, S, A). evaluations, if given, are what this
-    function returned for start's policies in the same basis; start must
-    then be those deterministic policies.
+    start, if given, is (n, S, A). evaluations, if given, are start's
+    policies' rows of what this function returned for them, in any earlier
+    call on the same MDP and basis (a policy's evaluation depends on nothing
+    else); start must then be those deterministic policies.
 
     Returns the (n, S, A) policies and their evaluations (gains, biases),
     each (n, S, K): column k evaluates the policy on basis column k.

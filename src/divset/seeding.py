@@ -12,12 +12,17 @@ import hashlib
 
 import numpy as np
 
+# hash64 encodes each int part in 16 signed bytes, so an int part must lie in
+# [SEED_MIN, SEED_MAX]
+SEED_MIN, SEED_MAX = -(2**127), 2**127 - 1
+
 
 def hash64(*parts: int | str) -> int:
     """Collapse a context path into a 64-bit seed.
 
-    Parts may be ints or strings. The encoding is length/type tagged, so
-    hash64(1, 23) != hash64(12, 3) and hash64("a", 1) != hash64("a1").
+    Parts may be ints in [SEED_MIN, SEED_MAX] or strings. The encoding is
+    length/type tagged, so hash64(1, 23) != hash64(12, 3) and
+    hash64("a", 1) != hash64("a1").
     """
     h = hashlib.sha256()
     for part in parts:

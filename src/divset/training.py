@@ -17,10 +17,13 @@ The exact trainer is deterministic given its seed (randomness only enters
 through the initial policies). Every member's mixed reward lies in the span
 of d + 1 fixed columns, the extrinsic reward and the features, so its best
 responses evaluate each policy once, in that basis: each member's value and
-expected features are read from its final evaluation, which the next best
-response takes as its first round. Occupancies are solved only for the
-optimum and the initial set, unless d > S / 4, where the extra columns
-cost more than they save (_basis_pays).
+expected features are read from its final evaluation. The rewards move
+little between iterations, and the next best response is often a policy
+the set already holds, so each member's best response starts from the
+best of its set's policies of the last two iterations under its new
+reward, whose kept evaluation is its first round (_warm_start).
+Occupancies are solved only for the optimum and the initial set, unless
+d > S / 4, where the extra columns cost more than they save (_basis_pays).
 The sampled trainer is a tabular softmax
 actor-critic with one critic per reward stream and n-step advantages,
 deterministic given its seed.
@@ -61,10 +64,12 @@ from .diversity import (
 )
 from .envs import Always, PerturbedMdp, Schedule
 from .mdp import (
+    _IMPROVEMENT_RTOL,
     Criterion,
     TabularMdp,
     _cdf_rows,
     best_response,
+    deterministic_policy,
     expected_features,
     occupancy,
     policy_value,
@@ -272,18 +277,27 @@ def train_exact(
 
     The anchor's constraint reference is the exact optimal extrinsic value
     (computed once; the extrinsic reward never changes). Each outer
-    iteration makes one best_response call over every set's members, each
-    starting from its current policy. Its basis is the extrinsic reward and
-    the d feature columns, and member i's coefficients are (w_e, w_d
-    _scale(c(l_i) (psi_i - psi_j))) from one reward_table per set, zero on
-    the anchor's diversity columns. One occupancy call measures the initial
-    members; after that each member's value and expected features are
-    d0 . gain of its final evaluation's columns, and the evaluations are
-    kept for the next call. With more than S / 4 features each member's own
-    reward is one column instead, and one occupancy call after each
-    best_response solves the members it changed, if any. The returned trace
-    is a list of one record per iteration plus a final evaluation record for
-    the policies as returned.
+    iteration makes one best_response call over every set's members. Its
+    basis is the extrinsic reward and the d feature columns, and member i's
+    coefficients are (w_e, w_d _scale(c(l_i) (psi_i - psi_j))) from one
+    reward_table per set, zero on the anchor's diversity columns. One
+    occupancy call measures the initial members; after that each member's
+    value and expected features are d0 . gain of its final evaluation's
+    columns. With more than S / 4 features each member's own reward is one
+    column instead, and one occupancy call after each best_response solves
+    the members that moved from their start, if any.
+
+    The first call starts from the initial policies. After that each member
+    starts from the policy of largest exact value under its new reward
+    among its own set's n current policies and the n it held one iteration
+    earlier (the lowest index on ties, current policies first), if that
+    beats its own policy by more than Howard's relative slack, and from its
+    own policy otherwise; its kept evaluation (in the basis) is the call's
+    first round, so a start that is already optimal costs no solve. The
+    last two iterations' evaluations, or occupancies, are kept for this.
+
+    The returned trace is a list of one record per iteration plus a final
+    evaluation record for the policies as returned.
     """
     return _lockstep(_train_exact_group, mdp, n, diversity_cfg, strategy_cfg, cfg, seeds)
 
@@ -315,6 +329,47 @@ def _basis_pays(num_states: int, feature_dim: int) -> bool:
     return 4 * feature_dim <= num_states
 
 
+def _warm_start(
+    held: list[tuple], rewards: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """Each member's start for the next best response, from its own set's
+    2n candidates: the n policies the set held after the last best
+    response, then the n it held after the one before.
+
+    held is one or two (actions, columns, evaluations), newest first, with
+    one row per member (row g * n + i): the (G * n, S) actions, (G * n, X)
+    columns in which each policy's value is linear in the reward (d0 .
+    gains in the reward basis, or the occupancies) and the basis's
+    evaluations, or None. One entry stands for both. rewards is each
+    member's (G * n, X) reward in those columns.
+
+    A member starts from its best candidate, the lowest index on ties, if
+    that beats its own policy by more than _IMPROVEMENT_RTOL times its
+    largest |value|, and from its own policy otherwise. Returns the starts'
+    actions, columns and evaluations.
+    """
+    (actions, columns, evaluations), (old_actions, old_columns, old_evaluations) = held[0], held[-1]
+    G, X = len(actions) // n, columns.shape[-1]
+    candidates = np.concatenate([columns.reshape(G, n, X), old_columns.reshape(G, n, X)], axis=1)
+    scores = rewards.reshape(G, n, X) @ candidates.transpose(0, 2, 1)  # (G, n, 2n)
+    own = np.arange(n)
+    slack = _IMPROVEMENT_RTOL * np.abs(scores).max(axis=2)
+    moves = scores.max(axis=2) > scores[:, own, own] + slack
+    if not moves.any():
+        return held[0]
+    choice = np.where(moves, scores.argmax(axis=2), own).ravel()
+    rows, older = np.arange(G).repeat(n) * n + choice % n, choice >= n
+
+    def pick(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+        chosen = new[rows]
+        chosen[older] = old[rows[older]]
+        return chosen
+
+    if evaluations is not None:
+        evaluations = tuple(map(pick, evaluations, old_evaluations))
+    return pick(actions, old_actions), pick(columns, old_columns), evaluations
+
+
 def _train_exact_group(
     mdp: TabularMdp,
     n: int,
@@ -334,6 +389,8 @@ def _train_exact_group(
     basis = np.concatenate([mdp.reward[..., None], mdp.features_sa], axis=2)
     in_basis, evaluations = _basis_pays(S, d), None
     occs = occupancy(mdp, members, criterion)  # the stochastic initial set's
+    # the candidates of _warm_start: the policies after the last two best responses
+    held: list[tuple] = []
     records: list[list[TraceRecord]] = [[] for _ in seeds]
 
     def measure() -> tuple[np.ndarray, np.ndarray]:
@@ -380,24 +437,36 @@ def _train_exact_group(
             scaled = _scale(c[1:, None] * diff[1:], avg_psi, diversity_cfg)
             coefficients[g, 1:, 1:] = w[g, 1:, 1:] * scaled
         coefficients = coefficients.reshape(G * n, 1 + d)
+        if in_basis:
+            rewards = coefficients
+        else:  # each member's own reward as one column
+            rewards = coefficients @ basis.reshape(S * A, 1 + d).T
+        # the first call starts from the stochastic initial set
+        start, columns = members, occs
+        if held:
+            actions, columns, evaluations = _warm_start(held, rewards, n)
+            start = deterministic_policy(actions, A)
         # every reward is fixed before any member moves, so the best
         # responses of every set's members are one stacked call
         if in_basis:
             members[:], evaluations = best_response(
-                mdp, basis, coefficients, criterion, members, evaluations
+                mdp, basis, coefficients, criterion, start, evaluations
             )
             # d0 . gains: each member's value, then its expected features
-            measured = (mdp.initial_dist @ evaluations[0]).reshape(G, n, 1 + d)
+            columns = mdp.initial_dist @ evaluations[0]
+            measured = columns.reshape(G, n, 1 + d)
             values, psis = measured[..., 0].copy(), measured[..., 1:]
-        else:  # each member's own reward as one column; moved policies' occupancies are solved
-            rewards = (coefficients @ basis.reshape(S * A, 1 + d).T).reshape(G * n, S, A)
-            ones = np.ones((G * n, 1))
-            policies, _ = best_response(mdp, rewards[..., None], ones, criterion, members)
-            changed = np.any(policies != members, axis=(1, 2))
+        else:  # the occupancies of the policies that moved from their start are solved
+            rewards = rewards.reshape(G * n, S, A, 1)
+            policies, _ = best_response(mdp, rewards, np.ones((G * n, 1)), criterion, start)
+            changed = np.any(policies != start, axis=(1, 2))
             members[:] = policies
+            occs = columns.copy()
             if changed.any():
                 occs[changed] = occupancy(mdp, policies[changed], criterion)
+            columns = occs
             values, psis = measure()
+        held = [(members.argmax(axis=2), columns, evaluations), *held[:1]]
 
     record(cfg.outer_iterations, values, psis)
     return _split(stack, records)

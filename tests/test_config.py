@@ -26,6 +26,7 @@ from divset import (
     build_chain,
     build_gridworld,
     four_rooms_spec,
+    hash64,
     load_config,
     parse_config,
 )
@@ -437,6 +438,19 @@ def test_committed_configs_validate():
     assert len(paths) >= 3
     for path in paths:
         load_config(path)
+
+
+def test_master_seed_must_fit_the_seed_hash():
+    # hash64 encodes each int in 16 signed bytes: a master seed outside that
+    # range is a config error, not a crash of the first run that hashes it
+    for seed in (-(2**127), -1, 2**127 - 1):
+        assert parse_config(minimal_chain_config(master_seed=seed)).master_seed == seed
+        hash64(seed, "kshot-eval", 0, 0)
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        for seed in (2**127, 2**130, -(2**127) - 1):
+            d = dict(json.loads(path.read_text()), master_seed=seed)
+            with pytest.raises(ConfigError, match=r"^config\.master_seed: -?\d+ is (above|below)"):
+                parse_config(d)
 
 
 def test_committed_four_rooms_config_matches_the_builder():

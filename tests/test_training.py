@@ -191,6 +191,29 @@ def _assert_same_training(got, expected):
                 assert repr(a) == repr(b), (rec_a.iteration, field.name)
 
 
+def _spy_on_warm_starts(monkeypatch, check=None) -> list[int]:
+    """Wrap the trainer's best_response; returns a list that gets, per call
+    after a group's first, how many members start from a policy other than
+    the one the last call gave them. check, if given, sees each call's
+    arguments and result."""
+    real, moved, last = divset.training.best_response, [], []
+
+    def spy(mdp, basis, coefficients, criterion, start=None, evaluations=None):
+        result = real(mdp, basis, coefficients, criterion, start, evaluations)
+        if start is None:  # each group's optimum comes first
+            last.clear()
+            return result
+        if last:
+            moved.append(int(np.any(start != last[0], axis=(1, 2)).sum()))
+        last[:] = [result[0]]
+        if check is not None:
+            check(mdp, basis, coefficients, criterion, result)
+        return result
+
+    monkeypatch.setattr(divset.training, "best_response", spy)
+    return moved
+
+
 @pytest.mark.parametrize(
     "case, unichain",
     [
@@ -200,23 +223,59 @@ def _assert_same_training(got, expected):
         ("chain_discounted", False),
     ],
 )
-def test_lockstep_training_equals_one_set_at_a_time(case, unichain):
+def test_lockstep_training_equals_one_set_at_a_time(case, unichain, monkeypatch):
     if case == "four_rooms":
         mdp = build_gridworld(four_rooms_spec())
     else:
         mdp = build_chain(5, end_reward=1.0)
     # best responses with class detection skipped, or run every round
     assert bool(mdp.reach_under_every_policy.all()) == unichain
-    cfg = ExactTrainConfig(outer_iterations=5)
+    # long enough that some member starts from another policy of its set
+    cfg = ExactTrainConfig(outer_iterations=25)
     if case == "chain_full_average":
         cfg = dataclasses.replace(cfg, ftl_mode=FtlMode.FULL_AVERAGE)
     elif case == "chain_discounted":
         cfg = dataclasses.replace(cfg, criterion=Criterion.DISCOUNTED)
     seeds = [3, 0, 11]
+    moved = _spy_on_warm_starts(monkeypatch)
     together = train_exact(mdp, 3, _REPULSIVE, _DOMINO, cfg, seeds)
+    assert sum(moved) > 0
     assert len(together) == len(seeds)
     for got, seed in zip(together, seeds):
         _assert_same_training(got, *train_exact(mdp, 3, _REPULSIVE, _DOMINO, cfg, [seed]))
+
+
+@pytest.mark.parametrize("case", ["four rooms", "one-hot four rooms", "chain", "discounted chain"])
+def test_warm_started_best_responses_are_still_best_responses(monkeypatch, case):
+    # a member may start from another policy of its set; Howard from there
+    # must reach the value that a cold start (no start) reaches
+    cfg = ExactTrainConfig(outer_iterations=12)
+    if case == "four rooms":
+        mdp = build_gridworld(four_rooms_spec())
+    elif case == "one-hot four rooms":  # the member-by-member path
+        mdp = build_gridworld(
+            dataclasses.replace(four_rooms_spec(), feature_kind=FeatureKind.ONE_HOT_STATE)
+        )
+    else:  # several closed classes
+        mdp = build_chain(5, end_reward=1.0)
+        if case == "discounted chain":
+            cfg = dataclasses.replace(cfg, criterion=Criterion.DISCOUNTED)
+    in_basis = divset.training._basis_pays(mdp.num_states, mdp.feature_dim)
+    assert in_basis == (case != "one-hot four rooms")
+
+    def own_values(mdp, gains, coefficients):
+        return np.einsum("s,nsk,nk->n", mdp.initial_dist, gains, coefficients)
+
+    def check(mdp, basis, coefficients, criterion, result):
+        _, (cold, _) = best_response(mdp, basis, coefficients, criterion)
+        warm = own_values(mdp, result[1][0], coefficients)
+        expected = own_values(mdp, cold, coefficients)
+        assert np.all(np.abs(warm - expected) <= 1e-12 * np.abs(expected))
+
+    moved = _spy_on_warm_starts(monkeypatch, check)
+    strategy = StrategyConfig(kind=StrategyKind.DOMINO_LAGRANGIAN, alpha=0.9)
+    train_exact(mdp, 4, KERNEL_CASES[3], strategy, cfg, [1])
+    assert len(moved) == cfg.outer_iterations - 1 and sum(moved) > 0
 
 
 def test_exact_trainer_solves_occupancies_only_for_the_optimum_and_the_initial_set(monkeypatch):
