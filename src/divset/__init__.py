@@ -25,7 +25,6 @@ from .diversity import (
     DiversityKind,
     RewardScaling,
     diversity_objective,
-    diversity_reward,
     diversity_score,
     reward_table,
 )

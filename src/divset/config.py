@@ -474,7 +474,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except OSError as exc:  # a directory, or a file this process may not read
+        raise ConfigError(f"{p}: cannot read the config file ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):

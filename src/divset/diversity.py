@@ -24,7 +24,7 @@ of van der Waals; at (a=0, p_r=-1) its f is l0 l.
 Reward scaling conventions differ between the closed forms above
 (RewardScaling.PAPER_EXACT, the default) and a variant that additionally
 divides by the feature dimension d (RewardScaling.APPENDIX_CODE). The
-variant divides both f and the reward, so the reward stays the gradient of
+variant divides both f and c, so the reward stays the gradient of
 the reported term. The two differ by a positive constant factor, which best
 responses ignore but gradient-based learners feel through the step size.
 """
@@ -41,7 +41,6 @@ __all__ = [
     "RewardScaling",
     "DiversityConfig",
     "reward_table",
-    "diversity_reward",
     "diversity_score",
     "diversity_objective",
 ]
@@ -136,29 +135,16 @@ def reward_table(
     psis: np.ndarray, cfg: DiversityConfig, nearest: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every member's reward factors from one nearest-neighbour pass over the (n, d) psis:
-    c, with c[i] = c(l_i), and the (n, d) diff, with diff[i] = psi^i - psi^{j*_i}. Member
-    i's diversity reward is _scale(c[i] * (phi . diff[i])). c[i] is zero for a member that
-    coincides with its nearest neighbour (l_i = 0), whose reward vanishes; this also guards
-    the negative-power generalized coefficients, which diverge at l = 0. nearest, if given,
-    is _nearest(psis), which the set's score and objective can share."""
+    c, with c[i] = c(l_i) under cfg's scaling, and the (n, d) diff, with
+    diff[i] = psi^i - psi^{j*_i}. Member i's diversity reward is c[i] * (phi . diff[i]).
+    c[i] is zero for a member that coincides with its nearest neighbour (l_i = 0), whose
+    reward vanishes; this also guards the negative-power generalized coefficients, which
+    diverge at l = 0. nearest, if given, is _nearest(psis), which the set's score and
+    objective can share."""
     index, dists = _nearest(psis) if nearest is None else nearest
     _, c = _KERNELS[cfg.kind]
-    return np.array([0.0 if l == 0.0 else c(l, cfg) for l in dists.tolist()]), psis - psis[index]
-
-
-def diversity_reward(
-    features_sa: np.ndarray, psis: np.ndarray, i: int, cfg: DiversityConfig
-) -> np.ndarray:
-    """Per-pair gradient reward for member i of the (n, d) psis, as an (S, A) matrix,
-    read from reward_table: identically zero when member i coincides with its nearest
-    neighbour. features_sa is the MDP's feature tensor reshaped to (S, A, d)."""
-    if len(psis) < 2:
-        raise ValueError("diversity_reward needs at least two members")
-    nearest = _nearest(psis)
-    if nearest[1][i] == 0.0:
-        return np.zeros(features_sa.shape[:2])
-    c, diff = reward_table(psis, cfg, nearest)
-    return _scale(c[i] * (features_sa @ diff[i]), psis, cfg)
+    c_l = np.array([0.0 if l == 0.0 else c(l, cfg) for l in dists.tolist()])
+    return _scale(c_l, psis, cfg), psis - psis[index]
 
 
 def diversity_score(

@@ -316,6 +316,8 @@ class Perturbation:
             raise ValueError(
                 f"{self.kind.value} magnitude must be in [0, {hi:g}], got {self.magnitude}"
             )
+        if self.magnitude == float("inf"):  # only RewardShift's radius is unbounded
+            raise ValueError(f"{self.kind.value} magnitude must be finite, got {self.magnitude}")
 
 
 @dataclass(frozen=True)

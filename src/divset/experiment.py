@@ -225,10 +225,14 @@ def _worker_count() -> int:
     raw = os.environ.get(WORKERS_ENV, "").strip()
     if not raw:
         return 1
+    message = f"{WORKERS_ENV} must be a positive integer, got {raw!r}"
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+        raise ConfigError(message) from None
+    if workers < 1:
+        raise ConfigError(message)
+    return workers
 
 
 def run_experiment(config: ExperimentConfig) -> Path:

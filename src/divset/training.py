@@ -56,9 +56,7 @@ import numpy as np
 from .diversity import (
     DiversityConfig,
     _nearest,
-    _scale,
     diversity_objective,
-    diversity_reward,
     diversity_score,
     reward_table,
 )
@@ -279,7 +277,7 @@ def train_exact(
     (computed once; the extrinsic reward never changes). Each outer
     iteration makes one best_response call over every set's members. Its
     basis is the extrinsic reward and the d feature columns, and member i's
-    coefficients are (w_e, w_d _scale(c(l_i) (psi_i - psi_j))) from one
+    coefficients are (w_e, w_d c(l_i) (psi_i - psi_j)) from one
     reward_table per set, zero on the anchor's diversity columns. One
     occupancy call measures the initial members; after that each member's
     value and expected features are d0 . gain of its final evaluation's
@@ -428,14 +426,13 @@ def _train_exact_group(
         if strategy_cfg.kind == StrategyKind.DOMINO_LAGRANGIAN:
             lagrange_step(stack, strategy_cfg.alpha, cfg.lagrange_lr)
         w = weights(strategy_cfg, stack)
-        # member i's reward w_e r_e + w_d _scale(c(l_i) phi . (psi_i - psi_j)) in the basis;
+        # member i's reward w_e r_e + w_d c(l_i) phi . (psi_i - psi_j) in the basis;
         # the anchor's diversity columns stay zero
         coefficients = np.zeros((G, n, 1 + d))
         coefficients[..., 0] = w[..., 0]
         for g, (avg_psi, near) in enumerate(zip(stack.avg_psi, nearest)):
             c, diff = reward_table(avg_psi, diversity_cfg, near)
-            scaled = _scale(c[1:, None] * diff[1:], avg_psi, diversity_cfg)
-            coefficients[g, 1:, 1:] = w[g, 1:, 1:] * scaled
+            coefficients[g, 1:, 1:] = w[g, 1:, 1:] * (c[1:, None] * diff[1:])
         coefficients = coefficients.reshape(G * n, 1 + d)
         if in_basis:
             rewards = coefficients
@@ -558,10 +555,11 @@ def _train_sampled_group(
         rewards[:, :, 0] = ext_rewards
         for g, z in enumerate(zs):
             if z > 0:
-                # each set's own (S, A) product: a stacked or per-pair one
-                # changes low bits for dense features of 8 or more dimensions
-                r_d = diversity_reward(features_sa, stack.avg_psi[g], z, diversity_cfg)
-                rewards[g, :, 1] = r_d.take(pairs[g])
+                c, diff = reward_table(stack.avg_psi[g], diversity_cfg)
+                if c[z] != 0.0:
+                    # each set's own (S, A) product: a stacked or per-pair one
+                    # changes low bits for dense features of 8 or more dimensions
+                    rewards[g, :, 1] = (c[z] * (features_sa @ diff[z])).take(pairs[g])
 
         member_states = rows[:, None] * S
         targets = np.zeros((G, T, 2))

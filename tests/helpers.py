@@ -6,7 +6,14 @@ from pathlib import Path
 
 import numpy as np
 
-from divset import DiversityConfig, DiversityKind, RewardScaling, TabularMdp, validate_mdp
+from divset import (
+    DiversityConfig,
+    DiversityKind,
+    RewardScaling,
+    TabularMdp,
+    reward_table,
+    validate_mdp,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -90,6 +97,15 @@ def own_objective_term(psis: np.ndarray, i: int, cfg: DiversityConfig) -> float:
     if cfg.scaling == RewardScaling.APPENDIX_CODE:
         f /= psis.shape[1]
     return f
+
+
+def member_reward(
+    features_sa: np.ndarray, psis: np.ndarray, i: int, cfg: DiversityConfig
+) -> np.ndarray:
+    """Member i's (S, A) diversity reward as both trainers form it from
+    reward_table: c[i] * (phi . diff[i])."""
+    c, diff = reward_table(psis, cfg)
+    return c[i] * (features_sa @ diff[i])
 
 
 def golden_kshot_config(out: Path) -> dict:

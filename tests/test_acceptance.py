@@ -28,7 +28,6 @@ from divset import (
     build_chain,
     deterministic_policy,
     discounted_occupancy,
-    diversity_reward,
     enumerate_runs,
     expected_features,
     init_set,
@@ -46,7 +45,13 @@ from divset import (
 from divset.cli import main
 from divset.policy_set import AdamState, sigmoid
 
-from helpers import KERNEL_CASES, deterministic_action_tables, own_objective_term, random_mdp
+from helpers import (
+    KERNEL_CASES,
+    deterministic_action_tables,
+    member_reward,
+    own_objective_term,
+    random_mdp,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -88,7 +93,7 @@ def test_criterion_1_reward_is_the_gradient_of_each_members_term(acceptance_line
         checked += 1
         cfg = KERNEL_CASES[checked % len(KERNEL_CASES)]
         for i in range(n):
-            reward = diversity_reward(phi.reshape(S, A, d), psis, i, cfg).ravel()
+            reward = member_reward(phi.reshape(S, A, d), psis, i, cfg).ravel()
             eps = 1e-6
             grad = np.empty(S * A)
             for k in range(S * A):

@@ -44,6 +44,16 @@ def test_validate_missing_file_exits_2(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_validate_unreadable_config_exits_2(tmp_path, capsys):
+    # a directory, and a file whose bytes are not UTF-8
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"output_dir": "caf\u00e9"}'.encode("latin-1"))
+    for path, reason in ((tmp_path, "cannot read"), (latin1, "not UTF-8")):
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and reason in err
+
+
 def test_run_writes_outputs_and_prints_qd_path(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["run", str(path)]) == 0

@@ -1,5 +1,6 @@
 """Diversity objectives, rewards, and their gradient identity."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -10,13 +11,12 @@ from divset import (
     DiversityKind,
     RewardScaling,
     diversity_objective,
-    diversity_reward,
     diversity_score,
     reward_table,
 )
-from divset.diversity import _nearest, _scale
+from divset.diversity import _nearest
 
-from helpers import KERNEL_CASES, own_objective_term
+from helpers import KERNEL_CASES, member_reward, own_objective_term
 
 _REPULSIVE = DiversityConfig(kind=DiversityKind.REPULSIVE)
 
@@ -25,14 +25,12 @@ def test_nearest_index_picks_closest_and_breaks_ties_low():
     # with identity features the repulsive reward is psi^i - psi^j itself
     identity = np.eye(2).reshape(1, 2, 2)
     psis = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 1.0]])
-    reward = diversity_reward(identity, psis, 0, _REPULSIVE)
+    reward = member_reward(identity, psis, 0, _REPULSIVE)
     assert np.array_equal(reward, [[0.0, -1.0]])  # nearest is member 2, at distance 1
     # equidistant neighbours resolve to the lowest index: member 1 at +1,
     # not member 2 at -1, so the reward pushes member 0 down
     tied = np.array([[0.0], [1.0], [-1.0]])
-    assert diversity_reward(np.ones((1, 1, 1)), tied, 0, _REPULSIVE)[0, 0] < 0.0
-    with pytest.raises(ValueError):
-        diversity_reward(identity, np.zeros((1, 2)), 0, _REPULSIVE)
+    assert member_reward(np.ones((1, 1, 1)), tied, 0, _REPULSIVE)[0, 0] < 0.0
 
 
 def test_repulsive_objective_hand_value():
@@ -75,7 +73,7 @@ def test_reward_is_the_gradient_of_the_own_objective_term():
             ds = rng.dirichlet(np.ones(S * A), size=n)
             psis = ds @ phi
             i = int(rng.integers(n))
-            reward = diversity_reward(phi.reshape(S, A, d), psis, i, cfg).ravel()
+            reward = member_reward(phi.reshape(S, A, d), psis, i, cfg).ravel()
             eps = 1e-6
             grad = np.empty(S * A)
             for k in range(S * A):
@@ -93,17 +91,15 @@ def test_coincident_members_get_a_zero_reward():
     psis = np.array([[0.3], [0.3], [0.9]])
     for kind in DiversityKind:
         cfg = DiversityConfig(kind=kind, contact_distance=1.0, repulsive_power=-1.0)
-        reward = diversity_reward(phi.reshape(4, 3, 1), psis, 0, cfg)
+        reward = member_reward(phi.reshape(4, 3, 1), psis, 0, cfg)
         assert np.array_equal(reward, np.zeros((4, 3)))
         assert np.all(np.isfinite(reward))
 
 
 def test_reward_table_gives_every_members_reward_factors():
-    # one nearest-neighbour pass gives each member's c(l_i) and psi_i - psi_j;
-    # diversity_reward's (S, A) product reads them in its own order, and the
-    # score and objective take the same pass
+    # one nearest-neighbour pass gives each member's c(l_i), scaled as the
+    # config says, and psi_i - psi_j; the score and objective take the same pass
     rng = np.random.default_rng(3)
-    features_sa = rng.uniform(size=(6, 3, 4))
     psis = rng.uniform(size=(5, 4))
     psis[3] = psis[1]  # a coincident pair: both factors c are zero
     for cfg in KERNEL_CASES:
@@ -113,9 +109,10 @@ def test_reward_table_gives_every_members_reward_factors():
         assert c[1] == c[3] == 0.0 and not diff[1].any() and not diff[3].any()
         for i in range(5):
             assert np.array_equal(diff[i], psis[i] - psis[nearest[0][i]])
-            reward = diversity_reward(features_sa, psis, i, cfg)
-            if c[i] != 0.0:
-                assert reward.tobytes() == _scale(c[i] * (features_sa @ diff[i]), psis, cfg).tobytes()
+        unscaled, _ = reward_table(psis, dataclasses.replace(cfg, scaling=RewardScaling.PAPER_EXACT))
+        if cfg.scaling == RewardScaling.APPENDIX_CODE:
+            unscaled = unscaled / psis.shape[1]
+        assert c.tobytes() == unscaled.tobytes()
         distinct = psis[:3]  # the log kernel's potential is -inf at l = 0
         nearest = _nearest(distinct)
         assert diversity_score(distinct, nearest) == diversity_score(distinct)
@@ -140,8 +137,8 @@ def test_appendix_scaling_divides_by_the_feature_dimension():
     phi = rng.uniform(size=(6, 3))
     psis = rng.uniform(size=(3, 3))
     scaled = DiversityConfig(kind=DiversityKind.REPULSIVE, scaling=RewardScaling.APPENDIX_CODE)
-    r1 = diversity_reward(phi.reshape(2, 3, 3), psis, 1, _REPULSIVE)
-    r2 = diversity_reward(phi.reshape(2, 3, 3), psis, 1, scaled)
+    r1 = member_reward(phi.reshape(2, 3, 3), psis, 1, _REPULSIVE)
+    r2 = member_reward(phi.reshape(2, 3, 3), psis, 1, scaled)
     assert np.allclose(r2, r1 / 3.0)
     # the reported objective is scaled alike, so r2 stays its gradient
     assert diversity_objective(psis, scaled) == pytest.approx(
@@ -160,7 +157,7 @@ def test_generalized_kind_reproduces_the_named_coefficients():
         attractive_coeff=0.0, repulsive_power=0.0, attractive_power=3.0,
     )
     assert np.allclose(
-        diversity_reward(phi_sa, psis, 1, flat), diversity_reward(phi_sa, psis, 1, _REPULSIVE)
+        member_reward(phi_sa, psis, 1, flat), member_reward(phi_sa, psis, 1, _REPULSIVE)
     )
     assert diversity_objective(psis, flat) == pytest.approx(
         diversity_objective(psis, _REPULSIVE), rel=1e-12
@@ -172,7 +169,7 @@ def test_generalized_kind_reproduces_the_named_coefficients():
     )
     vdw = DiversityConfig(kind=DiversityKind.VAN_DER_WAALS, contact_distance=0.7)
     assert np.allclose(
-        diversity_reward(phi_sa, psis, 1, half), 0.5 * diversity_reward(phi_sa, psis, 1, vdw)
+        member_reward(phi_sa, psis, 1, half), 0.5 * member_reward(phi_sa, psis, 1, vdw)
     )
     assert diversity_objective(psis, half) == pytest.approx(
         0.5 * diversity_objective(psis, vdw), rel=1e-12

@@ -133,7 +133,8 @@ def test_a_perturbation_checks_its_magnitude_against_its_kind():
     for kind in PerturbationKind:
         Perturbation(kind=kind, magnitude=0.0)
         Perturbation(kind=kind, magnitude=1.0)
-        for bad in (-0.5, float("nan")):
+        # an infinite RewardShift radius would only fail later, in perturb's int(round(m))
+        for bad in (-0.5, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{kind.value} magnitude"):
                 Perturbation(kind=kind, magnitude=bad)
         # probabilities and fractions end at 1; RewardShift's radius does not

@@ -224,11 +224,10 @@ def test_worker_count_parsing(monkeypatch):
     assert _worker_count() == 1
     monkeypatch.setenv("DIVSET_WORKERS", "3")
     assert _worker_count() == 3
-    monkeypatch.setenv("DIVSET_WORKERS", "0")
-    assert _worker_count() == 1
-    monkeypatch.setenv("DIVSET_WORKERS", "abc")
-    with pytest.raises(ConfigError, match="DIVSET_WORKERS"):
-        _worker_count()
+    for raw in ("abc", "0", "-3"):
+        monkeypatch.setenv("DIVSET_WORKERS", raw)
+        with pytest.raises(ConfigError, match="DIVSET_WORKERS must be a positive integer"):
+            _worker_count()
 
 
 def test_strategy_descriptor_formats():

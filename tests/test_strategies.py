@@ -28,7 +28,7 @@ def test_weights_is_a_fresh_n_by_2_table():
     assert pset.extrinsic_weights().tolist() == [1.0, 0.5, 0.5]
 
 
-def test_no_diversity_ignores_the_diversity_reward_for_everyone():
+def test_no_diversity_puts_no_weight_on_diversity_for_anyone():
     table = weights(StrategyConfig(kind=StrategyKind.NO_DIVERSITY), _pset())
     assert table.tolist() == [[1.0, 0.0]] * 3
 

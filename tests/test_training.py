@@ -31,7 +31,6 @@ from divset import (
     build_gridworld,
     deterministic_policy,
     diversity_objective,
-    diversity_reward,
     diversity_score,
     expected_features,
     four_rooms_spec,
@@ -48,7 +47,7 @@ from divset import (
 )
 import divset.training
 
-from helpers import KERNEL_CASES, random_mdp
+from helpers import KERNEL_CASES, member_reward, random_mdp
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -565,7 +564,7 @@ def _plain_train_sampled(mdp, n, diversity_cfg, strategy_cfg, cfg, seed):
         states, actions, rewards, features, next_states = _dense_rollout(mdp, probs, T, rng)
         r_d_mat = np.zeros((S, A))
         if z > 0:
-            r_d_mat = diversity_reward(mdp.features_sa, pset.avg_psi, z, diversity_cfg)
+            r_d_mat = member_reward(mdp.features_sa, pset.avg_psi, z, diversity_cfg)
         r_d = r_d_mat[states, actions]
         state_seq = np.append(states, next_states[-1])
         targ_e = _plain_nstep_returns(rewards, v_e[z], state_seq, mdp.discount, cfg.n_step)
