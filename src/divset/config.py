@@ -279,6 +279,16 @@ def _goal(path: str, entry) -> tuple[tuple[int, int], float]:
     return _cell(path, entry[:2]), _number(f"{path}.value", entry[2])
 
 
+def _goals(path: str, value) -> dict:
+    goals: dict = {}
+    entries = _list(path, value, _goal, "a nonempty list of [row, col, value]")
+    for i, (cell, v) in enumerate(entries):
+        if cell in goals:
+            raise ConfigError(f"{path}[{i}]: cell {cell} is already a goal")
+        goals[cell] = v
+    return goals
+
+
 def _grid_spec(goals: dict, **fields) -> GridSpec:
     cells = fields["width"] * fields["height"]
     if cells > _MAX_STATES:
@@ -303,7 +313,7 @@ def _parse_environment(path: str, d: dict) -> EnvironmentSettings:
         {
             "width": _COUNT,
             "height": _COUNT,
-            "goals": lambda p, v: dict(_list(p, v, _goal, "a nonempty list of [row, col, value]")),
+            "goals": _goals,
         },
         {
             "walls": lambda p, v: frozenset(

@@ -368,8 +368,9 @@ def _check_reachable(transition: np.ndarray, initial: np.ndarray, goals: np.ndar
 
 def _apply_always(
     mdp: TabularMdp, p: Perturbation, seed: int, grid_spec: GridSpec | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Perturbed (transition, reward) with the original state indexing."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Perturbed (transition, reward, initial_dist) with the original state
+    indexing."""
     S, A = mdp.num_states, mdp.num_actions
     m = p.magnitude
     if p.kind.needs_grid and grid_spec is None:
@@ -378,7 +379,7 @@ def _apply_always(
     if p.kind == PerturbationKind.ACTION_FAILURE:
         stay = np.zeros((S, A, S))
         stay[np.arange(S), :, np.arange(S)] = 1.0
-        return (1.0 - m) * mdp.transition + m * stay, mdp.reward.copy()
+        return (1.0 - m) * mdp.transition + m * stay, mdp.reward.copy(), mdp.initial_dist
 
     if p.kind == PerturbationKind.ACTION_REMAP:
         rng = child_rng(seed, "remap")
@@ -390,12 +391,12 @@ def _apply_always(
             perm = rng.permutation(A)
             transition[s] = mdp.transition[s, perm]
             reward[s] = mdp.reward[s, perm]
-        return transition, reward
+        return transition, reward, mdp.initial_dist
 
     if p.kind == PerturbationKind.SLIP_INCREASE:
         new_spec = dataclasses.replace(grid_spec, slip_prob=min(1.0, grid_spec.slip_prob + m))
         rebuilt = build_gridworld(new_spec)
-        return rebuilt.transition, rebuilt.reward
+        return rebuilt.transition, rebuilt.reward, mdp.initial_dist
 
     if p.kind == PerturbationKind.REWARD_SHIFT:
         radius = int(round(m))
@@ -413,7 +414,7 @@ def _apply_always(
             # colliding relocations keep the larger reward
             new_goals[target] = max(new_goals.get(target, 0.0), value)
         shifted = build_gridworld(dataclasses.replace(grid_spec, goal_cells=new_goals))
-        return mdp.transition.copy(), shifted.reward
+        return mdp.transition.copy(), shifted.reward, mdp.initial_dist
 
     if p.kind == PerturbationKind.BLOCK_CELLS:
         rng = child_rng(seed, "block")
@@ -438,8 +439,14 @@ def _apply_always(
             transition[b, :, :] = 0.0
             transition[b, :, b] = 1.0
             reward[b, :] = 0.0
-        _check_reachable(transition, mdp.initial_dist, _goal_states(mdp, grid_spec))
-        return transition, reward
+        initial = mdp.initial_dist
+        if initial[blocked].any():
+            # a uniform start: episodes start in the open cells only
+            initial = initial.copy()
+            initial[blocked] = 0.0
+            initial /= initial.sum()
+        _check_reachable(transition, initial, _goal_states(mdp, grid_spec))
+        return transition, reward, initial
 
     raise ValueError(f"unknown perturbation kind {p.kind!r}")
 
@@ -457,13 +464,13 @@ def perturb(
     that switches them on by step index, and the unperturbed MDP it falls
     back to where the schedule is inactive.
     """
-    transition, reward = _apply_always(mdp, p, seed, grid_spec)
+    transition, reward, initial = _apply_always(mdp, p, seed, grid_spec)
     out = PerturbedMdp(
         transition=transition,
         reward=reward,
         features=mdp.features.copy(),
         discount=mdp.discount,
-        initial_dist=mdp.initial_dist.copy(),
+        initial_dist=initial.copy(),
         schedule=p.schedule,
         unperturbed=mdp,
     )

@@ -159,6 +159,25 @@ def _cell(spec: RunSpec) -> tuple:
     return (spec.alpha, spec.set_size, spec.contact_distance, spec.c_e, spec.c_d)
 
 
+def _row(*cells) -> list[str]:
+    """One CSV row: a float, Python's or a numpy float64 (a float subclass),
+    as its shortest round-trip repr, so float(cell) gives back its bits;
+    anything else as str."""
+    return [repr(float(c)) if isinstance(c, float) else str(c) for c in cells]
+
+
+def _trace_rows(trace: list[TraceRecord]) -> list[list[str]]:
+    """One row per (record, member); a record's own cells are formatted once."""
+    rows = []
+    for rec in trace:
+        iteration, *tail = _row(
+            rec.iteration, rec.diversity_mean, rec.diversity_mean_exact, rec.objective_value
+        )
+        members = zip(rec.extrinsic_values.tolist(), rec.sigma_mu.tolist())
+        rows += [[iteration, *_row(i, v, s), *tail] for i, (v, s) in enumerate(members)]
+    return rows
+
+
 def run_cell(
     config: ExperimentConfig, specs: Sequence[RunSpec]
 ) -> list[tuple[list[str], list[list[str]], str]]:
@@ -176,30 +195,17 @@ def run_cell(
     results = []
     for spec, (pset, trace) in zip(specs, trained):
         final = trace[-1]
-        qd_row = [
+        qd_row = _row(
             strategy_descriptor(scfg),
-            repr(float(spec.alpha)),
-            str(spec.set_size),
-            repr(float(spec.contact_distance)),
-            str(spec.seed_label),
-            repr(float(final.extrinsic_values.mean())),
-            json.dumps([float(v) for v in final.extrinsic_values]),
-            repr(float(final.diversity_mean)),
-        ]
-        trace_rows = [
-            [
-                str(rec.iteration),
-                str(i),
-                repr(float(rec.extrinsic_values[i])),
-                repr(float(rec.sigma_mu[i])),
-                repr(float(rec.diversity_mean)),
-                repr(float(rec.diversity_mean_exact)),
-                repr(float(rec.objective_value)),
-            ]
-            for rec in trace
-            for i in range(spec.set_size)
-        ]
-        results.append((qd_row, trace_rows, policy_set_to_json(pset)))
+            float(spec.alpha),
+            spec.set_size,
+            float(spec.contact_distance),
+            spec.seed_label,
+            final.extrinsic_values.mean(),
+            json.dumps(final.extrinsic_values.tolist()),
+            final.diversity_mean,
+        )
+        results.append((qd_row, _trace_rows(trace), policy_set_to_json(pset)))
     return results
 
 
@@ -287,51 +293,27 @@ def _perturb_with_retries(mdp, p: Perturbation, master_seed: int, tag: tuple, gr
 def _kshot_rows(
     method: str, params: str, p: Perturbation, result: KShotResult
 ) -> list[list[str]]:
-    rows = []
-    desc = _perturbation_descriptor(p)
-    mag = repr(float(p.magnitude))
-    for t in range(len(result.per_seed_ratios)):
-        rows.append(
-            [
-                method,
-                params,
-                desc,
-                mag,
-                str(t),
-                repr(float(result.per_seed_ratios[t])),
-                repr(float(result.per_seed_returns[t].mean())),
-                repr(float(result.per_seed_baseline_returns[t].mean())),
-                "",
-                "",
-            ]
-        )
-    rows.append(
-        [
-            method,
-            params,
-            desc,
-            mag,
-            "all",
-            repr(float(result.ratio_mean)),
-            repr(float(result.abs_return_mean)),
-            repr(float(result.baseline_return_mean)),
-            repr(float(result.ci_low)),
-            repr(float(result.ci_high)),
-        ]
+    prefix = (method, params, _perturbation_descriptor(p), float(p.magnitude))
+    per_seed = zip(
+        result.per_seed_ratios, result.per_seed_returns, result.per_seed_baseline_returns
     )
-    return rows
+    rows = [
+        _row(*prefix, t, ratio, returns.mean(), base.mean(), "", "")
+        for t, (ratio, returns, base) in enumerate(per_seed)
+    ]
+    aggregate = (result.ratio_mean, result.abs_return_mean, result.baseline_return_mean)
+    return rows + [_row(*prefix, "all", *aggregate, result.ci_low, result.ci_high)]
 
 
 def run_kshot(config: ExperimentConfig) -> Path:
     """Train per-method and baseline sets, evaluate under perturbations.
 
-    Each method's sets, and the baseline's, are trained in lockstep with
-    one _train call over the training seeds.
+    The families of sets, the baseline's first and then each method's, are
+    each trained in lockstep with one _train call over the training seeds.
     Evaluation episode streams are derived without the method name, so
-    every method (and the baseline against itself) sees identical
-    environment randomness for a given perturbation. Each set is rolled
-    once per perturbed MDP; the baseline's returns are shared by its own
-    row and by every method row.
+    every family (the baseline against itself too) sees identical
+    environment randomness for a given perturbation. Each family is rolled
+    once per perturbed MDP and scored against the baseline's returns.
     """
     if config.kshot is None:
         raise ConfigError("config has no kshot section")
@@ -345,37 +327,25 @@ def run_kshot(config: ExperimentConfig) -> Path:
         trained = _train(config, mdp, set_size, config.diversity, strategy, seeds)
         return [pset for pset, _ in trained]
 
-    baseline_strategy = StrategyConfig(kind=StrategyKind.NO_DIVERSITY)
-    baselines = train_sets(baseline_strategy, 1, "baseline")
-    sets_by_method = {
-        m.name: train_sets(m.strategy, m.set_size, "method", m.name) for m in ks.methods
-    }
+    baseline = StrategyConfig(kind=StrategyKind.NO_DIVERSITY)
+    families = [
+        (BASELINE_METHOD, strategy_descriptor(baseline), train_sets(baseline, 1, "baseline"))
+    ]
+    for m in ks.methods:
+        params = f"{strategy_descriptor(m.strategy)},alpha={m.strategy.alpha!r},n={m.set_size}"
+        families.append((m.name, params, train_sets(m.strategy, m.set_size, "method", m.name)))
 
     rows: list[list[str]] = []
     for p_idx, ps in enumerate(ks.perturbations):
         for m_idx, magnitude in enumerate(ps.magnitudes):
             p = Perturbation(kind=ps.kind, magnitude=magnitude, schedule=ps.schedule)
-            pmdp = _perturb_with_retries(
-                mdp, p, config.master_seed, (p_idx, m_idx), grid_spec
-            )
+            pmdp = _perturb_with_retries(mdp, p, config.master_seed, (p_idx, m_idx), grid_spec)
             eval_seed = hash64(config.master_seed, "kshot-eval", p_idx, m_idx)
-            base_selected, base_returns = kshot_returns(baselines, pmdp, ks.protocol, eval_seed)
-            rows.extend(
-                _kshot_rows(
-                    BASELINE_METHOD,
-                    strategy_descriptor(baseline_strategy),
-                    p,
-                    kshot_evaluate(base_returns, base_returns, base_selected, ks.protocol, eval_seed),
-                )
-            )
-            for m in ks.methods:
-                params = (
-                    f"{strategy_descriptor(m.strategy)},"
-                    f"alpha={m.strategy.alpha!r},n={m.set_size}"
-                )
-                selected, returns = kshot_returns(sets_by_method[m.name], pmdp, ks.protocol, eval_seed)
+            rolled = [kshot_returns(sets, pmdp, ks.protocol, eval_seed) for *_, sets in families]
+            base_returns = rolled[0][1]
+            for (name, params, _), (selected, returns) in zip(families, rolled):
                 result = kshot_evaluate(returns, base_returns, selected, ks.protocol, eval_seed)
-                rows.extend(_kshot_rows(m.name, params, p, result))
+                rows.extend(_kshot_rows(name, params, p, result))
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

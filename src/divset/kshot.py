@@ -2,11 +2,12 @@
 
 Protocol, per perturbed MDP and per training seed: roll k_select episodes
 with every member of the set, pick the member with the highest mean return
-(ties to the lowest index), then evaluate the pick for n_eval fresh
-episodes (kshot_returns). The figure of merit is the ratio of that
-evaluation return to the same protocol applied to a single-policy baseline
-set (kshot_evaluate, which plays no episodes, so the baseline is rolled
-once per perturbed MDP and shared by every method).
+(ties to the lowest index; a one-member set picks its member unplayed),
+then evaluate the pick for n_eval fresh episodes (kshot_returns). The
+figure of merit is the ratio of that evaluation return to the same
+protocol applied to a single-policy baseline set (kshot_evaluate, which
+plays no episodes, so the baseline is rolled once per perturbed MDP and
+shared by every method).
 
 Every episode is played by training.sample_episodes, one call per member
 for selection and one per pick for evaluation; an episode's return is the
@@ -76,8 +77,11 @@ def kshot_select(pset: PolicySet, perturbed: TabularMdp, cfg: KShotConfig, seed:
     """Index of the member with the best mean return over k_select episodes.
 
     Episode streams depend on (seed, member, episode) only, so the same
-    member index sees the same randomness whichever set it belongs to.
+    member index sees the same randomness whichever set it belongs to. A
+    one-member set, such as the baseline's, plays no episode.
     """
+    if pset.n == 1:
+        return 0
     means = np.empty(pset.n)
     for i, policy in enumerate(pset.policies):
         rngs = [child_rng(seed, i, e) for e in range(cfg.k_select)]

@@ -62,10 +62,10 @@ from .diversity import (
 )
 from .envs import Always, PerturbedMdp, Schedule
 from .mdp import (
-    _IMPROVEMENT_RTOL,
     Criterion,
     TabularMdp,
     _cdf_rows,
+    _improve,
     best_response,
     deterministic_policy,
     expected_features,
@@ -341,21 +341,21 @@ def _warm_start(
     evaluations, or None. One entry stands for both. rewards is each
     member's (G * n, X) reward in those columns.
 
-    A member starts from its best candidate, the lowest index on ties, if
-    that beats its own policy by more than _IMPROVEMENT_RTOL times its
-    largest |value|, and from its own policy otherwise. Returns the starts'
+    A member starts from the candidate that Howard's rule (mdp._improve)
+    picks over its own policy: its best candidate, the lowest index on
+    ties, if that beats its own by more than _IMPROVEMENT_RTOL times its
+    largest |value|, and its own policy otherwise. Returns the starts'
     actions, columns and evaluations.
     """
     (actions, columns, evaluations), (old_actions, old_columns, old_evaluations) = held[0], held[-1]
     G, X = len(actions) // n, columns.shape[-1]
     candidates = np.concatenate([columns.reshape(G, n, X), old_columns.reshape(G, n, X)], axis=1)
     scores = rewards.reshape(G, n, X) @ candidates.transpose(0, 2, 1)  # (G, n, 2n)
-    own = np.arange(n)
-    slack = _IMPROVEMENT_RTOL * np.abs(scores).max(axis=2)
-    moves = scores.max(axis=2) > scores[:, own, own] + slack
-    if not moves.any():
+    # Howard's rule on one state whose 2n actions are the candidates
+    own = np.tile(np.arange(n), G)
+    choice = _improve(own[:, None], scores.reshape(G * n, 1, 2 * n))[:, 0]
+    if np.array_equal(choice, own):
         return held[0]
-    choice = np.where(moves, scores.argmax(axis=2), own).ravel()
     rows, older = np.arange(G).repeat(n) * n + choice % n, choice >= n
 
     def pick(new: np.ndarray, old: np.ndarray) -> np.ndarray:

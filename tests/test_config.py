@@ -239,6 +239,11 @@ MESSAGES = [
         {"kshot": _kshot(method={"name": "baseline"})},
         "kshot.methods[0].name: 'baseline' names the baseline's rows",
     ),
+    # a repeated goal cell would silently keep its last entry's value
+    (
+        {"environment": _grid(goals=[[0, 0, 1.0], [1, 1, 0.5], [0, 0, 2.0]])},
+        "environment.goals[2]: cell (0, 0) is already a goal",
+    ),
 ]
 
 

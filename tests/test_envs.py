@@ -234,6 +234,26 @@ def test_block_cells_bounces_and_detects_stranded_starts():
         assert np.all(out.reward[s] == 0.0)
 
 
+def test_block_cells_under_a_uniform_start_starts_in_the_open_cells():
+    # without a start cell every cell has start mass; a blocked cell is an
+    # absorbing self-loop, so it must give its share to the open cells
+    spec = GridSpec(width=4, height=4, goal_cells={(3, 3): 1.0})
+    mdp = build_gridworld(spec)
+    p = Perturbation(kind=PerturbationKind.BLOCK_CELLS, magnitude=0.2)
+    for seed in range(3):
+        out = perturb(mdp, p, seed=seed, grid_spec=spec)
+        loops = out.transition[np.arange(16), :, np.arange(16)]
+        blocked = np.flatnonzero(np.all(loops == 1.0, axis=1))
+        assert len(blocked) == 3  # floor(0.2 * 15) unprotected cells blocked
+        assert np.all(out.initial_dist[blocked] == 0.0)
+        open_cells = np.setdiff1d(np.arange(16), blocked)
+        assert np.allclose(out.initial_dist[open_cells], 1.0 / 13)
+        rngs = [np.random.default_rng([seed, e]) for e in range(200)]
+        starts = sample_episodes(out, np.full((16, 4), 0.25), 1, rngs)[0][:, 0]
+        assert not np.isin(starts, blocked).any()
+    assert np.all(mdp.initial_dist == 1.0 / 16)  # the base MDP is untouched
+
+
 def test_periodic_schedule_expands_the_clock():
     mdp = build_chain(3, end_reward=1.0)
     sched = Periodic(period=2, duration=1)

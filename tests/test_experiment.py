@@ -72,12 +72,45 @@ def test_enumerate_runs_product_order_and_seeding(tmp_path):
     assert specs[0].c_d == cfg.strategy.c_d
 
 
-def test_run_cell_rows_parse_back(tmp_path):
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def test_run_cell_rows_parse_back(tmp_path, monkeypatch):
     cfg = parse_config(tiny_config(tmp_path))
     specs = enumerate_runs(cfg)[2:4]  # both seeds of alpha 0.9
+    train, traces = divset.experiment._train, []
+
+    def recording_train(*args):
+        trained = train(*args)
+        traces.extend(trace for _, trace in trained)
+        return trained
+
+    monkeypatch.setattr(divset.experiment, "_train", recording_train)
     results = run_cell(cfg, specs)
-    assert len(results) == len(specs)
-    for spec, (qd_row, trace_rows, ckpt) in zip(specs, results):
+    assert len(results) == len(specs) == len(traces)
+    for spec, (qd_row, trace_rows, ckpt), trace in zip(specs, results, traces):
+        # every real-valued cell gives back the bits of the record it came from
+        final = trace[-1]
+        assert _bits([qd_row[5], *json.loads(qd_row[6]), qd_row[7]]) == _bits(
+            [final.extrinsic_values.mean(), *final.extrinsic_values, final.diversity_mean]
+        )
+        assert [r[:2] for r in trace_rows] == [
+            [str(rec.iteration), str(i)] for rec in trace for i in range(spec.set_size)
+        ]
+        assert [_bits(r[2:]) for r in trace_rows] == [
+            _bits(
+                [
+                    rec.extrinsic_values[i],
+                    rec.sigma_mu[i],
+                    rec.diversity_mean,
+                    rec.diversity_mean_exact,
+                    rec.objective_value,
+                ]
+            )
+            for rec in trace
+            for i in range(spec.set_size)
+        ]
         assert len(qd_row) == len(QD_COLUMNS)
         assert qd_row[0] == "DominoLagrangian"
         assert float(qd_row[1]) == spec.alpha

@@ -321,10 +321,11 @@ def test_run_kshot_rolls_each_set_once_per_cell_and_seed(tmp_path, monkeypatch):
     ks = d["kshot"]
     cells = sum(len(p["magnitudes"]) for p in ks["perturbations"])
     set_sizes = [1] + [m["set_size"] for m in ks["methods"]]  # baseline first
-    per_seed = sum(ks["k_select"] * n + ks["n_eval"] for n in set_sizes)
+    selecting = sum(n for n in set_sizes if n > 1)  # a one-member set needs no selection
+    per_seed = ks["k_select"] * selecting + ks["n_eval"] * len(set_sizes)
     assert sum(episodes) == cells * ks["n_train_seeds"] * per_seed
     # per family and seed: one call per member to select, one to evaluate the pick
-    assert len(episodes) == cells * ks["n_train_seeds"] * sum(n + 1 for n in set_sizes)
+    assert len(episodes) == cells * ks["n_train_seeds"] * (selecting + len(set_sizes))
 
 
 def test_run_kshot_writes_schema_and_baseline_unit_ratios(tmp_path):

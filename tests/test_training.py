@@ -304,7 +304,7 @@ def test_exact_trainer_solves_occupancies_only_for_the_optimum_and_the_initial_s
 
 @pytest.mark.parametrize("features", [FeatureKind.XY_COORDINATES, FeatureKind.ONE_HOT_STATE])
 def test_exact_trainer_trains_the_same_sets_in_the_basis_and_member_by_member(monkeypatch, features):
-    # the trainer evaluates in the d + 1 column reward basis only while d <= S / 8;
+    # the trainer evaluates in the d + 1 column reward basis only while d <= S / 4;
     # past that each member's own reward is one column and occupancies are solved
     mdp = build_gridworld(dataclasses.replace(four_rooms_spec(), feature_kind=features))
     uses_basis = divset.training._basis_pays(mdp.num_states, mdp.feature_dim)
