@@ -116,18 +116,20 @@ _KERNELS = {
 
 
 def _nearest(psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each member's nearest other member (ties: lowest index) and its distance."""
-    diff = psis[:, None, :] - psis[None, :, :]
-    dists = np.sqrt((diff**2).sum(axis=2))
-    np.fill_diagonal(dists, np.inf)
-    return dists.argmin(axis=1), dists.min(axis=1)
+    """Each member's nearest other member (ties: lowest index) and its distance,
+    for (n, d) psis or a stack (..., n, d) of sets."""
+    diff = psis[..., :, None, :] - psis[..., None, :, :]
+    dists = np.sqrt((diff**2).sum(axis=-1))
+    members = np.arange(psis.shape[-2])
+    dists[..., members, members] = np.inf
+    return dists.argmin(axis=-1), dists.min(axis=-1)
 
 
 def _scale(
     value: float | np.ndarray, psis: np.ndarray, cfg: DiversityConfig
 ) -> float | np.ndarray:
     if cfg.scaling == RewardScaling.APPENDIX_CODE:
-        return value / psis.shape[1]
+        return value / psis.shape[-1]
     return value
 
 
@@ -140,11 +142,13 @@ def reward_table(
     c[i] is zero for a member that coincides with its nearest neighbour (l_i = 0), whose
     reward vanishes; this also guards the negative-power generalized coefficients, which
     diverge at l = 0. nearest, if given, is _nearest(psis), which the set's score and
-    objective can share."""
+    objective can share. A stack (..., n, d) of sets gives (..., n) c and (..., n, d)
+    diff, each set's with the bits of its own call."""
     index, dists = _nearest(psis) if nearest is None else nearest
     _, c = _KERNELS[cfg.kind]
-    c_l = np.array([0.0 if l == 0.0 else c(l, cfg) for l in dists.tolist()])
-    return _scale(c_l, psis, cfg), psis - psis[index]
+    c_l = np.array([0.0 if l == 0.0 else c(l, cfg) for l in dists.ravel().tolist()])
+    neighbours = np.take_along_axis(psis, index[..., None], axis=-2)
+    return _scale(c_l.reshape(dists.shape), psis, cfg), psis - neighbours
 
 
 def diversity_score(

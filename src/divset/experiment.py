@@ -15,12 +15,18 @@ Outputs under output_dir:
 A cell is one (alpha, set size, contact distance, c_e, c_d) combination;
 its runs differ only in seed and are consecutive. Under either trainer a
 cell's runs train in lockstep, split into at most DIVSET_WORKERS chunks of
-consecutive seeds, one lockstep training call and one pool task per chunk.
-The worker count comes from the
-DIVSET_WORKERS environment variable (default 1), and the pool never has
-more processes than tasks. Results are assembled in run order regardless,
-and lockstep training changes no set's arithmetic, so the output bytes do
-not depend on the worker count.
+consecutive seeds, one lockstep training call per chunk. The worker count
+comes from the DIVSET_WORKERS environment variable (default 1). On Linux a
+sweep of more than one chunk forks min(workers, chunks) children, each
+with a share of the chunks balanced by members (set size x runs): the
+largest chunk goes first, each to the least-loaded child. A child sends
+its results, or the exception it raised, back through its own pipe, and
+the parent reaps every child before it returns or raises. Each child
+starts as a copy of the parent, so peak memory is about the parent plus
+its largest child. Elsewhere (no fork, or system libraries that are not
+fork-safe) a sweep runs serially, as with one worker. Results are
+assembled in run order regardless, and lockstep training changes no set's
+arithmetic, so the output bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ import dataclasses
 import itertools
 import json
 import os
+import pickle
+import signal
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -241,6 +250,88 @@ def _worker_count() -> int:
     return workers
 
 
+def _shares(chunks: list[list[RunSpec]], children: int) -> list[list[int]]:
+    """The chunks' indices split into one share per child, balanced by
+    members: the largest chunk (set size x runs) first, each to the
+    least-loaded child; ties in run order."""
+    members = [chunk[0].set_size * len(chunk) for chunk in chunks]
+    shares: list[list[int]] = [[] for _ in range(children)]
+    loads = [0] * children
+    for i in sorted(range(len(chunks)), key=lambda i: -members[i]):
+        child = loads.index(min(loads))
+        shares[child].append(i)
+        loads[child] += members[i]
+    return shares
+
+
+def _run_share(pipe: int, config: ExperimentConfig, chunks: list[list[RunSpec]]) -> None:
+    """A forked child's whole life: run_cell over its chunks, then the
+    pickled results, or the exception raised and its traceback, into the
+    pipe. It always ends in os._exit, so the child never returns into the
+    parent's code; a child that cannot report exits with status 1."""
+    status = 1
+    try:
+        try:
+            report = (True, [run_cell(config, chunk) for chunk in chunks])
+        except BaseException as exc:
+            import traceback
+
+            report = (False, (exc, traceback.format_exc()))
+        data = pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)
+        with open(pipe, "wb") as f:
+            f.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fan_out(config: ExperimentConfig, chunks: list[list[RunSpec]], workers: int) -> list:
+    """run_cell over every chunk, in min(workers, len(chunks)) forked
+    children; the results in chunk order. A child's exception is raised
+    here, with its traceback as the cause; a child that exits without
+    reporting is a RuntimeError naming its exit status. Every child is
+    reaped, and killed first if the parent stops before reading it."""
+    shares = _shares(chunks, min(workers, len(chunks)))
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    reports: list[bytes] = []
+    try:
+        for share in shares:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _run_share(write, config, [chunks[i] for i in share])
+            os.close(write)
+            children.append((pid, read))
+        for _, read in children:
+            with open(read, "rb", closefd=False) as f:
+                reports.append(f.read())
+    finally:
+        for pid, read in children:
+            os.close(read)
+            if len(reports) < len(children):
+                os.kill(pid, signal.SIGKILL)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+
+    results = [None] * len(chunks)
+    for (pid, _), share, report, status in zip(children, shares, reports, statuses):
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0 or not report:
+            raise RuntimeError(f"sweep worker {pid} exited with status {code} before reporting")
+        ok, value = pickle.loads(report)
+        if not ok:
+            exc, child_traceback = value
+            raise exc from RuntimeError(f"in sweep worker {pid}:\n{child_traceback}")
+        for i, cell_results in zip(share, value):
+            results[i] = cell_results
+    return results
+
+
 def run_experiment(config: ExperimentConfig) -> Path:
     """Run the full sweep and write qd.csv, traces, and checkpoints."""
     out = Path(config.output_dir)
@@ -248,14 +339,12 @@ def run_experiment(config: ExperimentConfig) -> Path:
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     specs = enumerate_runs(config)
     workers = _worker_count()
+    if sys.platform != "linux":
+        # no fork on Windows, and macOS's system libraries are not fork-safe
+        workers = 1
     chunks = _chunks(specs, workers)
     if workers > 1 and len(chunks) > 1:
-        # imported here, so that serial runs and kshot never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a fork pool starts all its processes at the first submit
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            results = list(pool.map(run_cell, itertools.repeat(config), chunks))
+        results = _fan_out(config, chunks, workers)
     else:
         results = [run_cell(config, chunk) for chunk in chunks]
 

@@ -401,7 +401,14 @@ def _improve(
     slack = _IMPROVEMENT_RTOL * np.abs(q).max(axis=(1, 2))[:, None]
     if allowed is not None:
         q = np.where(allowed, q, -np.inf)
-    return np.where(q.max(axis=2) > current + slack, np.argmax(q, axis=2), actions)
+    # the row max and its lowest index, one column at a time: numpy's max and
+    # argmax over a short last axis cost several times more
+    best, choice = q[..., 0], np.zeros((m, S), dtype=np.intp)
+    for a in range(1, q.shape[2]):
+        column = q[..., a]
+        choice[column > best] = a  # strictly greater, so ties keep the lowest index
+        best = np.maximum(best, column)
+    return np.where(best > current + slack, choice, actions)
 
 
 def best_response(

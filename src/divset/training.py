@@ -277,8 +277,8 @@ def train_exact(
     (computed once; the extrinsic reward never changes). Each outer
     iteration makes one best_response call over every set's members. Its
     basis is the extrinsic reward and the d feature columns, and member i's
-    coefficients are (w_e, w_d c(l_i) (psi_i - psi_j)) from one
-    reward_table per set, zero on the anchor's diversity columns. One
+    coefficients are (w_e, w_d c(l_i) (psi_i - psi_j)) from one stacked
+    reward_table over every set, zero on the anchor's diversity columns. One
     occupancy call measures the initial members; after that each member's
     value and expected features are d0 . gain of its final evaluation's
     columns. With more than S / 4 features each member's own reward is one
@@ -395,13 +395,13 @@ def _train_exact_group(
         """Every member's exact value (G, n) and expected features (G, n, d), from occs."""
         return policy_value(mdp, occs).reshape(G, n), expected_features(mdp, occs).reshape(G, n, d)
 
-    def record(iteration: int, values: np.ndarray, psis: np.ndarray) -> list:
-        """Append each set's record; return each set's _nearest(avg_psi), which the
-        record's score and objective and the set's reward table share."""
-        nearest = [_nearest(avg_psi) for avg_psi in stack.avg_psi]
-        sets = zip(records, values, stack.extrinsic_weights(), stack.avg_psi, psis, nearest)
-        for trace, *arrays, near in sets:
-            trace.append(_trace_record(iteration, *arrays, diversity_cfg, near))
+    def record(iteration: int, values: np.ndarray, psis: np.ndarray) -> tuple:
+        """Append each set's record; return the stacked _nearest(stack.avg_psi),
+        which the records' scores and objectives and the reward table share."""
+        nearest = _nearest(stack.avg_psi)
+        sets = zip(records, values, stack.extrinsic_weights(), stack.avg_psi, psis, *nearest)
+        for trace, *arrays, index, dists in sets:
+            trace.append(_trace_record(iteration, *arrays, diversity_cfg, (index, dists)))
         return nearest
 
     # Seed the follow-the-leader state with the initial policies' true
@@ -430,9 +430,8 @@ def _train_exact_group(
         # the anchor's diversity columns stay zero
         coefficients = np.zeros((G, n, 1 + d))
         coefficients[..., 0] = w[..., 0]
-        for g, (avg_psi, near) in enumerate(zip(stack.avg_psi, nearest)):
-            c, diff = reward_table(avg_psi, diversity_cfg, near)
-            coefficients[g, 1:, 1:] = w[g, 1:, 1:] * (c[1:, None] * diff[1:])
+        c, diff = reward_table(stack.avg_psi, diversity_cfg, nearest)
+        coefficients[:, 1:, 1:] = w[:, 1:, 1:] * (c[:, 1:, None] * diff[:, 1:])
         coefficients = coefficients.reshape(G * n, 1 + d)
         if in_basis:
             rewards = coefficients
@@ -470,8 +469,13 @@ def _train_exact_group(
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
+    # the row max one column at a time, as mdp._improve takes it; the row sum
+    # stays numpy's, which adds pairwise from 8 terms, an order a column loop
+    # would change
+    top = logits[..., 0]
+    for a in range(1, logits.shape[-1]):
+        top = np.maximum(top, logits[..., a])
+    e = np.exp(logits - top[..., None])
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -553,13 +557,13 @@ def _train_sampled_group(
 
         rewards = np.zeros((G, T, 2))  # per step: the extrinsic, the diversity reward
         rewards[:, :, 0] = ext_rewards
-        for g, z in enumerate(zs):
-            if z > 0:
-                c, diff = reward_table(stack.avg_psi[g], diversity_cfg)
-                if c[z] != 0.0:
+        if any(zs):  # some set plays a member with a diversity reward
+            c, diff = reward_table(stack.avg_psi, diversity_cfg)
+            for g, z in enumerate(zs):
+                if z > 0 and c[g, z] != 0.0:
                     # each set's own (S, A) product: a stacked or per-pair one
                     # changes low bits for dense features of 8 or more dimensions
-                    rewards[g, :, 1] = (c[z] * (features_sa @ diff[z])).take(pairs[g])
+                    rewards[g, :, 1] = (c[g, z] * (features_sa @ diff[g, z])).take(pairs[g])
 
         member_states = rows[:, None] * S
         targets = np.zeros((G, T, 2))

@@ -119,6 +119,23 @@ def test_reward_table_gives_every_members_reward_factors():
         assert diversity_objective(distinct, cfg, nearest) == diversity_objective(distinct, cfg)
 
 
+@pytest.mark.parametrize(("n", "d"), [(2, 1), (5, 4), (7, 17), (10, 33)])
+def test_stacked_reward_table_gives_each_set_the_bits_of_its_own_call(n, d):
+    rng = np.random.default_rng(n * d)
+    stack = rng.uniform(size=(2, 3, n, d))
+    stack[0, 1, n - 1] = stack[0, 1, 0]  # a coincident pair in one set
+    index, dists = _nearest(stack)
+    assert index.shape == dists.shape == (2, 3, n)
+    for cfg in KERNEL_CASES:
+        c, diff = reward_table(stack, cfg)
+        assert c.shape == (2, 3, n) and diff.shape == stack.shape
+        for g in np.ndindex(2, 3):
+            own_index, own_dists = _nearest(stack[g])
+            assert np.array_equal(index[g], own_index) and dists[g].tobytes() == own_dists.tobytes()
+            own_c, own_diff = reward_table(stack[g], cfg)
+            assert c[g].tobytes() == own_c.tobytes() and diff[g].tobytes() == own_diff.tobytes()
+
+
 def test_coincident_members_give_a_finite_generalized_objective():
     cfg = DiversityConfig(
         kind=DiversityKind.GENERALIZED, contact_distance=0.5,

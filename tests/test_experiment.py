@@ -1,6 +1,5 @@
 """Sweep enumeration, output files, and byte-level reproducibility."""
 
-import concurrent.futures
 import dataclasses
 import json
 import os
@@ -29,7 +28,9 @@ from divset import (
 from divset.experiment import (
     QD_COLUMNS,
     TRACE_COLUMNS,
+    _chunks,
     _perturb_with_retries,
+    _shares,
     _worker_count,
     strategy_descriptor,
 )
@@ -186,70 +187,113 @@ def test_parallel_workers_match_serial_bytes(tmp_path, monkeypatch):
         assert _tree_bytes(Path(five.output_dir)) == _tree_bytes(Path(par.output_dir))
 
 
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and the size of
-    each mapped chunk, maps in process."""
-
-    max_workers: list[int] = []
-    chunks: list[int] = []
-
-    def __init__(self, max_workers):
-        self.max_workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, config, chunks):
-        chunks = list(chunks)
-        self.chunks.extend(len(chunk) for chunk in chunks)
-        return map(fn, config, chunks)
-
-
 @pytest.mark.parametrize(
-    ("trainer", "tasks"),
+    ("trainer", "children"),
     [
         ({"mode": "exact", "outer_iterations": 1}, 4),
         ({"mode": "sampled", "total_episodes": 2, "episode_length": 5, "eval_every": 2}, 4),
     ],
 )
-def test_sweep_pool_has_no_more_processes_than_tasks(tmp_path, monkeypatch, trainer, tasks):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "max_workers", [])
-    monkeypatch.setattr(_SerialPool, "chunks", [])
+def test_sweep_forks_no_more_children_than_chunks(tmp_path, monkeypatch, trainer, children):
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    def recording_run_cell(config, specs):
+        # each call leaves a file named by the process that made it
+        (calls / f"{os.getpid()}-{specs[0].run_index}").write_text(str(len(specs)))
+        return run_cell(config, specs)
+
+    monkeypatch.setattr(divset.experiment, "run_cell", recording_run_cell)
     monkeypatch.setenv("DIVSET_WORKERS", "5")
     # one cell of seven seeds on 5 workers: chunks of ceil(7 / 5) seeds, under
-    # either trainer, so 4 tasks and a pool of 4
-    seeds = list(range(7))
-    run_experiment(parse_config(tiny_config(tmp_path, trainer=trainer, seeds=seeds, sweep={})))
-    assert _SerialPool.chunks == [2, 2, 2, 1]
-    assert _SerialPool.max_workers == [tasks]
+    # either trainer, so 4 chunks on 4 children, one chunk each
+    cfg = parse_config(tiny_config(tmp_path, trainer=trainer, seeds=list(range(7)), sweep={}))
+    run_experiment(cfg)
+    made = sorted(path.name.split("-") for path in calls.iterdir())
+    pids = {int(pid) for pid, _ in made}
+    assert len(pids) == children and os.getpid() not in pids
+    assert sorted(int(run) for _, run in made) == [0, 2, 4, 6]
+    by_run = {int(run): int((calls / f"{pid}-{run}").read_text()) for pid, run in made}
+    assert [by_run[run] for run in sorted(by_run)] == [2, 2, 2, 1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_shares_balance_members_across_children(tmp_path):
+    # the benchmark's sweep: n = 5 and 10, four seeds each; on 2 workers the
+    # chunks are two runs each, 10, 10, 20 and 20 members
+    cfg = parse_config(
+        tiny_config(tmp_path, seeds=[0, 1, 2, 3], sweep={"set_size": [5, 10]})
+    )
+    specs = enumerate_runs(cfg)
+    for workers, loads in ((2, [30, 30]), (3, [20, 20, 20]), (5, [15, 15, 10, 10, 10])):
+        chunks = _chunks(specs, workers)
+        shares = _shares(chunks, min(workers, len(chunks)))
+        assert sorted(i for share in shares for i in share) == list(range(len(chunks)))
+        members = [[chunks[i][0].set_size * len(chunks[i]) for i in share] for share in shares]
+        assert [sum(m) for m in members] == loads
+        # each child takes its largest chunk first
+        assert all(m == sorted(m, reverse=True) for m in members)
+
+
+def _raise_in_one_child(config, specs):
+    if specs[0].seed_label == 1:
+        raise ValueError(f"no training for run {specs[0].run_index}")
+    return run_cell(config, specs)
+
+
+def _exit_in_one_child(config, specs):
+    if specs[0].seed_label == 1:
+        os._exit(7)
+    return run_cell(config, specs)
+
+
+def test_sweep_child_errors_reach_the_parent(tmp_path, monkeypatch):
+    monkeypatch.setenv("DIVSET_WORKERS", "2")
+    # one alpha cell of seeds 0 and 1, so two chunks and two children
+    cfg = parse_config(tiny_config(tmp_path, sweep={}))
+    monkeypatch.setattr(divset.experiment, "run_cell", _raise_in_one_child)
+    with pytest.raises(ValueError, match=r"^no training for run 1$") as raised:
+        run_experiment(cfg)
+    assert "sweep worker" in str(raised.value.__cause__)
+    assert "_raise_in_one_child" in str(raised.value.__cause__)
+    monkeypatch.setattr(divset.experiment, "run_cell", _exit_in_one_child)
+    with pytest.raises(RuntimeError, match=r"exited with status 7 before reporting"):
+        run_experiment(cfg)
+    # every child was reaped: this process has none left
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 _FOOTPRINT = """
-import json, sys
+import json, os, sys
 import divset
 watched = ("concurrent.futures.process", "multiprocessing", "numpy.ma")
-after_import = [name for name in watched if name in sys.modules]
+loaded = [[name for name in watched if name in sys.modules]]
 divset.run_kshot(divset.parse_config(json.loads(sys.argv[1])))
-print(json.dumps([after_import, [name for name in watched if name in sys.modules]]))
+loaded.append([name for name in watched if name in sys.modules])
+os.environ["DIVSET_WORKERS"] = "2"
+divset.run_experiment(divset.parse_config(json.loads(sys.argv[2])))
+loaded.append([name for name in watched if name in sys.modules])
+print(json.dumps(loaded))
 """
 
 
 def test_import_and_kshot_load_neither_the_pool_nor_numpy_ma(tmp_path):
-    # the pool's modules load only when a sweep starts a pool, and the
-    # bootstrap takes its percentiles without np.percentile, which imports numpy.ma
+    # a parallel sweep forks its children itself, without concurrent.futures
+    # or multiprocessing, and the bootstrap takes its percentiles without
+    # np.percentile, which imports numpy.ma
     src = str(Path(divset.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    cfg = json.dumps(golden_kshot_config(tmp_path / "out"))
+    kshot = json.dumps(golden_kshot_config(tmp_path / "out"))
+    sweep = json.dumps(tiny_config(tmp_path / "sweep"))
     proc = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT, cfg], capture_output=True, text=True, env=env
+        [sys.executable, "-c", _FOOTPRINT, kshot, sweep], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[], []]
+    assert json.loads(proc.stdout) == [[], [], []]
+    assert (tmp_path / "sweep" / "out" / "qd.csv").is_file()
 
 
 def test_worker_count_parsing(monkeypatch):

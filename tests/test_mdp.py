@@ -189,6 +189,23 @@ def _scalar_improve(actions, q, allowed=True):
     return improved
 
 
+@pytest.mark.parametrize("A", [1, 2, 4, 6])
+def test_improve_takes_numpys_max_and_lowest_argmax(A):
+    # the rule as numpy's reductions state it, on q with ties and masked actions
+    rng = np.random.default_rng(A)
+    m, S = 6, 9
+    q = rng.integers(-3, 4, size=(m, S, A)) / 4.0
+    actions = rng.integers(A, size=(m, S))
+    allowed = rng.uniform(size=q.shape) < 0.7
+    allowed[np.arange(m)[:, None], np.arange(S), actions] = True
+    current = q[np.arange(m)[:, None], np.arange(S), actions]
+    slack = divset.mdp._IMPROVEMENT_RTOL * np.abs(q).max(axis=(1, 2))[:, None]
+    for mask in (None, allowed):
+        masked = q if mask is None else np.where(mask, q, -np.inf)
+        expected = np.where(masked.max(axis=2) > current + slack, masked.argmax(axis=2), actions)
+        assert np.array_equal(divset.mdp._improve(actions, q, mask), expected)
+
+
 def _solve_alone(P_pi, r_pi, cls):
     """_gain_and_bias for one policy, as a stack of one."""
     g, h = _gain_and_bias((np.eye(len(cls)) - P_pi)[None], r_pi[None, :, None], _classes(cls[None]))
