@@ -17,14 +17,14 @@ its runs differ only in seed and are consecutive. Under either trainer a
 cell's runs train in lockstep, split into at most DIVSET_WORKERS chunks of
 consecutive seeds, one lockstep training call per chunk. The worker count
 comes from the DIVSET_WORKERS environment variable (default 1). On Linux a
-sweep of more than one chunk forks min(workers, chunks) children, each
-with a share of the chunks balanced by members (set size x runs): the
-largest chunk goes first, each to the least-loaded child. A child sends
-its results, or the exception it raised, back through its own pipe, and
-the parent reaps every child before it returns or raises. Each child
-starts as a copy of the parent, so peak memory is about the parent plus
-its largest child. Elsewhere (no fork, or system libraries that are not
-fork-safe) a sweep runs serially, as with one worker. Results are
+sweep of more than one chunk forks min(workers, chunks) children, which
+take the chunks one at a time, in run order, from one shared pipe as they
+come free. A child sends its results, or the exception it raised, back
+through its own pipe, and the parent reaps every child before it returns
+or raises. Each child starts as a copy of the parent, so peak memory is
+about the parent plus its largest child. Elsewhere (no fork on Windows,
+and macOS's system libraries are not fork-safe) the chunks run on a
+concurrent.futures process pool, which Linux never loads. Results are
 assembled in run order regardless, and lockstep training changes no set's
 arithmetic, so the output bytes do not depend on the worker count.
 """
@@ -38,6 +38,7 @@ import json
 import os
 import pickle
 import signal
+import struct
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -67,6 +68,10 @@ __all__ = [
 
 WORKERS_ENV = "DIVSET_WORKERS"
 PERTURB_ATTEMPTS = 8
+# a parallel sweep forks its workers on Linux; elsewhere (no fork on Windows,
+# and macOS's system libraries are not fork-safe) it runs on a process pool
+_FORK = sys.platform == "linux"
+_TASK = struct.Struct("=I")  # one chunk index on the children's shared pipe
 
 QD_COLUMNS = [
     "strategy",
@@ -250,52 +255,39 @@ def _worker_count() -> int:
     return workers
 
 
-def _shares(chunks: list[list[RunSpec]], children: int) -> list[list[int]]:
-    """The chunks' indices split into one share per child, balanced by
-    members: the largest chunk (set size x runs) first, each to the
-    least-loaded child; ties in run order."""
-    members = [chunk[0].set_size * len(chunk) for chunk in chunks]
-    shares: list[list[int]] = [[] for _ in range(children)]
-    loads = [0] * children
-    for i in sorted(range(len(chunks)), key=lambda i: -members[i]):
-        child = loads.index(min(loads))
-        shares[child].append(i)
-        loads[child] += members[i]
-    return shares
-
-
-def _run_share(pipe: int, config: ExperimentConfig, chunks: list[list[RunSpec]]) -> None:
-    """A forked child's whole life: run_cell over its chunks, then the
-    pickled results, or the exception raised and its traceback, into the
-    pipe. It always ends in os._exit, so the child never returns into the
-    parent's code; a child that cannot report exits with status 1."""
-    status = 1
+def _serve(tasks: int, pipe: int, config: ExperimentConfig, chunks: list[list[RunSpec]]) -> None:
+    """A forked child's work: run_cell on each chunk whose index it takes
+    from the shared tasks pipe, until that pipe is empty and closed; then
+    the pickled [(index, results)], or the exception raised and its
+    traceback, into the child's own pipe."""
     try:
-        try:
-            report = (True, [run_cell(config, chunk) for chunk in chunks])
-        except BaseException as exc:
-            import traceback
+        done = []
+        # each index is one 4-byte write, and a read of 4 bytes from a Linux
+        # pipe takes one whole write, so no two children take the same chunk
+        while task := os.read(tasks, _TASK.size):
+            (i,) = _TASK.unpack(task)
+            done.append((i, run_cell(config, chunks[i])))
+        report = (True, done)
+    except BaseException as exc:
+        import traceback
 
-            report = (False, (exc, traceback.format_exc()))
-        data = pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)
-        with open(pipe, "wb") as f:
-            f.write(data)
-        status = 0
-    finally:
-        os._exit(status)
+        report = (False, (exc, traceback.format_exc()))
+    with open(pipe, "wb") as f:
+        f.write(pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def _fan_out(config: ExperimentConfig, chunks: list[list[RunSpec]], workers: int) -> list:
     """run_cell over every chunk, in min(workers, len(chunks)) forked
-    children; the results in chunk order. A child's exception is raised
+    children that take the chunks one at a time, in run order, as they
+    come free; the results in chunk order. A child's exception is raised
     here, with its traceback as the cause; a child that exits without
     reporting is a RuntimeError naming its exit status. Every child is
     reaped, and killed first if the parent stops before reading it."""
-    shares = _shares(chunks, min(workers, len(chunks)))
+    tasks_read, tasks_write = os.pipe()
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     reports: list[bytes] = []
     try:
-        for share in shares:
+        for _ in range(min(workers, len(chunks))):
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -304,14 +296,32 @@ def _fan_out(config: ExperimentConfig, chunks: list[list[RunSpec]], workers: int
                 os.close(write)
                 raise
             if pid == 0:
-                os.close(read)
-                _run_share(write, config, [chunks[i] for i in share])
+                # the child never returns into the parent's code
+                status = 1
+                try:
+                    os.close(tasks_write)
+                    _serve(tasks_read, write, config, chunks)
+                    status = 0
+                finally:
+                    os._exit(status)
             os.close(write)
             children.append((pid, read))
+        os.close(tasks_read)
+        tasks_read = -1
+        try:
+            for i in range(len(chunks)):
+                os.write(tasks_write, _TASK.pack(i))
+        except BrokenPipeError:
+            pass  # every child has stopped; their statuses say why
+        os.close(tasks_write)
+        tasks_write = -1
         for _, read in children:
             with open(read, "rb", closefd=False) as f:
                 reports.append(f.read())
     finally:
+        for fd in (tasks_read, tasks_write):
+            if fd >= 0:
+                os.close(fd)
         for pid, read in children:
             os.close(read)
             if len(reports) < len(children):
@@ -319,7 +329,7 @@ def _fan_out(config: ExperimentConfig, chunks: list[list[RunSpec]], workers: int
         statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
 
     results = [None] * len(chunks)
-    for (pid, _), share, report, status in zip(children, shares, reports, statuses):
+    for (pid, _), report, status in zip(children, reports, statuses):
         code = os.waitstatus_to_exitcode(status)
         if code != 0 or not report:
             raise RuntimeError(f"sweep worker {pid} exited with status {code} before reporting")
@@ -327,7 +337,7 @@ def _fan_out(config: ExperimentConfig, chunks: list[list[RunSpec]], workers: int
         if not ok:
             exc, child_traceback = value
             raise exc from RuntimeError(f"in sweep worker {pid}:\n{child_traceback}")
-        for i, cell_results in zip(share, value):
+        for i, cell_results in value:
             results[i] = cell_results
     return results
 
@@ -339,14 +349,17 @@ def run_experiment(config: ExperimentConfig) -> Path:
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     specs = enumerate_runs(config)
     workers = _worker_count()
-    if sys.platform != "linux":
-        # no fork on Windows, and macOS's system libraries are not fork-safe
-        workers = 1
     chunks = _chunks(specs, workers)
-    if workers > 1 and len(chunks) > 1:
+    if workers == 1 or len(chunks) <= 1:
+        results = [run_cell(config, chunk) for chunk in chunks]
+    elif _FORK:
         results = _fan_out(config, chunks, workers)
     else:
-        results = [run_cell(config, chunk) for chunk in chunks]
+        # imported here, so that Linux, serial runs and kshot never load it
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            results = list(pool.map(run_cell, itertools.repeat(config), chunks))
 
     qd_rows = []
     for spec, (qd_row, trace_rows, ckpt) in zip(specs, itertools.chain(*results)):

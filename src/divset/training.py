@@ -469,13 +469,8 @@ def _train_exact_group(
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    # the row max one column at a time, as mdp._improve takes it; the row sum
-    # stays numpy's, which adds pairwise from 8 terms, an order a column loop
-    # would change
-    top = logits[..., 0]
-    for a in range(1, logits.shape[-1]):
-        top = np.maximum(top, logits[..., a])
-    e = np.exp(logits - top[..., None])
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -28,9 +29,7 @@ from divset import (
 from divset.experiment import (
     QD_COLUMNS,
     TRACE_COLUMNS,
-    _chunks,
     _perturb_with_retries,
-    _shares,
     _worker_count,
     strategy_descriptor,
 )
@@ -197,21 +196,31 @@ def test_parallel_workers_match_serial_bytes(tmp_path, monkeypatch):
 def test_sweep_forks_no_more_children_than_chunks(tmp_path, monkeypatch, trainer, children):
     calls = tmp_path / "calls"
     calls.mkdir()
+    forked = []
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
     def recording_run_cell(config, specs):
         # each call leaves a file named by the process that made it
         (calls / f"{os.getpid()}-{specs[0].run_index}").write_text(str(len(specs)))
         return run_cell(config, specs)
 
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", recording_fork)
     monkeypatch.setattr(divset.experiment, "run_cell", recording_run_cell)
     monkeypatch.setenv("DIVSET_WORKERS", "5")
     # one cell of seven seeds on 5 workers: chunks of ceil(7 / 5) seeds, under
-    # either trainer, so 4 chunks on 4 children, one chunk each
+    # either trainer, so 4 chunks on 4 children
     cfg = parse_config(tiny_config(tmp_path, trainer=trainer, seeds=list(range(7)), sweep={}))
     run_experiment(cfg)
     made = sorted(path.name.split("-") for path in calls.iterdir())
-    pids = {int(pid) for pid, _ in made}
-    assert len(pids) == children and os.getpid() not in pids
+    assert len(forked) == children
+    # a child that comes free first may take a second chunk
+    assert {int(pid) for pid, _ in made} <= set(forked)
     assert sorted(int(run) for _, run in made) == [0, 2, 4, 6]
     by_run = {int(run): int((calls / f"{pid}-{run}").read_text()) for pid, run in made}
     assert [by_run[run] for run in sorted(by_run)] == [2, 2, 2, 1]
@@ -219,21 +228,39 @@ def test_sweep_forks_no_more_children_than_chunks(tmp_path, monkeypatch, trainer
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_shares_balance_members_across_children(tmp_path):
-    # the benchmark's sweep: n = 5 and 10, four seeds each; on 2 workers the
-    # chunks are two runs each, 10, 10, 20 and 20 members
-    cfg = parse_config(
-        tiny_config(tmp_path, seeds=[0, 1, 2, 3], sweep={"set_size": [5, 10]})
-    )
-    specs = enumerate_runs(cfg)
-    for workers, loads in ((2, [30, 30]), (3, [20, 20, 20]), (5, [15, 15, 10, 10, 10])):
-        chunks = _chunks(specs, workers)
-        shares = _shares(chunks, min(workers, len(chunks)))
-        assert sorted(i for share in shares for i in share) == list(range(len(chunks)))
-        members = [[chunks[i][0].set_size * len(chunks[i]) for i in share] for share in shares]
-        assert [sum(m) for m in members] == loads
-        # each child takes its largest chunk first
-        assert all(m == sorted(m, reverse=True) for m in members)
+def test_a_free_child_takes_the_next_chunk(tmp_path, monkeypatch):
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    def holding_run_cell(config, specs):
+        run = specs[0].run_index
+        if run == 0:
+            # hold the first chunk until the last one has started
+            deadline = time.monotonic() + 60.0
+            while not (calls / "3").exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+        (calls / str(run)).write_text(str(os.getpid()))
+        return run_cell(config, specs)
+
+    monkeypatch.setattr(divset.experiment, "run_cell", holding_run_cell)
+    monkeypatch.setenv("DIVSET_WORKERS", "2")
+    # two alpha cells of seeds 0 and 1: four one-run chunks on two children
+    run_experiment(parse_config(tiny_config(tmp_path)))
+    pids = [(calls / str(run)).read_text() for run in range(4)]
+    # the child that is not held runs every other chunk, in run order
+    assert pids[1] == pids[2] == pids[3] != pids[0]
+
+
+def test_sweep_off_linux_runs_on_a_pool_with_the_serial_bytes(tmp_path, monkeypatch):
+    cfg = parse_config(tiny_config(tmp_path))
+    monkeypatch.delenv("DIVSET_WORKERS", raising=False)
+    run_experiment(cfg)
+    monkeypatch.setattr(divset.experiment, "_FORK", False)
+    monkeypatch.setattr(divset.experiment, "_fan_out", None)  # so only the pool can run it
+    monkeypatch.setenv("DIVSET_WORKERS", "2")
+    pool = dataclasses.replace(cfg, output_dir=str(tmp_path / "pool"))
+    run_experiment(pool)
+    assert _tree_bytes(Path(cfg.output_dir)) == _tree_bytes(Path(pool.output_dir))
 
 
 def _raise_in_one_child(config, specs):
